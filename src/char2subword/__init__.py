@@ -17,7 +17,10 @@ from .model import (
     Char2SubwordParams,
     ModelConfig,
     backward,
+    backward_batch,
+    encode,
     forward,
+    forward_batch,
     init_params,
     load_checkpoint,
     param_count,
@@ -33,6 +36,7 @@ from .objectives import (
     combined_loss,
     combined_loss_gradient,
     load_table,
+    loss_and_grad,
     loss_ce,
     loss_cos,
     loss_l2,

@@ -4,7 +4,7 @@ import enum
 from dataclasses import dataclass
 
 from . import model as model_mod
-from .vocab import char_sequence, tokenize_word, whitespace_split
+from .vocab import tokenize_word, whitespace_split
 
 
 class EmbedMode(enum.Enum):
@@ -20,44 +20,32 @@ class EmbeddedSequence:
     pieces: list  # token strings, aligned with vectors
 
 
-def _module_vector(params, word, alphabet, marker_on_full_words):
-    seq = char_sequence(word, True, alphabet,
-                       max_chars=params.config.max_chars,
-                       marker_on_full_words=marker_on_full_words)
-    vec, _, _ = model_mod.forward(params, seq)
-    return vec
-
-
 def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None,
                    marker_on_full_words=True):
     """Embed a whitespace-split sentence under the chosen mode.
 
     table_only splits into WordPiece pieces and looks each up; full runs
     every word through the module; hybrid looks whole words up and backs
-    off to the module for out-of-vocabulary words.
+    off to the module for out-of-vocabulary words. The module runs once per
+    sentence, over all the words it embeds.
     """
     if mode != EmbedMode.TABLE_ONLY and params is None:
         raise ValueError(f"{mode.value} mode requires trained module parameters")
-    vectors, provenance, pieces = [], [], []
-    for word in whitespace_split(sentence):
-        if mode == EmbedMode.TABLE_ONLY:
-            for piece in tokenize_word(vocab, word):
-                vectors.append(e_table.row(vocab.id_of[piece]))
-                provenance.append("table")
-                pieces.append(piece)
-        elif mode == EmbedMode.FULL:
-            vectors.append(_module_vector(params, word, alphabet, marker_on_full_words))
-            provenance.append("char2subword")
-            pieces.append(word)
-        else:  # hybrid: whole-word lookup, case-sensitive, else back off
-            if word in vocab.id_of:
-                vectors.append(e_table.row(vocab.id_of[word]))
-                provenance.append("table")
-            else:
-                vectors.append(_module_vector(params, word, alphabet, marker_on_full_words))
-                provenance.append("char2subword")
-            pieces.append(word)
-    return EmbeddedSequence(vectors=vectors, provenance=provenance, pieces=pieces)
+    words = whitespace_split(sentence)
+    if mode == EmbedMode.TABLE_ONLY:
+        pieces = [piece for word in words for piece in tokenize_word(vocab, word)]
+        return EmbeddedSequence(vectors=[e_table.row(vocab.id_of[p]) for p in pieces],
+                                provenance=["table"] * len(pieces), pieces=pieces)
+    # hybrid: whole-word lookup, case-sensitive, else back off
+    in_table = [mode == EmbedMode.HYBRID and word in vocab.id_of for word in words]
+    _, module_vecs, _ = model_mod.encode(
+        params, [w for w, hit in zip(words, in_table) if not hit], alphabet,
+        marker_on_full_words=marker_on_full_words)
+    module_rows = iter(module_vecs)
+    vectors = [e_table.row(vocab.id_of[w]) if hit else next(module_rows)
+               for w, hit in zip(words, in_table)]
+    provenance = ["table" if hit else "char2subword" for hit in in_table]
+    return EmbeddedSequence(vectors=vectors, provenance=provenance, pieces=words)
 
 
 def coverage_report(sentences, vocab):

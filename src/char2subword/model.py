@@ -6,6 +6,7 @@ variant), and finishes with a linear projection, max-pool over positions,
 and a final layer norm. backward() is a hand-written exact reverse pass.
 """
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -20,8 +21,13 @@ from .numerics import (
     sinusoidal_pe,
     softmax_rows,
 )
+from .vocab import char_sequence
+
 CHECKPOINT_MAGIC = b"C2SW"
 CHECKPOINT_VERSION = 1
+# Padded character positions per forward pass: bounds the activations a pass
+# holds for backward (about 5 KB per position at d_char 16, 2 layers).
+PASS_POSITIONS = 256
 
 
 @dataclass(frozen=True)
@@ -139,38 +145,63 @@ def table_param_count(v, d):
     return int(v) * int(d)
 
 
-def forward(params, seq):
-    """Run the module on a CharSequence.
+@functools.lru_cache(maxsize=None)
+def _pe_table(max_chars, d_char):
+    """Sinusoidal encodings of positions 0..max_chars-1, built once per shape."""
+    table = np.stack([sinusoidal_pe(p, d_char) for p in range(max_chars)])
+    table.setflags(write=False)
+    return table
 
-    Returns (embedding, attention_maps, cache); cache feeds backward().
+
+def _qkv_weights(t, j, n_heads):
+    """Layer j's per-head Wq, Wk, Wv side by side: one (d, 3d) matrix."""
+    return np.concatenate([t[f"L{j}.W{kind}.{i}"] for kind in "qkv" for i in range(n_heads)],
+                          axis=1)
+
+
+def forward_batch(params, seqs):
+    """Run the module on a list of CharSequences as one padded batch.
+
+    Shorter sequences are padded to the longest; padded keys get -inf before
+    every attention softmax and padded positions -inf before the max-pool, so
+    each row depends on its own characters only. Returns (embeddings (B,
+    d_out), attention maps (one (B, heads, n, n) array per layer), cache);
+    the cache feeds backward_batch().
     """
     cfg = params.config
     t = params.tensors
-    n = len(seq)
-    if n == 0:
+    if not seqs:
+        raise ValueError("forward_batch requires at least one sequence")
+    lengths = np.array([len(s) for s in seqs])
+    if lengths.min() == 0:
         raise ValueError("forward requires a nonempty character sequence")
-    if n > cfg.max_chars:
-        raise ValueError(f"sequence length {n} exceeds max_chars {cfg.max_chars}")
+    if lengths.max() > cfg.max_chars:
+        raise ValueError(f"sequence length {lengths.max()} exceeds max_chars {cfg.max_chars}")
+    b, n = len(seqs), int(lengths.max())
+    ids = np.zeros((b, n), dtype=np.intp)
+    for row, s in enumerate(seqs):
+        ids[row, :len(s)] = s.chars
+    real = np.arange(n) < lengths[:, None]
+    padded = not real.all()
 
-    pe = np.stack([sinusoidal_pe(p, cfg.d_char) for p in range(n)])
-    x = t["char_emb"][list(seq.chars)] + pe
+    x = t["char_emb"][ids] + _pe_table(cfg.max_chars, cfg.d_char)[:n]
+    key_bias = np.where(real, 0.0, -np.inf)[:, None, None, :] if padded else None
 
+    h, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
     layers = []
     maps = []
     for j in range(cfg.n_layers):
         xin = x
         xb = layer_norm(xin, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
-        heads = []
-        layer_maps = []
-        for i in range(cfg.n_heads):
-            q = xb @ t[f"L{j}.Wq.{i}"]
-            k = xb @ t[f"L{j}.Wk.{i}"]
-            v = xb @ t[f"L{j}.Wv.{i}"]
-            a = softmax_rows((q @ k.T) * scale)
-            heads.append({"q": q, "k": k, "v": v, "a": a})
-            layer_maps.append(a)
-        c = np.concatenate([h["a"] @ h["v"] for h in heads], axis=1)
+        w_qkv = _qkv_weights(t, j, h)
+        # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
+        q, k, v = (xb @ w_qkv).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        scores = (q @ k.swapaxes(-1, -2)) * scale
+        if padded:
+            scores += key_bias
+        a = softmax_rows(scores)
+        c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
         m = c @ t[f"L{j}.Wo"]
         res1 = xin if cfg.standard_preln else xb
         xp = m + res1
@@ -180,53 +211,57 @@ def forward(params, seq):
         f = g @ t[f"L{j}.W2"] + t[f"L{j}.b2"]
         res2 = xp if cfg.standard_preln else xbp
         xout = f + res2
-        layers.append({"xin": xin, "xb": xb, "heads": heads, "c": c,
-                       "xp": xp, "xbp": xbp, "u": u, "g": g})
-        maps.append(tuple(layer_maps))
+        layers.append({"xin": xin, "xb": xb, "w_qkv": w_qkv, "q": q, "k": k, "v": v,
+                       "a": a, "c": c, "xp": xp, "xbp": xbp, "u": u, "g": g})
+        maps.append(a)
         x = xout
 
     y = x @ t["We"] + t["be"]
-    arg = y.argmax(axis=0)
-    pooled = y[arg, np.arange(cfg.d_out)]
+    if padded:
+        y = np.where(real[:, :, None], y, -np.inf)
+    arg = y.argmax(axis=1)
+    pooled = np.take_along_axis(y, arg[:, None, :], axis=1)[:, 0, :]
     emb = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
 
-    cache = {"seq": seq, "n": n, "layers": layers, "x_final": x,
-             "y": y, "arg": arg, "pooled": pooled}
-    return emb, AttentionMaps(maps=tuple(maps)), cache
+    cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
+             "arg": arg, "pooled": pooled}
+    return emb, maps, cache
 
 
-def backward(params, seq, cache, upstream):
-    """Exact gradients of <upstream, forward(params, seq)> for every tensor."""
+def backward_batch(params, cache, upstream):
+    """Exact gradients of sum_b <upstream[b], forward_batch(params, seqs)[0][b]>.
+
+    Padded positions receive exactly zero gradient, so they add nothing to
+    any tensor's gradient.
+    """
     cfg = params.config
     t = params.tensors
-    if cache.get("seq") is not seq and cache.get("seq") != seq:
-        raise ValueError("backward cache does not match the given sequence")
-    n = cache["n"]
+    b, n = cache["ids"].shape
+    d, h, dh = cfg.d_char, cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
-    grads = {name: np.zeros(shape) for name, shape in tensor_shapes(cfg, params.alphabet_size)}
+    grads = {}
 
     upstream = np.asarray(upstream, dtype=np.float64)
-    d_pooled, g_g, g_b = layer_norm_backward(cache["pooled"], t["ln_out.g"], cfg.ln_eps, upstream)
-    grads["ln_out.g"] += g_g
-    grads["ln_out.b"] += g_b
+    d_pooled, grads["ln_out.g"], grads["ln_out.b"] = layer_norm_backward(
+        cache["pooled"], t["ln_out.g"], cfg.ln_eps, upstream)
 
-    dy = np.zeros_like(cache["y"])
-    dy[cache["arg"], np.arange(cfg.d_out)] = d_pooled
+    dy = np.zeros((b, n, cfg.d_out))
+    np.put_along_axis(dy, cache["arg"][:, None, :], d_pooled[:, None, :], axis=1)
 
-    grads["We"] += cache["x_final"].T @ dy
-    grads["be"] += dy.sum(axis=0)
+    grads["We"] = cache["x_final"].reshape(-1, d).T @ dy.reshape(-1, cfg.d_out)
+    grads["be"] = d_pooled.sum(axis=0)
     dx = dy @ t["We"].T
 
     for j in reversed(range(cfg.n_layers)):
         layer = cache["layers"][j]
         df = dx
         d_res2 = dx
-        grads[f"L{j}.W2"] += layer["g"].T @ df
-        grads[f"L{j}.b2"] += df.sum(axis=0)
+        grads[f"L{j}.W2"] = layer["g"].reshape(-1, 4 * d).T @ df.reshape(-1, d)
+        grads[f"L{j}.b2"] = df.reshape(-1, d).sum(axis=0)
         dg = df @ t[f"L{j}.W2"].T
         du = gelu_backward(layer["u"], dg)
-        grads[f"L{j}.W1"] += layer["xbp"].T @ du
-        grads[f"L{j}.b1"] += du.sum(axis=0)
+        grads[f"L{j}.W1"] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
+        grads[f"L{j}.b1"] = du.reshape(-1, 4 * d).sum(axis=0)
         dxbp_ffn = du @ t[f"L{j}.W1"].T
 
         if cfg.standard_preln:
@@ -236,33 +271,28 @@ def backward(params, seq, cache, upstream):
             dxp, g2g, g2b = layer_norm_backward(
                 layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn + d_res2
             )
-        grads[f"L{j}.ln2.g"] += g2g
-        grads[f"L{j}.ln2.b"] += g2b
+        grads[f"L{j}.ln2.g"] = g2g
+        grads[f"L{j}.ln2.b"] = g2b
 
         dm = dxp
         d_res1 = dxp
-        grads[f"L{j}.Wo"] += layer["c"].T @ dm
-        dc = dm @ t[f"L{j}.Wo"].T
+        grads[f"L{j}.Wo"] = layer["c"].reshape(-1, d).T @ dm.reshape(-1, d)
+        dhead = (dm @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
 
-        dh = cfg.d_head
-        dxb_attn = np.zeros_like(layer["xb"])
-        for i in range(cfg.n_heads):
-            head = layer["heads"][i]
-            dhead = dc[:, i * dh:(i + 1) * dh]
-            da = dhead @ head["v"].T
-            dv = head["a"].T @ dhead
-            # softmax backward, row-wise
-            a = head["a"]
-            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
-            ds = ds * scale
-            dq = ds @ head["k"]
-            dk = ds.T @ head["q"]
-            grads[f"L{j}.Wq.{i}"] += layer["xb"].T @ dq
-            grads[f"L{j}.Wk.{i}"] += layer["xb"].T @ dk
-            grads[f"L{j}.Wv.{i}"] += layer["xb"].T @ dv
-            dxb_attn += dq @ t[f"L{j}.Wq.{i}"].T
-            dxb_attn += dk @ t[f"L{j}.Wk.{i}"].T
-            dxb_attn += dv @ t[f"L{j}.Wv.{i}"].T
+        a = layer["a"]
+        da = dhead @ layer["v"].swapaxes(-1, -2)
+        dv = a.swapaxes(-1, -2) @ dhead
+        # softmax backward, row-wise; padded keys have a == 0, so ds == 0 there
+        ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        ds = ds * scale
+        dq = ds @ layer["k"]
+        dk = ds.swapaxes(-1, -2) @ layer["q"]
+        # back to (b * n, 3d), columns laid out as in _qkv_weights
+        dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
+        g_qkv = layer["xb"].reshape(-1, d).T @ dqkv
+        for col, kind in enumerate(kind for kind in "qkv" for _ in range(h)):
+            grads[f"L{j}.W{kind}.{col % h}"] = g_qkv[:, col * dh:(col + 1) * dh]
+        dxb_attn = (dqkv @ layer["w_qkv"].T).reshape(b, n, d)
 
         if cfg.standard_preln:
             dxin, g1g, g1b = layer_norm_backward(layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn)
@@ -271,13 +301,69 @@ def backward(params, seq, cache, upstream):
             dxin, g1g, g1b = layer_norm_backward(
                 layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn + d_res1
             )
-        grads[f"L{j}.ln1.g"] += g1g
-        grads[f"L{j}.ln1.b"] += g1b
+        grads[f"L{j}.ln1.g"] = g1g
+        grads[f"L{j}.ln1.b"] = g1b
         dx = dxin
 
-    for p, ch in enumerate(seq.chars):
-        grads["char_emb"][ch] += dx[p]
-    return grads
+    grads["char_emb"] = np.zeros((params.alphabet_size, d))
+    np.add.at(grads["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
+    return {name: grads[name] for name, _ in tensor_shapes(cfg, params.alphabet_size)}
+
+
+def forward(params, seq):
+    """Run the module on one CharSequence (a batch of one).
+
+    Returns (embedding, attention_maps, cache); cache feeds backward().
+    """
+    emb, maps, cache = forward_batch(params, [seq])
+    return emb[0], AttentionMaps(maps=tuple(tuple(a[0]) for a in maps)), cache
+
+
+def backward(params, seq, cache, upstream):
+    """Exact gradients of <upstream, forward(params, seq)> for every tensor."""
+    if cache["seqs"] != [seq]:
+        raise ValueError("backward cache does not match the given sequence")
+    return backward_batch(params, cache, np.asarray(upstream, dtype=np.float64)[None, :])
+
+
+def split_passes(seqs):
+    """Indices of `seqs` grouped into forward passes, shortest first.
+
+    Each pass holds at most PASS_POSITIONS padded positions (or a single
+    sequence), so the memory of a pass is bounded and padding stays small.
+    """
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+    passes = [[]]
+    for i in order:
+        if passes[-1] and (len(passes[-1]) + 1) * len(seqs[i]) > PASS_POSITIONS:
+            passes.append([])
+        passes[-1].append(i)
+    return passes if passes[0] else []
+
+
+def encode(params, words, alphabet, is_full_word=True, marker_on_full_words=True):
+    """Run the module on surface forms; returns (seqs, vectors, maps).
+
+    Row i of `vectors` (len(words), d_out) and `maps[i]` (AttentionMaps) are
+    words[i]'s. Words are batched by character length, so no batch is padded
+    and every result equals forward() on that word alone, bit for bit.
+    """
+    seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars,
+                          marker_on_full_words=marker_on_full_words) for w in words]
+    vectors = np.empty((len(seqs), params.config.d_out))
+    maps = [None] * len(seqs)
+    by_length = {}
+    for i, seq in enumerate(seqs):
+        by_length.setdefault(len(seq), []).append(i)
+    for length, rows in by_length.items():
+        step = max(1, PASS_POSITIONS // length)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            emb, layer_maps, _ = forward_batch(params, [seqs[i] for i in chunk])
+            vectors[chunk] = emb
+            for b, i in enumerate(chunk):
+                maps[i] = AttentionMaps(maps=tuple(tuple(a[b]) for a in layer_maps))
+    return seqs, vectors, maps
 
 
 def save_checkpoint(path, params, alphabet, marker_on_full_words=True):

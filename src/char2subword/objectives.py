@@ -4,6 +4,7 @@ The table E is never trainable: loss gradients flow to the predicted
 vector only.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -12,6 +13,10 @@ import numpy as np
 from .numerics import cosine_similarity
 
 TABLE_MAGIC = b"EMBT"
+# Most logits (rows x |V|) that loss_and_grad holds at once: 4 MB of float64.
+# Rows are processed in blocks of CE_BLOCK // |V|, so memory stays bounded at
+# any table size, and at toy scale a whole batch is one block.
+CE_BLOCK = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,8 @@ class EmbeddingTable:
         return self.matrix[i]
 
     def checksum(self):
-        return hash(self.matrix.tobytes())
+        """SHA-256 hex digest of the matrix bytes; stable across processes."""
+        return hashlib.sha256(memoryview(np.ascontiguousarray(self.matrix)).cast("B")).hexdigest()
 
 
 def save_table_text(path, table):
@@ -146,11 +152,10 @@ def loss_ce(target_id, e_hat, e_table):
     return float(logz - shifted[target_id])
 
 
-def loss_l2(e, e_hat, squared=False):
-    """Euclidean distance between target and prediction (optionally squared)."""
+def loss_l2(e, e_hat):
+    """Euclidean distance between target and prediction."""
     d = np.asarray(e, dtype=np.float64) - np.asarray(e_hat, dtype=np.float64)
-    sq = float(d @ d)
-    return sq if squared else float(np.sqrt(sq))
+    return float(np.sqrt(d @ d))
 
 
 def loss_nbr(target_id, e_hat, e_table, index):
@@ -168,12 +173,13 @@ def loss_nbr(target_id, e_hat, e_table, index):
     return total / index.k
 
 
-def combined_loss(target_id, e, e_hat, e_table, index, weights, squared_l2=False):
-    """Weighted sum of the four objectives; returns (total, components)."""
+def combined_loss(target_id, e, e_hat, e_table, index, weights):
+    """Weighted sum of the four objectives for one sample; returns (total,
+    components). The per-sample reference for loss_and_grad."""
     parts = {
         "cos": loss_cos(e, e_hat) if weights.l_cos else 0.0,
         "ce": loss_ce(target_id, e_hat, e_table) if weights.l_ce else 0.0,
-        "l2": loss_l2(e, e_hat, squared=squared_l2) if weights.l_l2 else 0.0,
+        "l2": loss_l2(e, e_hat) if weights.l_l2 else 0.0,
         "nbr": loss_nbr(target_id, e_hat, e_table, index) if weights.l_nbr else 0.0,
     }
     total = (weights.l_cos * parts["cos"] + weights.l_ce * parts["ce"]
@@ -189,9 +195,9 @@ def _grad_cos_sim(v, other):
     return other / (nv * no) - c * v / (nv * nv)
 
 
-def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights,
-                           squared_l2=False):
-    """Exact gradient of combined_loss with respect to e_hat."""
+def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights):
+    """Exact gradient of combined_loss with respect to e_hat; the per-sample
+    reference for loss_and_grad."""
     e = np.asarray(e, dtype=np.float64)
     e_hat = np.asarray(e_hat, dtype=np.float64)
     grad = np.zeros_like(e_hat)
@@ -209,12 +215,9 @@ def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights,
 
     if weights.l_l2:
         diff = e_hat - e
-        if squared_l2:
-            grad += weights.l_l2 * 2.0 * diff
-        else:
-            norm = np.linalg.norm(diff)
-            if norm > 0.0:  # gradient defined as 0 at e == e_hat
-                grad += weights.l_l2 * diff / norm
+        norm = np.linalg.norm(diff)
+        if norm > 0.0:  # gradient defined as 0 at e == e_hat
+            grad += weights.l_l2 * diff / norm
 
     if weights.l_nbr:
         erow = e_table.row(target_id)
@@ -228,3 +231,72 @@ def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights,
         grad += weights.l_nbr * acc / index.k
 
     return grad
+
+
+def loss_and_grad(target_ids, e_hat, e_table, index, weights):
+    """combined_loss and combined_loss_gradient for a batch of predictions.
+
+    `e_hat` is (B, d), one row per target id. The CE softmax is one (b x d) .
+    (d x V) product per block of b = CE_BLOCK // V rows (the whole batch when
+    the table is small), and L_nbr runs over all k neighbors at once. Returns
+    (totals (B,), {term: (B,)}, gradient (B, d)); a term whose weight is 0 is
+    reported as zeros and adds nothing. `index` may be None when l_nbr is 0.
+    """
+    ids = np.asarray(target_ids, dtype=np.int64)
+    e_hat = np.asarray(e_hat, dtype=np.float64)
+    if ids.size and (ids.min() < 0 or ids.max() >= e_table.size):
+        raise IndexError(f"target ids out of range for |V|={e_table.size}")
+    table = e_table.matrix
+    e = table[ids]
+    norm_hat = np.linalg.norm(e_hat, axis=1)
+    parts = {name: np.zeros(len(ids)) for name in ("cos", "ce", "l2", "nbr")}
+    grad = np.zeros_like(e_hat)
+
+    if weights.l_cos:
+        norm_e = np.linalg.norm(e, axis=1)
+        cos = np.einsum("bd,bd->b", e_hat, e) / (norm_hat * norm_e)
+        parts["cos"] = 1.0 - cos
+        grad -= weights.l_cos * (e / (norm_hat * norm_e)[:, None]
+                                 - (cos / norm_hat ** 2)[:, None] * e_hat)
+
+    if weights.l_ce:
+        step = max(1, CE_BLOCK // e_table.size)
+        for lo in range(0, len(ids), step):
+            blk = slice(lo, lo + step)
+            target = (np.arange(len(ids[blk])), ids[blk])
+            p = e_hat[blk] @ table.T  # the only logits array; updated in place below
+            p -= p.max(axis=1, keepdims=True)
+            target_logit = p[target]
+            np.exp(p, out=p)
+            z = p.sum(axis=1)
+            parts["ce"][blk] = np.log(z) - target_logit
+            p /= z[:, None]
+            p[target] -= 1.0
+            grad[blk] += weights.l_ce * (p @ table)
+
+    if weights.l_l2:
+        diff = e_hat - e
+        norm = np.linalg.norm(diff, axis=1)
+        parts["l2"] = norm
+        # gradient defined as 0 at e == e_hat
+        grad += weights.l_l2 * diff / np.where(norm > 0.0, norm, np.inf)[:, None]
+
+    if weights.l_nbr:
+        if index.ids.shape[0] != e_table.size:
+            raise ValueError("neighbor index does not match the table")
+        nbrs = table[index.ids[ids]]  # (B, k, d)
+        norm_n = np.linalg.norm(nbrs, axis=2)
+        norm_e = np.linalg.norm(e, axis=1)
+        cos_true = np.einsum("bkd,bd->bk", nbrs, e) / (norm_n * norm_e[:, None])
+        cos_pred = np.einsum("bkd,bd->bk", nbrs, e_hat) / (norm_n * norm_hat[:, None])
+        gap = (1.0 - cos_true) - (1.0 - cos_pred)
+        parts["nbr"] = (gap ** 2).sum(axis=1) / index.k
+        # d/de_hat of gap_j^2 = 2 gap_j d cos(e_hat, n_j)/de_hat
+        coef = 2.0 * gap / index.k
+        grad += weights.l_nbr * (
+            np.einsum("bk,bkd->bd", coef / (norm_n * norm_hat[:, None]), nbrs)
+            - ((coef * cos_pred).sum(axis=1) / norm_hat ** 2)[:, None] * e_hat)
+
+    totals = (weights.l_cos * parts["cos"] + weights.l_ce * parts["ce"]
+              + weights.l_l2 * parts["l2"] + weights.l_nbr * parts["nbr"])
+    return totals, parts, grad

@@ -13,12 +13,7 @@ import numpy as np
 
 from . import evaluation, model as model_mod
 from .noise import NoiseConfig, sample_noisy
-from .objectives import (
-    LossWeights,
-    build_neighbor_index,
-    combined_loss,
-    combined_loss_gradient,
-)
+from .objectives import LossWeights, build_neighbor_index, loss_and_grad
 from .vocab import (
     MASK_CHAR_INDEX,
     UNK,
@@ -44,10 +39,8 @@ class TrainConfig:
     batch_size: int = 32
     weights: LossWeights = field(default_factory=LossWeights)
     noise: NoiseConfig = None  # None disables augmentation
-    grad_clip: float = None
     nbr_k: int = 5
     eval_k: int = 15
-    squared_l2: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -70,11 +63,6 @@ class _Adam:
             self.m = {k: np.zeros_like(g) for k, g in grads.items()}
             self.v = {k: np.zeros_like(g) for k, g in grads.items()}
         c = self.cfg
-        if c.grad_clip is not None:
-            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > c.grad_clip:
-                scale = c.grad_clip / total
-                grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
@@ -84,24 +72,34 @@ class _Adam:
             params.tensors[k] -= c.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
 
 
-def _accumulate(total, grads):
-    if total is None:
-        return grads
-    for k, g in grads.items():
-        total[k] += g
-    return total
+def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights):
+    """Forward, loss_and_grad and backward over a batch of samples.
+
+    The batch runs in the passes of model.split_passes. Returns (per-sample
+    totals, per-sample loss terms, gradient of sum_b sample_weights[b] *
+    total_b).
+    """
+    target_ids = np.asarray(target_ids)
+    sample_weights = np.asarray(sample_weights, dtype=np.float64)
+    totals = np.empty(len(seqs))
+    parts = {k: np.empty(len(seqs)) for k in ("cos", "ce", "l2", "nbr")}
+    grads = None
+    for rows in model_mod.split_passes(seqs):
+        e_hat, _, cache = model_mod.forward_batch(params, [seqs[i] for i in rows])
+        t, p, d_ehat = loss_and_grad(target_ids[rows], e_hat, e_table, index, weights)
+        totals[rows] = t
+        for k, v in p.items():
+            parts[k][rows] = v
+        g = model_mod.backward_batch(params, cache, d_ehat * sample_weights[rows, None])
+        grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
+    return totals, parts, grads
 
 
-def simulation_sample_loss(params, seq, target_id, e_table, index, weights, squared_l2=False):
+def simulation_sample_loss(params, seq, target_id, e_table, index, weights):
     """Forward, loss, and full parameter gradient for one simulation sample."""
-    e_hat, _, cache = model_mod.forward(params, seq)
-    e = e_table.row(target_id)
-    total, parts = combined_loss(target_id, e, e_hat, e_table, index, weights,
-                                 squared_l2=squared_l2)
-    d_ehat = combined_loss_gradient(target_id, e, e_hat, e_table, index, weights,
-                                    squared_l2=squared_l2)
-    grads = model_mod.backward(params, seq, cache, d_ehat)
-    return total, parts, grads
+    totals, parts, grads = batch_loss(params, [seq], [target_id], e_table, index, weights,
+                                      [1.0])
+    return float(totals[0]), {k: float(v[0]) for k, v in parts.items()}, grads
 
 
 def train_simulation(params, vocab, e_table, alphabet, config, index=None,
@@ -109,7 +107,8 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
     """Train f_theta to mimic the frozen table over the vocabulary entries.
 
     Returns (trained params, per-epoch metrics list). Targets are the clean
-    table rows even when the input characters are noised.
+    table rows even when the input characters are noised. Each Adam step
+    runs its `config.batch_size` samples through one batch_loss call.
     """
     if e_table.dim != params.config.d_out:
         raise TrainingError(
@@ -118,7 +117,8 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
     checksum = e_table.checksum()
     if index is None:
         index = build_neighbor_index(e_table, min(config.nbr_k, e_table.size))
-    eval_index = build_neighbor_index(e_table, min(config.eval_k, e_table.size))
+    eval_index = (build_neighbor_index(e_table, min(config.eval_k, e_table.size))
+                  if eval_every else None)
 
     rng = random.Random(config.seed)
     params = params.copy()
@@ -138,33 +138,31 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
         order = list(sample_ids)
         rng.shuffle(order)
         sums = {"total": 0.0, "cos": 0.0, "ce": 0.0, "l2": 0.0, "nbr": 0.0}
-        batch_grads, batch_n = None, 0
-        for step, i in enumerate(order):
-            token = vocab.token(i)
-            if config.noise is not None:
-                noised = sample_noisy(token, rng, config.noise)
-                seq = (clean_seqs[i] if noised == token else
-                       char_sequence(noised, False, alphabet,
-                                     max_chars=params.config.max_chars,
-                                     marker_on_full_words=marker_on_full_words))
-            else:
-                seq = clean_seqs[i]
-            total, parts, grads = simulation_sample_loss(
-                params, seq, i, e_table, index, config.weights,
-                squared_l2=config.squared_l2)
-            if not np.isfinite(total):
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            seqs = []
+            for i in batch:  # noise draws follow the sample order
+                token = vocab.token(i)
+                noised = token if config.noise is None else sample_noisy(token, rng,
+                                                                          config.noise)
+                seqs.append(clean_seqs[i] if noised == token else
+                            char_sequence(noised, False, alphabet,
+                                          max_chars=params.config.max_chars,
+                                          marker_on_full_words=marker_on_full_words))
+            totals, parts, grads = batch_loss(params, seqs, batch, e_table, index,
+                                              config.weights,
+                                              np.full(len(batch), 1.0 / len(batch)))
+            bad = np.flatnonzero(~np.isfinite(totals))
+            if bad.size:
+                step = start + int(bad[0])
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {step}, token {token!r}"
+                    f"non-finite loss at epoch {epoch}, step {step}, "
+                    f"token {vocab.token(order[step])!r}"
                 )
-            sums["total"] += total
+            sums["total"] += float(totals.sum())
             for k, v in parts.items():
-                sums[k] += v
-            batch_grads = _accumulate(batch_grads, grads)
-            batch_n += 1
-            if batch_n == config.batch_size or step == len(order) - 1:
-                scaled = {k: g / batch_n for k, g in batch_grads.items()}
-                opt.step(params, scaled)
-                batch_grads, batch_n = None, 0
+                sums[k] += float(v.sum())
+            opt.step(params, grads)
 
         record = {"epoch": epoch}
         for k in ("total", "cos", "ce", "l2", "nbr"):
@@ -243,6 +241,9 @@ def apply_masking(plan, char_seqs, alphabet, rng):
     return masked
 
 
+_CE_ONLY = LossWeights(l_cos=0.0, l_ce=1.0, l_l2=0.0, l_nbr=0.0)
+
+
 def mlm_step(params, masked_seqs, targets, e_table):
     """Mean CE of frozen-table predictions over the selected tokens.
 
@@ -253,22 +254,9 @@ def mlm_step(params, masked_seqs, targets, e_table):
                 for name, shape in model_mod.tensor_shapes(params.config, params.alphabet_size)}
         return 0.0, zero
     n = len(masked_seqs)
-    total_loss = 0.0
-    grads = None
-    for seq, target in zip(masked_seqs, targets):
-        if not 0 <= target < e_table.size:
-            raise IndexError(f"target id {target} out of range for |V|={e_table.size}")
-        e_hat, _, cache = model_mod.forward(params, seq)
-        logits = e_table.matrix @ e_hat
-        shifted = logits - logits.max()
-        p = np.exp(shifted)
-        p /= p.sum()
-        total_loss += float(-np.log(p[target]))
-        dlogits = p.copy()
-        dlogits[target] -= 1.0
-        d_ehat = (e_table.matrix.T @ dlogits) / n
-        grads = _accumulate(grads, model_mod.backward(params, seq, cache, d_ehat))
-    return total_loss / n, grads
+    ce, _, grads = batch_loss(params, masked_seqs, targets, e_table, None, _CE_ONLY,
+                              np.full(n, 1.0 / n))
+    return float(ce.sum()) / n, grads
 
 
 def corpus_samples(vocab, alphabet, lines, max_chars=32, marker_on_full_words=True):
@@ -321,24 +309,30 @@ def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config, select_p=0
         order = list(range(len(sequences)))
         rng.shuffle(order)
         epoch_loss, epoch_sel = 0.0, 0
-        batch_grads, batch_n = None, 0
+        # one Adam batch: the masked tokens of `batch_size` lines that selected any
+        seqs, targets, steps, sizes = [], [], [], []
         for step, si in enumerate(order):
-            ids, seqs = sequences[si]
-            plan = make_masking_plan(ids, seqs, rng, select_p=select_p)
-            masked = apply_masking(plan, seqs, alphabet, rng)
-            targets = [entry.target_id for entry in plan.entries]
-            loss, grads = mlm_step(params, masked, targets, e_table)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite MLM loss at epoch {epoch}, step {step}")
-            if targets:
-                epoch_loss += loss * len(targets)
+            ids, line_seqs = sequences[si]
+            plan = make_masking_plan(ids, line_seqs, rng, select_p=select_p)
+            if plan.entries:
+                seqs += apply_masking(plan, line_seqs, alphabet, rng)
+                targets += [entry.target_id for entry in plan.entries]
+                steps.append(step)
+                sizes.append(len(plan))
+            if steps and (len(steps) == config.batch_size or step == len(order) - 1):
+                # each line's mean CE, averaged over the lines in the batch
+                weights = np.repeat(1.0 / (np.asarray(sizes, dtype=np.float64) * len(steps)),
+                                    sizes)
+                ce, _, grads = batch_loss(params, seqs, targets, e_table, None, _CE_ONLY,
+                                          weights)
+                bad = np.flatnonzero(~np.isfinite(ce))
+                if bad.size:
+                    raise TrainingError(f"non-finite MLM loss at epoch {epoch}, "
+                                        f"step {np.repeat(steps, sizes)[bad[0]]}")
+                epoch_loss += float(ce.sum())
                 epoch_sel += len(targets)
-                batch_grads = _accumulate(batch_grads, grads)
-                batch_n += 1
-            if batch_n and (batch_n == config.batch_size or step == len(order) - 1):
-                scaled = {k: g / batch_n for k, g in batch_grads.items()}
-                opt.step(params, scaled)
-                batch_grads, batch_n = None, 0
+                opt.step(params, grads)
+                seqs, targets, steps, sizes = [], [], [], []
         metrics.append({
             "epoch": epoch,
             "mlm_loss": epoch_loss / max(epoch_sel, 1),

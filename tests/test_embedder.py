@@ -11,7 +11,7 @@ from char2subword.embedder import (
     embed_sequence,
     write_embeddings,
 )
-from char2subword.vocab import UNK
+from char2subword.vocab import UNK, char_sequence
 
 
 @pytest.fixture
@@ -82,6 +82,15 @@ class TestHybrid:
     def test_requires_params(self, toy_vocab, toy_table):
         with pytest.raises(ValueError):
             embed_sequence(EmbedMode.HYBRID, "zzzzz", toy_vocab, toy_table)
+
+    def test_module_vectors_equal_forward_alone(self, toy_vocab, toy_table, params, alphabet):
+        out = embed_sequence(EmbedMode.HYBRID, "applz apple zz blackberries zz q",
+                             toy_vocab, toy_table, params=params, alphabet=alphabet)
+        assert out.provenance == ["char2subword", "table"] + ["char2subword"] * 4
+        for piece, tag, vec in zip(out.pieces, out.provenance, out.vectors):
+            if tag == "char2subword":
+                expected, _, _ = M.forward(params, char_sequence(piece, True, alphabet))
+                np.testing.assert_array_equal(vec, expected)
 
 
 class TestCoverageReport:

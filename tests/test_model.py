@@ -154,6 +154,112 @@ class TestBackward:
             assert rel_err(grads[name], fd).max() < 1e-4, name
 
 
+def mixed_batch(alphabet, max_chars=32):
+    """Sequences of length 1, typical lengths, and exactly max_chars."""
+    tokens = ["a", "badge", "ab", "berry" * 8, "alarm"]
+    seqs = [char_sequence(t, i % 2 == 1, alphabet, max_chars=max_chars)
+            for i, t in enumerate(tokens)]
+    assert {len(s) for s in seqs} >= {1, max_chars}
+    return seqs
+
+
+def summed_grads(p, seqs, upstream):
+    """Reference: per-sequence backward() summed over the batch."""
+    total = None
+    for seq, u in zip(seqs, upstream):
+        _, _, cache = M.forward(p, seq)
+        g = M.backward(p, seq, cache, u)
+        total = g if total is None else {k: total[k] + g[k] for k in total}
+    return total
+
+
+class TestForwardBatch:
+    def test_matches_batch_of_one(self, alphabet):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2)
+        p = M.init_params(cfg, len(alphabet), seed=21)
+        seqs = mixed_batch(alphabet, cfg.max_chars)
+        emb, maps, _ = M.forward_batch(p, seqs)
+        for b, seq in enumerate(seqs):
+            e1, maps1, _ = M.forward(p, seq)
+            np.testing.assert_allclose(emb[b], e1, rtol=0, atol=1e-12)
+            n = len(seq)
+            for layer, layer1 in zip(maps, maps1):
+                for h, a1 in enumerate(layer1):
+                    np.testing.assert_allclose(layer[b, h, :n, :n], a1, rtol=0, atol=1e-12)
+
+    def test_empty_batch_and_overlong_rejected(self, tiny_config, alphabet):
+        p = M.init_params(tiny_config, len(alphabet), seed=0)
+        with pytest.raises(ValueError):
+            M.forward_batch(p, [])
+        long_seq = char_sequence("a" * 40, False, alphabet, max_chars=40)
+        with pytest.raises(ValueError, match="max_chars"):
+            M.forward_batch(p, [char_sequence("ab", False, alphabet), long_seq])
+
+    def test_encode_bit_identical_to_forward(self, tiny_config, alphabet):
+        p = M.init_params(tiny_config, len(alphabet), seed=22)
+        words = ["apple", "a", "badge", "zz", "blackberry", "apple", "alarm"]
+        seqs, vecs, maps = M.encode(p, words, alphabet, is_full_word=False)
+        for word, seq, vec, word_maps in zip(words, seqs, vecs, maps):
+            assert seq == char_sequence(word, False, alphabet)
+            e1, maps1, _ = M.forward(p, seq)
+            np.testing.assert_array_equal(vec, e1)
+            for layer, layer1 in zip(word_maps, maps1):
+                for a, a1 in zip(layer, layer1):
+                    np.testing.assert_array_equal(a, a1)
+
+
+class TestBackwardBatch:
+    @pytest.mark.parametrize("standard_preln", [False, True])
+    def test_matches_summed_batch_of_one(self, alphabet, standard_preln):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2,
+                            standard_preln=standard_preln)
+        p = M.init_params(cfg, len(alphabet), seed=23)
+        seqs = mixed_batch(alphabet, cfg.max_chars)
+        u = np.random.default_rng(24).normal(size=(len(seqs), cfg.d_out))
+        _, _, cache = M.forward_batch(p, seqs)
+        grads = M.backward_batch(p, cache, u)
+        ref = summed_grads(p, seqs, u)
+        assert list(grads) == list(ref)
+        for name in ref:
+            np.testing.assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("standard_preln", [False, True])
+    def test_padded_batch_matches_finite_differences(self, alphabet, standard_preln):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2, max_chars=9,
+                            standard_preln=standard_preln)
+        p = M.init_params(cfg, len(alphabet), seed=25)
+        seqs = [char_sequence(t, False, alphabet, max_chars=9)
+                for t in ("a", "badge", "blackberry")]
+        u = np.random.default_rng(26).normal(size=(len(seqs), cfg.d_out))
+        _, _, cache = M.forward_batch(p, seqs)
+        grads = M.backward_batch(p, cache, u)
+
+        def loss():
+            e, _, _ = M.forward_batch(p, seqs)
+            return float((e * u).sum())
+
+        for name in ("We", "be", "char_emb", "L0.Wq.0", "L0.Wk.1", "L1.Wv.1",
+                     "L0.Wo", "L1.W1", "L0.b1", "L1.W2", "L1.b2",
+                     "L0.ln1.g", "L1.ln2.b", "ln_out.g", "ln_out.b"):
+            fd = finite_diff_gradient(lambda _: loss(), p.tensors[name], h=1e-5)
+            assert rel_err(grads[name], fd).max() < 1e-4, name
+
+    def test_padding_adds_nothing(self, tiny_config, alphabet):
+        p = M.init_params(tiny_config, len(alphabet), seed=27)
+        seqs = [char_sequence(t, False, alphabet) for t in ("ab", "badge")]
+        u = np.random.default_rng(28).normal(size=(2, tiny_config.d_out))
+        _, _, cache = M.forward_batch(p, seqs)
+        grads = M.backward_batch(p, cache, u)
+        # a longer sequence with zero upstream pads both others further
+        longer = seqs + [char_sequence("blackberries", False, alphabet)]
+        _, _, cache = M.forward_batch(p, longer)
+        grads_padded = M.backward_batch(p, cache, np.vstack([u, np.zeros(tiny_config.d_out)]))
+        for name in grads:
+            np.testing.assert_allclose(grads_padded[name], grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
 class TestParamCount:
     def test_paper_scale_table(self):
         assert M.table_param_count(119547, 768) == 91_812_096

@@ -1,6 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import char2subword
+from char2subword import objectives
 from char2subword.numerics import cosine_similarity, finite_diff_gradient
 from char2subword.objectives import (
     EmbeddingTable,
@@ -9,6 +17,7 @@ from char2subword.objectives import (
     combined_loss,
     combined_loss_gradient,
     load_table,
+    loss_and_grad,
     loss_ce,
     loss_cos,
     loss_l2,
@@ -223,6 +232,67 @@ class TestCombinedLossGradient:
         g = combined_loss_gradient(0, toy_table.row(0), ehat, toy_table, idx,
                                    LossWeights(1, 0, 0, 0))
         assert abs(float(g @ ehat)) < 1e-10
+
+
+class TestLossAndGrad:
+    @pytest.mark.parametrize("weights", [
+        LossWeights(), LossWeights(1, 0, 0, 0), LossWeights(0, 1, 0, 0),
+        LossWeights(0, 0, 1, 0), LossWeights(0, 0, 0, 1), LossWeights(0.5, 2.0, 0.0, 1.5),
+    ])
+    def test_matches_per_sample_reference(self, toy_table, weights):
+        idx = build_neighbor_index(toy_table, 5)
+        rng = np.random.default_rng(7)
+        ids = rng.integers(toy_table.size, size=9)
+        ehat = rng.normal(size=(9, toy_table.dim))
+        ehat[0] = toy_table.row(ids[0])  # e_hat == e, where the L2 gradient is 0
+        totals, parts, grad = loss_and_grad(ids, ehat, toy_table, idx, weights)
+        assert set(parts) == {"cos", "ce", "l2", "nbr"}
+        for b, tid in enumerate(ids):
+            e = toy_table.row(tid)
+            total, ref_parts = combined_loss(tid, e, ehat[b], toy_table, idx, weights)
+            assert abs(totals[b] - total) < 1e-12
+            for k, v in ref_parts.items():
+                assert abs(parts[k][b] - v) < 1e-12, k
+            ref_grad = combined_loss_gradient(tid, e, ehat[b], toy_table, idx, weights)
+            np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
+
+    def test_ce_blocks_match_one_block(self, toy_table, monkeypatch):
+        idx = build_neighbor_index(toy_table, 5)
+        rng = np.random.default_rng(8)
+        ids = rng.integers(toy_table.size, size=7)
+        ehat = rng.normal(size=(7, toy_table.dim))
+        whole = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
+        monkeypatch.setattr(objectives, "CE_BLOCK", 2 * toy_table.size)  # 2 rows per block
+        blocked = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocked[1]["ce"], whole[1]["ce"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocked[2], whole[2], rtol=0, atol=1e-12)
+
+    def test_target_out_of_range(self, toy_table):
+        with pytest.raises(IndexError):
+            loss_and_grad([toy_table.size], np.ones((1, toy_table.dim)), toy_table, None,
+                          LossWeights(0, 1, 0, 0))
+
+
+class TestChecksum:
+    def test_sha256_of_matrix_bytes(self):
+        m = np.arange(1.0, 13.0).reshape(4, 3)
+        assert EmbeddingTable(matrix=m).checksum() == hashlib.sha256(m.tobytes()).hexdigest()
+        assert EmbeddingTable(matrix=m + 1.0).checksum() != EmbeddingTable(matrix=m).checksum()
+
+    def test_same_digest_under_different_hash_seeds(self):
+        src = str(Path(char2subword.__file__).resolve().parent.parent)
+        code = ("import numpy as np; from char2subword.objectives import EmbeddingTable; "
+                "print(EmbeddingTable(matrix=np.arange(1.0, 13.0).reshape(4, 3)).checksum())")
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True, timeout=60)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]
+        assert len(digests[0]) == 64
 
 
 class TestRankNeighbors:

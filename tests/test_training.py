@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import char2subword as c2s
-from char2subword import model as M
-from char2subword.noise import NoiseConfig, default_layouts
+from char2subword import model as M, training
+from char2subword.noise import NoiseConfig, default_layouts, sample_noisy
 from char2subword.objectives import LossWeights, build_neighbor_index
 from char2subword.training import (
     MaskedToken,
@@ -257,3 +257,75 @@ class TestPretrainMlm:
         pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
                      TrainConfig(epochs=1, seed=0), select_p=1.0)
         np.testing.assert_array_equal(toy_table.matrix, before)
+
+
+def spy_adam_steps(monkeypatch):
+    """Record a copy of the gradients handed to every Adam step."""
+    seen = []
+    step = training._Adam.step
+
+    def spy(self, params, grads):
+        seen.append({k: g.copy() for k, g in grads.items()})
+        return step(self, params, grads)
+
+    monkeypatch.setattr(training._Adam, "step", spy)
+    return seen
+
+
+class TestBatchedSteps:
+    def test_simulation_step_is_mean_of_sample_losses(self, params, toy_vocab, toy_table,
+                                                       alphabet, monkeypatch):
+        noise = NoiseConfig(layouts=tuple(default_layouts()), p_noise=1.0)
+        cfg = TrainConfig(epochs=1, seed=6, batch_size=8, noise=noise)
+        seen = spy_adam_steps(monkeypatch)
+        train_simulation(params, toy_vocab, toy_table, alphabet, cfg, eval_every=0)
+        # replay the noise draws in sample order through the batch-of-one path
+        idx = build_neighbor_index(toy_table, 5)
+        rng = random.Random(cfg.seed)
+        order = list(toy_vocab.non_special_ids())
+        rng.shuffle(order)
+        ref, changed = None, 0
+        for i in order[:cfg.batch_size]:
+            noised = sample_noisy(toy_vocab.token(i), rng, noise)
+            changed += noised != toy_vocab.token(i)
+            seq = char_sequence(noised, False, alphabet)
+            _, _, g = simulation_sample_loss(params, seq, i, toy_table, idx, cfg.weights)
+            ref = g if ref is None else {k: ref[k] + g[k] for k in ref}
+        assert changed > 0
+        for name, g in seen[0].items():
+            np.testing.assert_allclose(g, ref[name] / cfg.batch_size, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_pretrain_step_is_mean_of_per_line_mlm_steps(self, params, toy_vocab, toy_table,
+                                                         alphabet, monkeypatch):
+        lines = ["apple badge alarm", "black blade blank berry", "zzzzz apple",
+                 "about above actor", "beach beard begin"]
+        sequences = corpus_samples(toy_vocab, alphabet, lines)
+        cfg = TrainConfig(epochs=1, seed=4)  # batch_size 32 > 5 lines: one Adam step
+        seen = spy_adam_steps(monkeypatch)
+        pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg, select_p=0.5)
+        assert len(seen) == 1
+        rng = random.Random(cfg.seed)
+        order = list(range(len(sequences)))
+        rng.shuffle(order)
+        line_grads = []
+        for si in order:
+            ids, seqs = sequences[si]
+            plan = make_masking_plan(ids, seqs, rng, select_p=0.5)
+            masked = apply_masking(plan, seqs, alphabet, rng)
+            if plan.entries:
+                targets = [entry.target_id for entry in plan.entries]
+                line_grads.append(mlm_step(params, masked, targets, toy_table)[1])
+        assert len(line_grads) >= 2
+        for name, g in seen[0].items():
+            ref = sum(lg[name] for lg in line_grads) / len(line_grads)
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_passes_bound_padded_positions(self, alphabet):
+        seqs = [char_sequence("x" * n, False, alphabet) for n in (30, 1, 12, 5, 30, 2)] * 8
+        passes = M.split_passes(seqs)
+        assert sorted(i for rows in passes for i in rows) == list(range(len(seqs)))
+        for rows in passes:
+            assert len(rows) * max(len(seqs[i]) for i in rows) <= M.PASS_POSITIONS
+        assert M.split_passes([]) == []
+
