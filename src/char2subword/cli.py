@@ -117,10 +117,15 @@ def _write_metrics(path, metrics):
             fh.write(json.dumps(clean, sort_keys=True) + "\n")
 
 
-def _load_model(args):
+def _load_model(args, alphabet):
+    """Load --checkpoint; `alphabet` (from --vocab, or None) must be the one
+    the checkpoint was trained with, or character ids would mean other chars."""
     if not getattr(args, "checkpoint", None):
         raise CliError("--checkpoint is required")
     params, alphabet_chars, marker = model_mod.load_checkpoint(args.checkpoint)
+    if alphabet is not None and list(alphabet.chars) != alphabet_chars:
+        raise CliError(f"--vocab {args.vocab} gives a character alphabet that differs "
+                       f"from the one checkpoint {args.checkpoint} was trained with")
     return params, marker
 
 
@@ -149,7 +154,7 @@ def cmd_simulate(args):
 def cmd_pretrain(args):
     merged = _merge(args)
     vocab, alphabet, table = _load_inputs(args)
-    params, marker = _load_model(args)
+    params, marker = _load_model(args, alphabet)
     with open(args.corpus, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     sequences = training.corpus_samples(vocab, alphabet, lines,
@@ -171,7 +176,7 @@ def cmd_pretrain(args):
 def cmd_eval(args):
     merged = _merge(args)
     vocab, alphabet, table = _load_inputs(args)
-    params, _ = _load_model(args)
+    params, _ = _load_model(args, alphabet)
     k = merged["k"]
     if k > table.size:
         raise CliError(f"--k {k} exceeds vocabulary size {table.size}")
@@ -188,7 +193,7 @@ def cmd_eval(args):
 def cmd_neighbors(args):
     merged = _merge(args)
     vocab, alphabet, table = _load_inputs(args)
-    params, marker = _load_model(args)
+    params, marker = _load_model(args, alphabet)
     if merged["n"] > len(vocab):
         raise CliError(f"-n {merged['n']} exceeds vocabulary size {len(vocab)}")
     results = evaluation.neighbor_query(params, table, vocab, alphabet, args.query,
@@ -241,7 +246,7 @@ def cmd_embed(args):
         raise CliError(f"unknown mode {merged['mode']!r}")
     params, marker = (None, True)
     if mode != EmbedMode.TABLE_ONLY:
-        params, marker = _load_model(args)
+        params, marker = _load_model(args, alphabet)
     if args.sentence is not None:
         sentences = [args.sentence]
     elif args.file:
@@ -263,11 +268,8 @@ def cmd_embed(args):
 
 def cmd_attn(args):
     merged = _merge(args)
-    params, marker = _load_model(args)
-    if not getattr(args, "vocab", None):
-        raise CliError("--vocab is required")
-    vocab = load_vocabulary(args.vocab)
-    alphabet = build_alphabet(vocab)
+    _, alphabet, _ = _load_inputs(args, need_table=False)
+    params, marker = _load_model(args, alphabet)
     text = evaluation.dump_attention(params, alphabet, args.query,
                                      is_full_word=merged["full_word"],
                                      marker_on_full_words=marker)
@@ -282,7 +284,8 @@ def cmd_attn(args):
 def cmd_params(args):
     merged = _merge(args)
     if getattr(args, "checkpoint", None):
-        params, _ = _load_model(args)
+        alphabet = _load_inputs(args, need_table=False)[1] if args.vocab else None
+        params, _ = _load_model(args, alphabet)
         config = params.config
         alphabet_size = params.alphabet_size
     else:

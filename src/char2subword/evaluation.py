@@ -23,19 +23,6 @@ class PrecisionReport:
         lines.append(f"avg_precision {self.avg_precision:.6f}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text):
-        acc, per_k, avg = 0.0, {}, 0.0
-        for line in text.splitlines():
-            key, val = line.split()
-            if key == "accuracy":
-                acc = float(val)
-            elif key == "avg_precision":
-                avg = float(val)
-            else:
-                per_k[int(key.split("@")[1])] = float(val)
-        return PrecisionReport(accuracy=acc, precision_at=per_k, avg_precision=avg)
-
 
 def embed_vocab(params, vocab, alphabet, marker_on_full_words=True):
     """f_theta over every non-special vocabulary entry; returns (ids, matrix)."""

@@ -1,9 +1,10 @@
 """The char2subword transformer: characters in, one subword-width vector out.
 
 The forward pass follows pre-norm attention/FFN blocks whose residual adds
-the *normalized* input (see ModelConfig.standard_preln for the conventional
-variant), and finishes with a linear projection, max-pool over positions,
-and a final layer norm. backward() is a hand-written exact reverse pass.
+the *normalized* input, and finishes with a linear projection, max-pool over
+positions, and a final layer norm. backward() is a hand-written exact reverse
+pass. All parameters live in one float64 vector, which is also the checkpoint
+payload.
 """
 
 import functools
@@ -38,7 +39,6 @@ class ModelConfig:
     n_heads: int
     max_chars: int = 32
     ln_eps: float = 1e-5
-    standard_preln: bool = False
 
     def __post_init__(self):
         if self.d_char < 1 or self.d_out < 1 or self.n_heads < 1 or self.max_chars < 1:
@@ -59,18 +59,28 @@ class ModelConfig:
 
 @dataclass
 class Char2SubwordParams:
-    """All trainable tensors, keyed by name."""
+    """All trainable parameters as one float64 vector laid out in
+    tensor_shapes order (the checkpoint payload); `tensors` maps each name to
+    a view into it, so writing either writes both."""
 
     config: ModelConfig
     alphabet_size: int
-    tensors: dict = field(repr=False)
+    flat: np.ndarray = field(repr=False)
+    tensors: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        count = param_count(self.config, self.alphabet_size)
+        if self.flat.shape != (count,):
+            raise ValueError(f"parameter vector has shape {self.flat.shape}, expected ({count},)")
+        self.tensors = {}
+        offset = 0
+        for name, shape in tensor_shapes(self.config, self.alphabet_size):
+            size = int(np.prod(shape))
+            self.tensors[name] = self.flat[offset:offset + size].reshape(shape)
+            offset += size
 
     def copy(self):
-        return Char2SubwordParams(
-            config=self.config,
-            alphabet_size=self.alphabet_size,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-        )
+        return Char2SubwordParams(self.config, self.alphabet_size, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -119,20 +129,15 @@ def tensor_shapes(config, alphabet_size):
 def init_params(config, alphabet_size, seed):
     """Xavier-uniform weights, zero biases, identity layer norms; seeded."""
     rng = np.random.default_rng(seed)
-    tensors = {}
-    for name, shape in tensor_shapes(config, alphabet_size):
-        leaf = name.rsplit(".", 1)[-1]
-        if "ln" in name and leaf == "g":
-            tensors[name] = np.ones(shape)
-        elif "ln" in name and leaf == "b":
-            tensors[name] = np.zeros(shape)
-        elif len(shape) == 1:
-            tensors[name] = np.zeros(shape)
-        else:
-            fan_in, fan_out = shape
+    params = Char2SubwordParams(config, alphabet_size, np.zeros(param_count(config, alphabet_size)))
+    for name, tensor in params.tensors.items():
+        if tensor.ndim == 2:
+            fan_in, fan_out = tensor.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-bound, bound, size=shape)
-    return Char2SubwordParams(config=config, alphabet_size=alphabet_size, tensors=tensors)
+            tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
+        elif "ln" in name and name.endswith(".g"):
+            tensor[...] = 1.0
+    return params
 
 
 def param_count(config, alphabet_size):
@@ -203,14 +208,12 @@ def forward_batch(params, seqs):
         a = softmax_rows(scores)
         c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
         m = c @ t[f"L{j}.Wo"]
-        res1 = xin if cfg.standard_preln else xb
-        xp = m + res1
+        xp = m + xb
         xbp = layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
         u = xbp @ t[f"L{j}.W1"] + t[f"L{j}.b1"]
         g = gelu(u)
         f = g @ t[f"L{j}.W2"] + t[f"L{j}.b2"]
-        res2 = xp if cfg.standard_preln else xbp
-        xout = f + res2
+        xout = f + xbp
         layers.append({"xin": xin, "xb": xb, "w_qkv": w_qkv, "q": q, "k": k, "v": v,
                        "a": a, "c": c, "xp": xp, "xbp": xbp, "u": u, "g": g})
         maps.append(a)
@@ -264,13 +267,9 @@ def backward_batch(params, cache, upstream):
         grads[f"L{j}.b1"] = du.reshape(-1, 4 * d).sum(axis=0)
         dxbp_ffn = du @ t[f"L{j}.W1"].T
 
-        if cfg.standard_preln:
-            dxp, g2g, g2b = layer_norm_backward(layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn)
-            dxp = dxp + d_res2
-        else:
-            dxp, g2g, g2b = layer_norm_backward(
-                layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn + d_res2
-            )
+        dxp, g2g, g2b = layer_norm_backward(
+            layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn + d_res2
+        )
         grads[f"L{j}.ln2.g"] = g2g
         grads[f"L{j}.ln2.b"] = g2b
 
@@ -294,13 +293,9 @@ def backward_batch(params, cache, upstream):
             grads[f"L{j}.W{kind}.{col % h}"] = g_qkv[:, col * dh:(col + 1) * dh]
         dxb_attn = (dqkv @ layer["w_qkv"].T).reshape(b, n, d)
 
-        if cfg.standard_preln:
-            dxin, g1g, g1b = layer_norm_backward(layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn)
-            dxin = dxin + d_res1
-        else:
-            dxin, g1g, g1b = layer_norm_backward(
-                layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn + d_res1
-            )
+        dxin, g1g, g1b = layer_norm_backward(
+            layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn + d_res1
+        )
         grads[f"L{j}.ln1.g"] = g1g
         grads[f"L{j}.ln1.b"] = g1b
         dx = dxin
@@ -366,25 +361,25 @@ def encode(params, words, alphabet, is_full_word=True, marker_on_full_words=True
     return seqs, vectors, maps
 
 
+def _manifest(config, alphabet_size):
+    """The checkpoint header's [name, rows, cols] list (cols 0 for a vector)."""
+    return [[name, shape[0], shape[1] if len(shape) == 2 else 0]
+            for name, shape in tensor_shapes(config, alphabet_size)]
+
+
 def save_checkpoint(path, params, alphabet, marker_on_full_words=True):
-    """Write the binary checkpoint: magic, version, JSON header, payloads."""
+    """Write the binary checkpoint: magic, version, JSON header, payload."""
     cfg = params.config
-    manifest = []
-    names = []
-    for name, shape in tensor_shapes(cfg, params.alphabet_size):
-        rows, cols = (shape[0], shape[1]) if len(shape) == 2 else (shape[0], 0)
-        manifest.append([name, rows, cols])
-        names.append(name)
     header = {
         "config": {
             "d_char": cfg.d_char, "d_out": cfg.d_out,
             "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
             "max_chars": cfg.max_chars, "ln_eps": cfg.ln_eps,
-            "standard_preln": cfg.standard_preln,
+            "standard_preln": False,
         },
         "alphabet": list(alphabet.chars),
         "marker_on_full_words": marker_on_full_words,
-        "manifest": manifest,
+        "manifest": _manifest(cfg, params.alphabet_size),
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -392,29 +387,40 @@ def save_checkpoint(path, params, alphabet, marker_on_full_words=True):
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in names:
-            arr = np.ascontiguousarray(params.tensors[name], dtype="<f8")
-            fh.write(arr.tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, alphabet_chars, marker_on_full_words)."""
+    """Read a checkpoint; returns (params, alphabet_chars, marker_on_full_words).
+
+    The manifest must be the one the stored config implies and the payload
+    exactly its 8-byte parameters: a truncated or padded file is rejected.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, = struct.unpack("<I", fh.read(4))
+        fields = fh.read(8)
+        if len(fields) != 8:
+            raise ValueError(f"checkpoint is truncated after {4 + len(fields)} bytes")
+        version, hlen = struct.unpack("<II", fields)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        hlen, = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        cfg = ModelConfig(**header["config"])
-        tensors = {}
-        for name, rows, cols in header["manifest"]:
-            shape = (rows,) if cols == 0 else (rows, cols)
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(np.float64)
-            tensors[name] = data.reshape(shape)
-    alphabet_size = tensors["char_emb"].shape[0]
-    params = Char2SubwordParams(config=cfg, alphabet_size=alphabet_size, tensors=tensors)
+        payload = fh.read()
+    config = dict(header["config"])
+    if config.pop("standard_preln", False):
+        raise ValueError("checkpoint uses the standard pre-LN residual, "
+                         "which this version does not implement")
+    cfg = ModelConfig(**config)
+    manifest = header["manifest"]
+    alphabet_size = manifest[0][1] if manifest else 0
+    if manifest != _manifest(cfg, alphabet_size):
+        raise ValueError("checkpoint manifest does not match the tensors its config implies")
+    expected = 8 * param_count(cfg, alphabet_size)
+    if len(payload) != expected:
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
+                         f"expected {expected} for its {expected // 8} parameters")
+    params = Char2SubwordParams(cfg, alphabet_size,
+                                np.frombuffer(payload, dtype="<f8").astype(np.float64))
     return params, header["alphabet"], header["marker_on_full_words"]

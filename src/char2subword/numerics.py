@@ -8,8 +8,6 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "ShapeError",
-    "matmul",
     "softmax_rows",
     "layer_norm",
     "layer_norm_backward",
@@ -19,25 +17,6 @@ __all__ = [
     "sinusoidal_pe",
     "finite_diff_gradient",
 ]
-
-
-class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible."""
-
-
-def _as2d(a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def matmul(a, b):
-    """Matrix product with an explicit shape check."""
-    a, b = _as2d(a), _as2d(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
 
 
 def softmax_rows(m):
@@ -57,7 +36,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
-        raise ShapeError(
+        raise ValueError(
             f"layer_norm dims differ: x {x.shape[-1]}, gain {gain.shape[-1]}, bias {bias.shape[-1]}"
         )
     if eps <= 0:

@@ -30,6 +30,9 @@ class EmbeddingTable:
         if m.ndim != 2:
             raise ValueError(f"embedding table must be 2-D, got shape {m.shape}")
         norms = np.linalg.norm(m, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise ValueError(f"embedding table has non-finite row(s): {bad.tolist()}")
         bad = np.where(norms == 0.0)[0]
         if bad.size:
             raise ValueError(f"embedding table has zero-norm row(s): {bad.tolist()}")

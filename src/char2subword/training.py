@@ -52,24 +52,25 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, config):
+    """Adam over the flat parameter vector; m and v are flat vectors too."""
+
+    def __init__(self, config, size):
         self.cfg = config
         self.t = 0
-        self.m = None
-        self.v = None
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, params, grads):
-        if self.m is None:
-            self.m = {k: np.zeros_like(g) for k, g in grads.items()}
-            self.v = {k: np.zeros_like(g) for k, g in grads.items()}
         c = self.cfg
+        g = np.concatenate([grads[name].ravel() for name in params.tensors])
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * (g * g)
-            params.tensors[k] -= c.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
+        self.m *= c.beta1
+        self.m += (1.0 - c.beta1) * g
+        self.v *= c.beta2
+        self.v += (1.0 - c.beta2) * (g * g)
+        params.flat -= c.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + c.eps)
 
 
 def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights):
@@ -102,6 +103,53 @@ def simulation_sample_loss(params, seq, target_id, e_table, index, weights):
     return float(totals[0]), {k: float(v[0]) for k, v in parts.items()}, grads
 
 
+def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
+           epoch_record):
+    """The loop both trainers share: Adam over batch_loss, the table frozen.
+
+    `epoch_batches(rng)` yields an epoch's Adam batches as (seqs,
+    target_ids, sample_weights, steps), where steps[i] is the step that
+    sample i belongs to. `epoch_record(params, epoch, sums, count)` turns the
+    loss sums of the epoch's `count` samples into its metrics record.
+    Returns (trained copy of params, per-epoch metrics).
+    """
+    if e_table.dim != params.config.d_out:
+        raise TrainingError(
+            f"table width {e_table.dim} != model output width {params.config.d_out}"
+        )
+    checksum = e_table.checksum()
+    rng = random.Random(config.seed)
+    params = params.copy()
+    opt = _Adam(config, params.flat.size)
+
+    metrics = []
+    for epoch in range(config.epochs):
+        t0 = time.monotonic()
+        sums = dict.fromkeys(("total", "cos", "ce", "l2", "nbr"), 0.0)
+        count = 0
+        for seqs, target_ids, sample_weights, steps in epoch_batches(rng):
+            totals, parts, grads = batch_loss(params, seqs, target_ids, e_table, index,
+                                              loss_weights, sample_weights)
+            bad = np.flatnonzero(~np.isfinite(totals))
+            if bad.size:
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, step {steps[bad[0]]}, "
+                    f"token {vocab.token(target_ids[bad[0]])!r}"
+                )
+            sums["total"] += float(totals.sum())
+            for k, v in parts.items():
+                sums[k] += float(v.sum())
+            count += len(seqs)
+            opt.step(params, grads)
+        record = epoch_record(params, epoch, sums, count)
+        record["wall_time"] = time.monotonic() - t0
+        metrics.append(record)
+
+    if e_table.checksum() != checksum:
+        raise TrainingError("embedding table changed during training")
+    return params, metrics
+
+
 def train_simulation(params, vocab, e_table, alphabet, config, index=None,
                      marker_on_full_words=True, eval_every=1):
     """Train f_theta to mimic the frozen table over the vocabulary entries.
@@ -110,34 +158,21 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
     table rows even when the input characters are noised. Each Adam step
     runs its `config.batch_size` samples through one batch_loss call.
     """
-    if e_table.dim != params.config.d_out:
-        raise TrainingError(
-            f"table width {e_table.dim} != model output width {params.config.d_out}"
-        )
-    checksum = e_table.checksum()
     if index is None:
         index = build_neighbor_index(e_table, min(config.nbr_k, e_table.size))
     eval_index = (build_neighbor_index(e_table, min(config.eval_k, e_table.size))
                   if eval_every else None)
-
-    rng = random.Random(config.seed)
-    params = params.copy()
-    opt = _Adam(config)
     sample_ids = vocab.non_special_ids()
 
-    clean_seqs = {
-        i: char_sequence(vocab.token(i), False, alphabet,
-                        max_chars=params.config.max_chars,
-                        marker_on_full_words=marker_on_full_words)
-        for i in sample_ids
-    }
+    def chars_of(token):
+        return char_sequence(token, False, alphabet, max_chars=params.config.max_chars,
+                             marker_on_full_words=marker_on_full_words)
 
-    metrics = []
-    for epoch in range(config.epochs):
-        t0 = time.monotonic()
+    clean_seqs = {i: chars_of(vocab.token(i)) for i in sample_ids}
+
+    def epoch_batches(rng):
         order = list(sample_ids)
         rng.shuffle(order)
-        sums = {"total": 0.0, "cos": 0.0, "ce": 0.0, "l2": 0.0, "nbr": 0.0}
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             seqs = []
@@ -145,43 +180,25 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
                 token = vocab.token(i)
                 noised = token if config.noise is None else sample_noisy(token, rng,
                                                                           config.noise)
-                seqs.append(clean_seqs[i] if noised == token else
-                            char_sequence(noised, False, alphabet,
-                                          max_chars=params.config.max_chars,
-                                          marker_on_full_words=marker_on_full_words))
-            totals, parts, grads = batch_loss(params, seqs, batch, e_table, index,
-                                              config.weights,
-                                              np.full(len(batch), 1.0 / len(batch)))
-            bad = np.flatnonzero(~np.isfinite(totals))
-            if bad.size:
-                step = start + int(bad[0])
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {step}, "
-                    f"token {vocab.token(order[step])!r}"
-                )
-            sums["total"] += float(totals.sum())
-            for k, v in parts.items():
-                sums[k] += float(v.sum())
-            opt.step(params, grads)
+                seqs.append(clean_seqs[i] if noised == token else chars_of(noised))
+            yield (seqs, batch, np.full(len(batch), 1.0 / len(batch)),
+                   range(start, start + len(batch)))
 
-        record = {"epoch": epoch}
-        for k in ("total", "cos", "ce", "l2", "nbr"):
-            record[k] = sums[k] / len(order)
+    def epoch_record(trained, epoch, sums, count):
+        record = {"epoch": epoch, **{k: v / count for k, v in sums.items()}}
         if eval_every and (epoch % eval_every == 0 or epoch == config.epochs - 1):
-            embedded = evaluation.embed_vocab(params, vocab, alphabet,
+            embedded = evaluation.embed_vocab(trained, vocab, alphabet,
                                               marker_on_full_words=marker_on_full_words)
             report = evaluation.precision_at_k(
-                params, vocab, e_table, eval_index, alphabet,
+                trained, vocab, e_table, eval_index, alphabet,
                 k_max=eval_index.k, embedded=embedded)
             record["accuracy"] = report.accuracy
             record["prec1"] = report.precision_at[1]
             record["prec15"] = report.precision_at.get(15, report.precision_at[eval_index.k])
-        record["wall_time"] = time.monotonic() - t0
-        metrics.append(record)
+        return record
 
-    if e_table.checksum() != checksum:
-        raise TrainingError("embedding table changed during training")
-    return params, metrics
+    return _train(params, vocab, e_table, index, config.weights, config, epoch_batches,
+                  epoch_record)
 
 
 @dataclass(frozen=True)
@@ -294,21 +311,10 @@ def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config, select_p=0
     """
     if not sequences:
         raise TrainingError("pretrain_mlm requires a nonempty corpus")
-    if e_table.dim != params.config.d_out:
-        raise TrainingError(
-            f"table width {e_table.dim} != model output width {params.config.d_out}"
-        )
-    checksum = e_table.checksum()
-    rng = random.Random(config.seed)
-    params = params.copy()
-    opt = _Adam(config)
 
-    metrics = []
-    for epoch in range(config.epochs):
-        t0 = time.monotonic()
+    def epoch_batches(rng):
         order = list(range(len(sequences)))
         rng.shuffle(order)
-        epoch_loss, epoch_sel = 0.0, 0
         # one Adam batch: the masked tokens of `batch_size` lines that selected any
         seqs, targets, steps, sizes = [], [], [], []
         for step, si in enumerate(order):
@@ -323,23 +329,11 @@ def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config, select_p=0
                 # each line's mean CE, averaged over the lines in the batch
                 weights = np.repeat(1.0 / (np.asarray(sizes, dtype=np.float64) * len(steps)),
                                     sizes)
-                ce, _, grads = batch_loss(params, seqs, targets, e_table, None, _CE_ONLY,
-                                          weights)
-                bad = np.flatnonzero(~np.isfinite(ce))
-                if bad.size:
-                    raise TrainingError(f"non-finite MLM loss at epoch {epoch}, "
-                                        f"step {np.repeat(steps, sizes)[bad[0]]}")
-                epoch_loss += float(ce.sum())
-                epoch_sel += len(targets)
-                opt.step(params, grads)
+                yield seqs, targets, weights, np.repeat(steps, sizes)
                 seqs, targets, steps, sizes = [], [], [], []
-        metrics.append({
-            "epoch": epoch,
-            "mlm_loss": epoch_loss / max(epoch_sel, 1),
-            "selected": epoch_sel,
-            "wall_time": time.monotonic() - t0,
-        })
 
-    if e_table.checksum() != checksum:
-        raise TrainingError("embedding table changed during pre-training")
-    return params, metrics
+    def epoch_record(trained, epoch, sums, count):
+        return {"epoch": epoch, "mlm_loss": sums["total"] / max(count, 1), "selected": count}
+
+    return _train(params, vocab, e_table, None, _CE_ONLY, config, epoch_batches,
+                  epoch_record)

@@ -245,3 +245,35 @@ class TestUsageErrors:
     def test_missing_vocab_exit_2(self, workdir):
         rc = main(["stats", "--corpus", str(workdir / "corpus.txt")])
         assert rc == 2
+
+
+class TestInputContracts:
+    def eval_rc(self, workdir, ckpt, table="table.txt"):
+        return main(["eval", "--vocab", str(workdir / "vocab.txt"),
+                     "--table", str(workdir / table), "--checkpoint", str(ckpt), "--k", "5"])
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + b"junk"],
+                             ids=["truncated", "trailing"])
+    def test_bad_checkpoint_length_exit_2(self, workdir, capsys, edit):
+        _, ckpt = simulate(workdir)
+        ckpt.write_bytes(edit(ckpt.read_bytes()))
+        assert self.eval_rc(workdir, ckpt) == 2
+        assert "checkpoint payload is" in capsys.readouterr().err
+
+    def test_reordered_vocab_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        (workdir / "reordered.txt").write_text(
+            "\n".join(TOY_WORDS[:20][::-1] + ["[UNK]"]) + "\n")
+        rc = main(["neighbors", "--vocab", str(workdir / "reordered.txt"),
+                   "--table", str(workdir / "table.txt"),
+                   "--checkpoint", str(ckpt), "apple"])
+        assert rc == 2
+        assert "alphabet" in capsys.readouterr().err
+
+    def test_non_finite_table_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        lines = (workdir / "table.txt").read_text().splitlines()
+        lines[3] = " ".join(["nan"] * 8)
+        (workdir / "nan_table.txt").write_text("\n".join(lines) + "\n")
+        assert self.eval_rc(workdir, ckpt, table="nan_table.txt") == 2
+        assert "non-finite row(s): [2]" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import pytest
 import char2subword as c2s
 from char2subword import model as M
 from char2subword.evaluation import (
-    PrecisionReport,
     accuracy,
     dump_attention,
     embed_vocab,
@@ -82,13 +81,6 @@ class TestPrecisionAtK:
         idx = build_neighbor_index(toy_table, 5)
         with pytest.raises(ValueError):
             precision_at_k(params, toy_vocab, toy_table, idx, alphabet, k_max=15)
-
-    def test_report_text_round_trip(self, params, toy_vocab, toy_table, alphabet):
-        idx = build_neighbor_index(toy_table, 5)
-        rep = precision_at_k(params, toy_vocab, toy_table, idx, alphabet, k_max=5)
-        back = PrecisionReport.from_text(rep.to_text())
-        assert back.accuracy == pytest.approx(rep.accuracy, abs=1e-6)
-        assert sorted(back.precision_at) == sorted(rep.precision_at)
 
 
 class TestNeighborQuery:

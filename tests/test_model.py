@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -133,10 +136,8 @@ class TestBackward:
         with pytest.raises(ValueError):
             M.backward(p, other, cache, np.zeros(tiny_config.d_out))
 
-    @pytest.mark.parametrize("standard_preln", [False, True])
-    def test_matches_finite_differences(self, alphabet, standard_preln):
-        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2,
-                            standard_preln=standard_preln)
+    def test_matches_finite_differences(self, alphabet):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2)
         p = M.init_params(cfg, len(alphabet), seed=11)
         seq = char_sequence("badge", False, alphabet)
         u = np.random.default_rng(12).normal(size=cfg.d_out)
@@ -209,10 +210,8 @@ class TestForwardBatch:
 
 
 class TestBackwardBatch:
-    @pytest.mark.parametrize("standard_preln", [False, True])
-    def test_matches_summed_batch_of_one(self, alphabet, standard_preln):
-        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2,
-                            standard_preln=standard_preln)
+    def test_matches_summed_batch_of_one(self, alphabet):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2)
         p = M.init_params(cfg, len(alphabet), seed=23)
         seqs = mixed_batch(alphabet, cfg.max_chars)
         u = np.random.default_rng(24).normal(size=(len(seqs), cfg.d_out))
@@ -224,10 +223,8 @@ class TestBackwardBatch:
             np.testing.assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12,
                                        err_msg=name)
 
-    @pytest.mark.parametrize("standard_preln", [False, True])
-    def test_padded_batch_matches_finite_differences(self, alphabet, standard_preln):
-        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2, max_chars=9,
-                            standard_preln=standard_preln)
+    def test_padded_batch_matches_finite_differences(self, alphabet):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2, max_chars=9)
         p = M.init_params(cfg, len(alphabet), seed=25)
         seqs = [char_sequence(t, False, alphabet, max_chars=9)
                 for t in ("a", "badge", "blackberry")]
@@ -299,3 +296,93 @@ class TestCheckpoint:
         path = tmp_path / "model.c2sw"
         M.save_checkpoint(path, p, alphabet)
         assert path.read_bytes()[:4] == b"C2SW"
+
+    def test_truncated_payload_rejected(self, tiny_config, alphabet, tmp_path):
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        expected = 8 * M.param_count(tiny_config, len(alphabet))
+        with pytest.raises(ValueError, match=rf"{expected - 8} bytes, expected {expected}"):
+            M.load_checkpoint(path)
+        path.write_bytes(data[:6])
+        with pytest.raises(ValueError, match="truncated after 6 bytes"):
+            M.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tiny_config, alphabet, tmp_path):
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        expected = 8 * M.param_count(tiny_config, len(alphabet))
+        with pytest.raises(ValueError, match=rf"{expected + 4} bytes, expected {expected}"):
+            M.load_checkpoint(path)
+
+    def test_manifest_must_match_config(self, tiny_config, alphabet, tmp_path):
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+
+        def swap_first_two(header):
+            m = header["manifest"]
+            m[1], m[2] = m[2], m[1]
+
+        rewrite_header(path, swap_first_two)
+        with pytest.raises(ValueError, match="manifest"):
+            M.load_checkpoint(path)
+
+    def test_standard_preln_checkpoint_rejected(self, tiny_config, alphabet, tmp_path):
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+        assert read_header(path)["config"]["standard_preln"] is False
+        rewrite_header(path, lambda header: header["config"].update(standard_preln=True))
+        with pytest.raises(ValueError, match="pre-LN"):
+            M.load_checkpoint(path)
+
+
+def saved_checkpoint(config, alphabet, tmp_path):
+    path = tmp_path / "model.c2sw"
+    M.save_checkpoint(path, M.init_params(config, len(alphabet), seed=4), alphabet)
+    return path
+
+
+def read_header(path):
+    data = path.read_bytes()
+    hlen, = struct.unpack("<I", data[8:12])
+    return json.loads(data[12:12 + hlen])
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the checkpoint's JSON header, keeping the payload."""
+    data = path.read_bytes()
+    hlen, = struct.unpack("<I", data[8:12])
+    header = read_header(path)
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen:])
+
+
+def assert_views_of_flat(params):
+    names = [name for name, _ in M.tensor_shapes(params.config, params.alphabet_size)]
+    assert list(params.tensors) == names
+    for name, tensor in params.tensors.items():
+        assert np.shares_memory(tensor, params.flat), name
+    np.testing.assert_array_equal(
+        np.concatenate([t.ravel() for t in params.tensors.values()]), params.flat)
+
+
+class TestFlatParams:
+    def test_tensors_are_views_of_flat(self, tiny_config, alphabet, tmp_path):
+        p = M.init_params(tiny_config, len(alphabet), seed=4)
+        assert p.flat.shape == (M.param_count(tiny_config, len(alphabet)),)
+        assert_views_of_flat(p)
+        assert_views_of_flat(p.copy())
+        assert_views_of_flat(M.load_checkpoint(saved_checkpoint(tiny_config, alphabet,
+                                                                tmp_path))[0])
+
+    def test_copy_is_independent(self, tiny_config, alphabet):
+        p = M.init_params(tiny_config, len(alphabet), seed=4)
+        before = p.flat.copy()
+        c = p.copy()
+        c.flat += 1.0
+        c.tensors["We"][0, 0] = 5.0
+        np.testing.assert_array_equal(p.flat, before)
+        assert not np.shares_memory(c.flat, p.flat)
+
+    def test_wrong_length_rejected(self, tiny_config, alphabet):
+        with pytest.raises(ValueError, match="parameter vector"):
+            M.Char2SubwordParams(tiny_config, len(alphabet), np.zeros(3))

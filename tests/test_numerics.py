@@ -3,51 +3,15 @@ import pytest
 from scipy.stats import norm
 
 from char2subword.numerics import (
-    ShapeError,
     cosine_similarity,
     finite_diff_gradient,
     gelu,
     gelu_backward,
     layer_norm,
     layer_norm_backward,
-    matmul,
     sinusoidal_pe,
     softmax_rows,
 )
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            r, k, c = rng.integers(1, 17, size=3)
-            a = rng.normal(size=(r, k))
-            b = rng.normal(size=(k, c))
-            # bit-for-bit is not guaranteed between BLAS and a triple loop;
-            # the spec's intent is exact 64-bit agreement, checked at 1 ulp-ish
-            np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-13, atol=1e-13)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"2x3.*4x2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestSoftmaxRows:
@@ -87,7 +51,7 @@ class TestLayerNorm:
         assert abs(out.var() - 1.0) < 1e-9
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="layer_norm dims"):
             layer_norm(np.zeros(3), np.ones(4), np.zeros(3))
 
     def test_backward_matches_finite_diff(self):

@@ -45,6 +45,13 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match=r"\[1\]"):
             EmbeddingTable(matrix=m)
 
+    def test_non_finite_rows_rejected(self):
+        m = np.ones((4, 2))
+        m[2, 0] = np.nan
+        m[3, 1] = np.inf
+        with pytest.raises(ValueError, match=r"non-finite row\(s\): \[2, 3\]"):
+            EmbeddingTable(matrix=m)
+
     def test_frozen(self, toy_table):
         with pytest.raises(ValueError):
             toy_table.matrix[0, 0] = 5.0

@@ -119,6 +119,32 @@ class TestTrainSimulation:
         assert not np.array_equal(out_c.tensors["We"], out_n.tensors["We"])
 
 
+class TestSharedLoop:
+    def test_non_finite_loss_names_epoch_and_step(self, params, toy_vocab, toy_table,
+                                                  alphabet):
+        params.tensors["We"][0, 0] = np.nan
+        with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, step \d+"):
+            train_simulation(params, toy_vocab, toy_table, alphabet,
+                             TrainConfig(epochs=1, seed=0), eval_every=0)
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, step \d+"):
+            pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
+                         TrainConfig(epochs=1, seed=0), select_p=1.0)
+
+    def test_trained_tensors_are_views_of_flat(self, params, toy_vocab, toy_table,
+                                               alphabet):
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        cfg = TrainConfig(epochs=1, seed=0)
+        trained = [train_simulation(params, toy_vocab, toy_table, alphabet, cfg,
+                                    eval_every=0)[0],
+                   pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg,
+                                select_p=1.0)[0]]
+        for out in trained:
+            assert not np.shares_memory(out.flat, params.flat)
+            for name, tensor in out.tensors.items():
+                assert np.shares_memory(tensor, out.flat), name
+
+
 class TestMaskingPlan:
     def _seqs(self, alphabet, tokens):
         return [char_sequence(t, False, alphabet) for t in tokens]
