@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .objectives import rank_neighbors
+from .objectives import rank_neighbors, row_blocks
 from .vocab import tokenize_word, whitespace_split
 
 
@@ -35,8 +35,9 @@ def embed_vocab(params, vocab, alphabet, marker_on_full_words=True):
 def accuracy(params, vocab, e_table, alphabet, embedded=None):
     """Fraction of non-special entries whose argmax over e_hat . E^T is themselves."""
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
-    logits = vecs @ e_table.matrix.T
-    pred = logits.argmax(axis=1)  # np.argmax takes the first max: ascending-id ties
+    pred = np.empty(len(ids), dtype=np.int64)
+    for blk in row_blocks(len(ids), e_table.size):  # argmax takes the first max: lowest id
+        pred[blk] = (vecs[blk] @ e_table.matrix.T).argmax(axis=1)
     return float(np.mean(pred == np.asarray(ids)))
 
 
@@ -46,9 +47,8 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=15, embedded=N
         raise ValueError(f"k_max={k_max} exceeds neighbor index depth {index.k}")
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
     overlaps = np.zeros(k_max)
-    for row, i in enumerate(ids):
+    for i, pred in zip(ids, rank_neighbors(e_table, vecs, k_max)[0]):
         truth = index.neighbors(i)
-        pred, _ = rank_neighbors(e_table, vecs[row], k_max)
         for k in range(1, k_max + 1):
             overlaps[k - 1] += len(set(truth[:k]) & set(pred[:k])) / k
     per_k = {k: overlaps[k - 1] / len(ids) for k in range(1, k_max + 1)}

@@ -9,6 +9,7 @@ payload.
 
 import functools
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .numerics import (
     sinusoidal_pe,
     softmax_rows,
 )
-from .vocab import char_sequence
+from .vocab import N_RESERVED_CHARS, char_sequence
 
 CHECKPOINT_MAGIC = b"C2SW"
 CHECKPOINT_VERSION = 1
@@ -49,8 +50,8 @@ class ModelConfig:
             raise ValueError(
                 f"d_char ({self.d_char}) must be divisible by n_heads ({self.n_heads})"
             )
-        if self.ln_eps <= 0:
-            raise ValueError("ln_eps must be > 0")
+        if not 0 < self.ln_eps < float("inf"):  # also rejects NaN
+            raise ValueError("ln_eps must be finite and > 0")
 
     @property
     def d_head(self):
@@ -390,11 +391,34 @@ def save_checkpoint(path, params, alphabet, marker_on_full_words=True):
         fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
+_HEADER_KEYS = {"config", "alphabet", "manifest", "marker_on_full_words"}
+# The config keys save_checkpoint writes, each with the JSON types it may take.
+_CONFIG_TYPES = {"d_char": (int,), "d_out": (int,), "n_layers": (int,), "n_heads": (int,),
+                 "max_chars": (int,), "ln_eps": (int, float), "standard_preln": (bool,)}
+
+
+def _header_config(config):
+    """The ModelConfig a checkpoint header's config object describes."""
+    if not isinstance(config, dict) or config.keys() != _CONFIG_TYPES.keys():
+        keys = sorted(config) if isinstance(config, dict) else type(config).__name__
+        raise ValueError(f"checkpoint config must have exactly the keys "
+                         f"{sorted(_CONFIG_TYPES)}, got {keys}")
+    bad = sorted(k for k, v in config.items() if type(v) not in _CONFIG_TYPES[k])
+    if bad:
+        raise ValueError(f"checkpoint config has values of the wrong type for {bad}")
+    config = dict(config)
+    if config.pop("standard_preln"):
+        raise ValueError("checkpoint uses the standard pre-LN residual, "
+                         "which this version does not implement")
+    return ModelConfig(**config)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, alphabet_chars, marker_on_full_words).
 
-    The manifest must be the one the stored config implies and the payload
-    exactly its 8-byte parameters: a truncated or padded file is rejected.
+    The header must be the JSON object save_checkpoint writes, the manifest
+    the one its config and alphabet imply, and the payload exactly its 8-byte
+    parameters: anything else, a truncated or padded file too, is a ValueError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -406,21 +430,27 @@ def load_checkpoint(path):
         version, hlen = struct.unpack("<II", fields)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
+        if hlen > os.fstat(fh.fileno()).st_size - 12:  # fh.read(hlen) allocates hlen bytes
+            raise ValueError(f"checkpoint header of {hlen} bytes runs past the end of the file")
         header = json.loads(fh.read(hlen).decode("utf-8"))
         payload = fh.read()
-    config = dict(header["config"])
-    if config.pop("standard_preln", False):
-        raise ValueError("checkpoint uses the standard pre-LN residual, "
-                         "which this version does not implement")
-    cfg = ModelConfig(**config)
-    manifest = header["manifest"]
-    alphabet_size = manifest[0][1] if manifest else 0
-    if manifest != _manifest(cfg, alphabet_size):
-        raise ValueError("checkpoint manifest does not match the tensors its config implies")
+    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+        raise ValueError(f"checkpoint header must be a JSON object with keys "
+                         f"{sorted(_HEADER_KEYS)}")
+    alphabet, marker = header["alphabet"], header["marker_on_full_words"]
+    if not (isinstance(alphabet, list) and all(isinstance(c, str) for c in alphabet)):
+        raise ValueError("checkpoint alphabet must be a list of strings")
+    if not isinstance(marker, bool):
+        raise ValueError("checkpoint marker_on_full_words must be true or false")
+    cfg = _header_config(header["config"])
+    alphabet_size = N_RESERVED_CHARS + len(alphabet)
+    if header["manifest"] != _manifest(cfg, alphabet_size):
+        raise ValueError("checkpoint manifest does not match the tensors its config "
+                         "and alphabet imply")
     expected = 8 * param_count(cfg, alphabet_size)
     if len(payload) != expected:
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
                          f"expected {expected} for its {expected // 8} parameters")
     params = Char2SubwordParams(cfg, alphabet_size,
                                 np.frombuffer(payload, dtype="<f8").astype(np.float64))
-    return params, header["alphabet"], header["marker_on_full_words"]
+    return params, alphabet, marker

@@ -5,6 +5,7 @@ vector only.
 """
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -13,9 +14,9 @@ import numpy as np
 from .numerics import cosine_similarity
 
 TABLE_MAGIC = b"EMBT"
-# Most logits (rows x |V|) that loss_and_grad holds at once: 4 MB of float64.
-# Rows are processed in blocks of CE_BLOCK // |V|, so memory stays bounded at
-# any table size, and at toy scale a whole batch is one block.
+# Most entries of a rows x |V| product (CE logits, accuracy logits, cosine
+# ranks) held at once: 4 MB of float64. Rows run in blocks of CE_BLOCK // |V|,
+# so memory stays bounded at any table size; at toy scale a batch is one block.
 CE_BLOCK = 2 ** 19
 
 
@@ -24,11 +25,12 @@ class EmbeddingTable:
     """Frozen |V| x d matrix; the simulation target."""
 
     matrix: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)  # read-only row norms
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError(f"embedding table must be 2-D, got shape {m.shape}")
+        if m.ndim != 2 or not m.shape[0]:  # row blocks divide by |V|
+            raise ValueError(f"embedding table must be 2-D with at least one row, got {m.shape}")
         norms = np.linalg.norm(m, axis=1)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
@@ -37,7 +39,9 @@ class EmbeddingTable:
         if bad.size:
             raise ValueError(f"embedding table has zero-norm row(s): {bad.tolist()}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "norms", norms)
         m.setflags(write=False)
+        norms.setflags(write=False)
 
     @property
     def size(self):
@@ -70,12 +74,22 @@ def save_table_binary(path, table):
 
 
 def load_table(path):
-    """Auto-detect text ("v d" header) vs binary ("EMBT" magic) table files."""
+    """Auto-detect text ("v d" header) vs binary ("EMBT" magic) table files.
+
+    A binary file must be its 12-byte preamble and exactly v * d float32s.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic == TABLE_MAGIC:
-            v, d = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(v * d * 4), dtype="<f4")
+            shape = fh.read(8)
+            if len(shape) != 8:
+                raise ValueError(f"EMBT table is truncated after {4 + len(shape)} bytes")
+            v, d = struct.unpack("<II", shape)
+            size = os.fstat(fh.fileno()).st_size - 12  # a corrupt v * d never sizes a read
+            if size != 4 * v * d:
+                raise ValueError(f"EMBT payload is {size} bytes, "
+                                 f"expected {4 * v * d} for a {v}x{d} float32 table")
+            data = np.frombuffer(fh.read(size), dtype="<f4")
             return EmbeddingTable(matrix=data.astype(np.float64).reshape(v, d))
     with open(path, encoding="utf-8") as fh:
         v, d = (int(x) for x in fh.readline().split())
@@ -99,30 +113,32 @@ class NeighborIndex:
 
 def build_neighbor_index(e_table, k):
     """Rank all rows by cosine similarity, ties broken by ascending id."""
-    m = e_table.matrix
     if k > e_table.size:
         raise ValueError(f"k={k} exceeds table size {e_table.size}")
-    normed = m / np.linalg.norm(m, axis=1, keepdims=True)
-    sims = normed @ normed.T
-    ids = np.empty((e_table.size, k), dtype=np.int64)
-    col = np.arange(e_table.size)
-    for i in range(e_table.size):
-        order = np.lexsort((col, -sims[i]))
-        ids[i] = order[:k]
-    return NeighborIndex(k=k, ids=ids)
+    return NeighborIndex(k=k, ids=rank_neighbors(e_table, e_table.matrix, k)[0])
 
 
-def rank_neighbors(e_table, vec, n):
-    """Top-n table rows by cosine to an arbitrary vector, same tie-breaking."""
-    m = e_table.matrix
-    normed = m / np.linalg.norm(m, axis=1, keepdims=True)
-    v = np.asarray(vec, dtype=np.float64)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+def rank_neighbors(e_table, vecs, n):
+    """Top-n table rows by cosine to a vector (d,) or query rows (Q, d), ascending-id ties;
+    returns (ids, sims) shaped (n,) or (Q, n). Exact search in row blocks: O(block x |V|)."""
+    rows = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
+    qnorm = np.linalg.norm(rows, axis=1)
+    if (qnorm == 0.0).any():
         raise ValueError("cannot rank neighbors of a zero vector")
-    sims = normed @ (v / nv)
-    order = np.lexsort((np.arange(e_table.size), -sims))[:n]
-    return order, sims[order]
+    ids = np.empty((len(rows), min(n, e_table.size)), dtype=np.int64)
+    sims = np.empty(ids.shape)
+    for blk in row_blocks(len(rows), e_table.size):
+        # a copy: numpy's symmetric A @ A.T path (one buffer twice) splits exact ties
+        s = (rows[blk].copy() @ e_table.matrix.T) / (qnorm[blk, None] * e_table.norms)
+        ids[blk] = np.lexsort((np.broadcast_to(np.arange(e_table.size), s.shape), -s))[:, :n]
+        sims[blk] = np.take_along_axis(s, ids[blk], axis=1)
+    return (ids[0], sims[0]) if np.ndim(vecs) == 1 else (ids, sims)
+
+
+def row_blocks(rows, table_size):
+    """Slices of at most max(1, CE_BLOCK // |V|) rows that cover `rows`."""
+    step = max(1, CE_BLOCK // table_size)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -263,9 +279,7 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
                                  - (cos / norm_hat ** 2)[:, None] * e_hat)
 
     if weights.l_ce:
-        step = max(1, CE_BLOCK // e_table.size)
-        for lo in range(0, len(ids), step):
-            blk = slice(lo, lo + step)
+        for blk in row_blocks(len(ids), e_table.size):
             target = (np.arange(len(ids[blk])), ids[blk])
             p = e_hat[blk] @ table.T  # the only logits array; updated in place below
             p -= p.max(axis=1, keepdims=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from char2subword.cli import main
-from char2subword.objectives import EmbeddingTable, save_table_text
+from char2subword.objectives import EmbeddingTable, load_table, save_table_binary, save_table_text
 
 from conftest import TOY_WORDS
 
@@ -259,6 +259,29 @@ class TestInputContracts:
         ckpt.write_bytes(edit(ckpt.read_bytes()))
         assert self.eval_rc(workdir, ckpt) == 2
         assert "checkpoint payload is" in capsys.readouterr().err
+
+    def test_checkpoint_header_without_manifest_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        data = ckpt.read_bytes()
+        hlen = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:12 + hlen])
+        del header["manifest"]
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + hlen:])
+        assert self.eval_rc(workdir, ckpt) == 2
+        assert "checkpoint header must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, got", [(lambda b: b + b"junkjunk", 8 * 21 * 4 + 8),
+                                           (lambda b: b[:-8], 8 * 21 * 4 - 8)],
+                             ids=["trailing", "short"])
+    def test_bad_embt_length_exit_2(self, workdir, capsys, edit, got):
+        _, ckpt = simulate(workdir)
+        embt = workdir / "table.embt"
+        save_table_binary(embt, load_table(workdir / "table.txt"))
+        assert self.eval_rc(workdir, ckpt, table="table.embt") == 0
+        embt.write_bytes(edit(embt.read_bytes()))
+        assert self.eval_rc(workdir, ckpt, table="table.embt") == 2
+        assert f"EMBT payload is {got} bytes, expected {21 * 8 * 4}" in capsys.readouterr().err
 
     def test_reordered_vocab_exit_2(self, workdir, capsys):
         _, ckpt = simulate(workdir)

@@ -3,6 +3,7 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
+from char2subword import objectives
 from char2subword.evaluation import (
     accuracy,
     dump_attention,
@@ -60,6 +61,17 @@ class TestAccuracy:
                         embedded=(ids, vecs)) == pytest.approx(hits / len(ids))
 
 
+    def test_blocks_match_one_block(self, params, toy_vocab, toy_table, alphabet,
+                                    monkeypatch):
+        ids = toy_vocab.non_special_ids()
+        vecs = np.random.default_rng(3).normal(size=(len(ids), toy_table.dim))
+        vecs[5::7] = toy_table.matrix[np.asarray(ids[5::7])]  # some hits
+        whole = accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs))
+        assert whole > 0.0
+        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
+        assert accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs)) == whole
+
+
 class TestPrecisionAtK:
     def test_oracle_embeddings_perfect(self, params, toy_vocab, toy_table, alphabet):
         idx = build_neighbor_index(toy_table, 15)
@@ -76,6 +88,16 @@ class TestPrecisionAtK:
         assert rep.avg_precision == pytest.approx(
             np.mean(list(rep.precision_at.values())))
         assert sorted(rep.precision_at) == list(range(1, 16))
+
+    def test_blocks_match_one_block(self, params, toy_vocab, toy_table, alphabet,
+                                    monkeypatch):
+        idx = build_neighbor_index(toy_table, 15)
+        ids, vecs = embed_vocab(params, toy_vocab, alphabet)
+        whole = precision_at_k(params, toy_vocab, toy_table, idx, alphabet, embedded=(ids, vecs))
+        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
+        blocked = precision_at_k(params, toy_vocab, toy_table, idx, alphabet,
+                                 embedded=(ids, vecs))
+        assert blocked == whole
 
     def test_k_max_exceeding_index_rejected(self, params, toy_vocab, toy_table, alphabet):
         idx = build_neighbor_index(toy_table, 5)

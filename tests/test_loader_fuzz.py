@@ -1,0 +1,95 @@
+"""Fuzzed checkpoint and EMBT table files.
+
+Each case starts from a saved file and truncates it at any offset, appends
+random bytes, or overwrites bytes of its header. Loading must then raise
+ValueError or return what the file still describes, never raise another
+exception type.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import char2subword as c2s
+from char2subword import model as M
+from char2subword.objectives import load_table, save_table_binary
+
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+def mutations(data, header_end):
+    """(kind, mutated bytes): a cut, an appended tail, or a header overwrite."""
+    cut = st.integers(0, len(data) - 1).map(lambda n: ("cut", data[:n]))
+    tail = st.binary(min_size=1, max_size=64).map(lambda b: ("tail", data + b))
+    over = st.tuples(st.integers(0, header_end - 1), st.binary(min_size=1, max_size=16)).map(
+        lambda ob: ("over", overwrite(data, ob[0], ob[1][:header_end - ob[0]])))
+    return st.one_of(cut, tail, over)
+
+
+def overwrite(data, at, new):
+    return data[:at] + new + data[at + len(new):]
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory, toy_vocab, toy_table, tiny_config):
+    """A checkpoint and an EMBT table on disk, with their bytes and the
+    checkpoint's header end (12-byte preamble plus JSON header)."""
+    out = tmp_path_factory.mktemp("fuzz")
+    alphabet = c2s.build_alphabet(toy_vocab)
+    ckpt, table = out / "model.c2sw", out / "table.embt"
+    M.save_checkpoint(ckpt, M.init_params(tiny_config, len(alphabet), seed=4), alphabet)
+    save_table_binary(table, toy_table)
+    data = ckpt.read_bytes()
+    return {"ckpt": ckpt, "ckpt_bytes": data,
+            "ckpt_header_end": 12 + int.from_bytes(data[8:12], "little"),
+            "table": table, "table_bytes": table.read_bytes(), "out": out}
+
+
+def test_fuzzed_checkpoint_loads_or_raises_value_error(saved):
+    original = M.load_checkpoint(saved["ckpt"])
+    path = saved["out"] / "fuzzed.c2sw"
+
+    @FUZZ
+    @given(mutations(saved["ckpt_bytes"], saved["ckpt_header_end"]))
+    def check(case):
+        kind, data = case
+        path.write_bytes(data)
+        try:
+            params, chars, marker = M.load_checkpoint(path)
+        except ValueError:
+            return
+        # a cut or a tail always changes the payload length
+        assert kind == "over"
+        # the header may name other valid values (ln_eps, characters), but
+        # the payload is read as the same parameters
+        np.testing.assert_array_equal(params.flat, original[0].flat)
+        assert isinstance(params.config, M.ModelConfig)
+        assert all(isinstance(c, str) for c in chars) and len(chars) == len(original[1])
+        assert isinstance(marker, bool)
+        if data == saved["ckpt_bytes"]:
+            assert (params.config, chars, marker) == (original[0].config, *original[1:])
+
+    check()
+
+
+def test_fuzzed_table_loads_or_raises_value_error(saved):
+    original = load_table(saved["table"])
+    path = saved["out"] / "fuzzed.embt"
+
+    @FUZZ
+    @given(mutations(saved["table_bytes"], 12))
+    def check(case):
+        kind, data = case
+        path.write_bytes(data)
+        try:
+            table = load_table(path)
+        except ValueError:
+            return
+        assert kind == "over"
+        # an overwritten preamble can only give the same floats another
+        # shape with the same number of entries
+        np.testing.assert_array_equal(table.matrix.ravel(), original.matrix.ravel())
+        if data == saved["table_bytes"]:
+            assert table.matrix.shape == original.matrix.shape
+
+    check()

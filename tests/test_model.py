@@ -307,6 +307,9 @@ class TestCheckpoint:
         path.write_bytes(data[:6])
         with pytest.raises(ValueError, match="truncated after 6 bytes"):
             M.load_checkpoint(path)
+        path.write_bytes(data[:20])
+        with pytest.raises(ValueError, match="runs past the end of the file"):
+            M.load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tiny_config, alphabet, tmp_path):
         path = saved_checkpoint(tiny_config, alphabet, tmp_path)
@@ -333,11 +336,43 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="pre-LN"):
             M.load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: ["not", "an", "object"], "must be a JSON object"),
+        (lambda h: dropped(h, "config"), "must be a JSON object"),
+        (lambda h: dropped(h, "alphabet"), "must be a JSON object"),
+        (lambda h: dropped(h, "manifest"), "must be a JSON object"),
+        (lambda h: dropped(h, "marker_on_full_words"), "must be a JSON object"),
+        (lambda h: dict(h, config=[8, 16]), "exactly the keys"),
+        (lambda h: dict(h, config=dropped(h["config"], "d_out")), "exactly the keys"),
+        (lambda h: dict(h, config=dict(h["config"], dropout=0.1)), "exactly the keys"),
+        (lambda h: dict(h, config=dict(h["config"], d_char="8")), r"type for \['d_char'\]"),
+        (lambda h: dict(h, config=dict(h["config"], max_chars=32.0)),
+         r"type for \['max_chars'\]"),
+        (lambda h: dict(h, config=dict(h["config"], n_layers=True)), r"type for \['n_layers'\]"),
+        (lambda h: dict(h, config=dict(h["config"], ln_eps=1e999)), "ln_eps must be finite"),
+        (lambda h: dict(h, alphabet="abc"), "alphabet must be a list"),
+        (lambda h: dict(h, marker_on_full_words=None), "marker_on_full_words"),
+        (lambda h: dict(h, alphabet=h["alphabet"][:-1]), "manifest"),
+        (lambda h: dict(h, manifest={"char_emb": 1}), "manifest"),
+    ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker",
+            "config-not-object", "config-key-missing", "config-key-unknown", "str-count",
+            "float-count", "bool-count", "inf-eps", "alphabet-not-list", "marker-not-bool",
+            "alphabet-short", "manifest-not-list"])
+    def test_malformed_header_rejected(self, tiny_config, alphabet, tmp_path, edit, message):
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+        write_header(path, edit(read_header(path)))
+        with pytest.raises(ValueError, match=message):
+            M.load_checkpoint(path)
+
 
 def saved_checkpoint(config, alphabet, tmp_path):
     path = tmp_path / "model.c2sw"
     M.save_checkpoint(path, M.init_params(config, len(alphabet), seed=4), alphabet)
     return path
+
+
+def dropped(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
 
 
 def read_header(path):
@@ -348,10 +383,15 @@ def read_header(path):
 
 def rewrite_header(path, edit):
     """Apply `edit` to the checkpoint's JSON header, keeping the payload."""
-    data = path.read_bytes()
-    hlen, = struct.unpack("<I", data[8:12])
     header = read_header(path)
     edit(header)
+    write_header(path, header)
+
+
+def write_header(path, header):
+    """Replace the checkpoint's JSON header by `header`, keeping the payload."""
+    data = path.read_bytes()
+    hlen, = struct.unpack("<I", data[8:12])
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen:])
 

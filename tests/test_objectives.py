@@ -45,6 +45,10 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match=r"\[1\]"):
             EmbeddingTable(matrix=m)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            EmbeddingTable(matrix=np.zeros((0, 4)))
+
     def test_non_finite_rows_rejected(self):
         m = np.ones((4, 2))
         m[2, 0] = np.nan
@@ -55,6 +59,11 @@ class TestEmbeddingTable:
     def test_frozen(self, toy_table):
         with pytest.raises(ValueError):
             toy_table.matrix[0, 0] = 5.0
+
+    def test_norms_cached_read_only(self, toy_table):
+        np.testing.assert_array_equal(toy_table.norms, np.linalg.norm(toy_table.matrix, axis=1))
+        with pytest.raises(ValueError):
+            toy_table.norms[0] = 5.0
 
     def test_text_round_trip(self, toy_table, tmp_path):
         path = tmp_path / "table.txt"
@@ -69,6 +78,20 @@ class TestEmbeddingTable:
         # binary format stores 32-bit floats, promoted on load
         np.testing.assert_allclose(loaded.matrix, toy_table.matrix, atol=1e-6)
         assert path.read_bytes()[:4] == b"EMBT"
+
+    def test_binary_length_checked(self, toy_table, tmp_path):
+        path = tmp_path / "table.embt"
+        save_table_binary(path, toy_table)
+        data = path.read_bytes()
+        expected = 4 * toy_table.size * toy_table.dim
+        for bad, got in ((data + b"junkjunk", expected + 8), (data[:-8], expected - 8)):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match=rf"payload is {got} bytes, expected {expected}"):
+                load_table(path)
+        for cut in (5, 11):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match=rf"truncated after {cut} bytes"):
+                load_table(path)
 
 
 class TestNeighborIndex:
@@ -96,6 +119,17 @@ class TestNeighborIndex:
         t = EmbeddingTable(matrix=m)
         idx = build_neighbor_index(t, 3)
         assert list(idx.neighbors(2)) == [0, 1, 2]
+
+    def test_twin_rows_tie_by_ascending_id(self):
+        # rows 50-99 are exactly twice rows 0-49, so every row ties with its twin
+        half = np.random.default_rng(5).normal(size=(50, 16))
+        m = np.concatenate([half, 2.0 * half])
+        t = EmbeddingTable(matrix=m)
+        idx = build_neighbor_index(t, 4)
+        assert list(idx.neighbors(46)) == [46, 96, 13, 63]
+        for i in range(100):
+            assert list(idx.neighbors(i)) == brute_force_neighbors(m, i, 4), i
+            assert list(rank_neighbors(t, m[i], 4)[0]) == list(idx.neighbors(i)), i
 
     def test_k_exceeds_size_rejected(self, toy_table):
         with pytest.raises(ValueError):
@@ -308,3 +342,30 @@ class TestRankNeighbors:
         for i in (0, 25, 49):
             order, _ = rank_neighbors(toy_table, toy_table.row(i), 10)
             assert list(order) == list(idx.neighbors(i))
+
+    def test_blocks_match_one_block(self, toy_table, monkeypatch):
+        queries = np.random.default_rng(9).normal(size=(7, toy_table.dim))
+        whole_index = build_neighbor_index(toy_table, 10)
+        whole = rank_neighbors(toy_table, queries, 10)
+        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
+        np.testing.assert_array_equal(build_neighbor_index(toy_table, 10).ids, whole_index.ids)
+        blocked = rank_neighbors(toy_table, queries, 10)
+        np.testing.assert_array_equal(blocked[0], whole[0])
+        # BLAS may round a product of 3 rows differently from one of 7
+        np.testing.assert_allclose(blocked[1], whole[1], rtol=0, atol=1e-12)
+
+    def test_batch_rows_match_single_queries(self, toy_table):
+        queries = np.random.default_rng(10).normal(size=(5, toy_table.dim))
+        ids, sims = rank_neighbors(toy_table, queries, 4)
+        assert ids.shape == sims.shape == (5, 4)
+        for q, row_ids, row_sims in zip(queries, ids, sims):
+            one_ids, one_sims = rank_neighbors(toy_table, q, 4)
+            assert one_ids.shape == one_sims.shape == (4,)
+            np.testing.assert_array_equal(one_ids, row_ids)
+            np.testing.assert_allclose(one_sims, row_sims, rtol=0, atol=1e-12)
+
+    def test_zero_query_in_batch_rejected(self, toy_table):
+        queries = np.ones((3, toy_table.dim))
+        queries[1] = 0.0
+        with pytest.raises(ValueError, match="zero vector"):
+            rank_neighbors(toy_table, queries, 4)
