@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .objectives import rank_neighbors, row_blocks
+from .objectives import rank_neighbors, tiles
 from .vocab import tokenize_word, whitespace_split
 
 
@@ -35,9 +35,15 @@ def embed_vocab(params, vocab, alphabet, marker_on_full_words=True):
 def accuracy(params, vocab, e_table, alphabet, embedded=None):
     """Fraction of non-special entries whose argmax over e_hat . E^T is themselves."""
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
-    pred = np.empty(len(ids), dtype=np.int64)
-    for blk in row_blocks(len(ids), e_table.size):  # argmax takes the first max: lowest id
-        pred[blk] = (vecs[blk] @ e_table.matrix.T).argmax(axis=1)
+    pred = np.zeros(len(ids), dtype=np.int64)
+    best = np.full(len(ids), -np.inf)
+    for blk, cols in tiles(len(ids), e_table.size):
+        logits = vecs[blk] @ e_table.matrix[cols].T
+        j = logits.argmax(axis=1)  # the first max in the tile: its lowest id
+        top = logits[np.arange(len(j)), j]
+        win = top > best[blk]  # columns ascend, so a tie keeps the lower id
+        pred[blk] = np.where(win, j + cols.start, pred[blk])
+        best[blk] = np.where(win, top, best[blk])
     return float(np.mean(pred == np.asarray(ids)))
 
 

@@ -326,7 +326,9 @@ def split_passes(seqs):
     """Indices of `seqs` grouped into forward passes, shortest first.
 
     Each pass holds at most PASS_POSITIONS padded positions (or a single
-    sequence), so the memory of a pass is bounded and padding stays small.
+    sequence), so the activations of a pass are bounded and padding stays
+    small. Training keeps every pass's cache until backward, so one batch
+    holds the activations of all its samples, but only one loss call.
     """
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     passes = [[]]

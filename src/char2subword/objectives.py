@@ -5,6 +5,7 @@ vector only.
 """
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -15,8 +16,9 @@ from .numerics import cosine_similarity
 
 TABLE_MAGIC = b"EMBT"
 # Most entries of a rows x |V| product (CE logits, accuracy logits, cosine
-# ranks) held at once: 4 MB of float64. Rows run in blocks of CE_BLOCK // |V|,
-# so memory stays bounded at any table size; at toy scale a batch is one block.
+# ranks) held at once: 4 MB of float64. The product runs in the 2-D tiles of
+# `tiles`, so memory stays bounded at any table size; at toy scale a batch is
+# one tile.
 CE_BLOCK = 2 ** 19
 
 
@@ -76,7 +78,8 @@ def save_table_binary(path, table):
 def load_table(path):
     """Auto-detect text ("v d" header) vs binary ("EMBT" magic) table files.
 
-    A binary file must be its 12-byte preamble and exactly v * d float32s.
+    A binary file must be its 12-byte preamble and exactly v * d float32s; a
+    text file must end after its v rows (blank lines aside).
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -94,6 +97,8 @@ def load_table(path):
     with open(path, encoding="utf-8") as fh:
         v, d = (int(x) for x in fh.readline().split())
         rows = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(v)]
+        if fh.read().strip():
+            raise ValueError(f"text table has data after its {v} rows")
     m = np.stack(rows)
     if m.shape != (v, d):
         raise ValueError(f"table header says {v}x{d} but data is {m.shape}")
@@ -118,27 +123,53 @@ def build_neighbor_index(e_table, k):
     return NeighborIndex(k=k, ids=rank_neighbors(e_table, e_table.matrix, k)[0])
 
 
+def tiles(rows, cols):
+    """(row slice, column slice) tiles of a rows x cols product, row block by row
+    block with columns ascending, none above CE_BLOCK entries. A row block takes
+    up to max(sqrt(CE_BLOCK), CE_BLOCK // cols) rows, so a batch of a few hundred
+    rows streams the table once and a many-row product gets square BLAS tiles."""
+    if not rows:
+        return []
+    step = min(rows, max(math.isqrt(CE_BLOCK), CE_BLOCK // cols))
+    width = min(cols, max(1, CE_BLOCK // step))
+    return [(slice(lo, lo + step), slice(c, c + width))
+            for lo in range(0, rows, step) for c in range(0, cols, width)]
+
+
 def rank_neighbors(e_table, vecs, n):
     """Top-n table rows by cosine to a vector (d,) or query rows (Q, d), ascending-id ties;
-    returns (ids, sims) shaped (n,) or (Q, n). Exact search in row blocks: O(block x |V|)."""
+    returns (ids, sims) shaped (n,) or (Q, n). Exact search over the tiles of `tiles`:
+    each tile keeps every column at or above its rows' n-th largest cosine, so ties at
+    the cut survive, and only those candidates and the running top-n are sorted."""
+    if n < 1:
+        raise ValueError(f"cannot rank the top {n} neighbors; need n >= 1")
     rows = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
     qnorm = np.linalg.norm(rows, axis=1)
     if (qnorm == 0.0).any():
         raise ValueError("cannot rank neighbors of a zero vector")
-    ids = np.empty((len(rows), min(n, e_table.size)), dtype=np.int64)
+    if not np.isfinite(qnorm).all():  # NaN sims would pass no cut
+        raise ValueError("cannot rank neighbors of a non-finite vector")
+    n = min(n, e_table.size)
+    ids = np.empty((len(rows), n), dtype=np.int64)
     sims = np.empty(ids.shape)
-    for blk in row_blocks(len(rows), e_table.size):
-        # a copy: numpy's symmetric A @ A.T path (one buffer twice) splits exact ties
-        s = (rows[blk].copy() @ e_table.matrix.T) / (qnorm[blk, None] * e_table.norms)
-        ids[blk] = np.lexsort((np.broadcast_to(np.arange(e_table.size), s.shape), -s))[:, :n]
-        sims[blk] = np.take_along_axis(s, ids[blk], axis=1)
+    for blk, cols in tiles(len(rows), e_table.size):
+        if cols.start == 0:  # a new row block
+            # a copy: numpy's symmetric A @ A.T path (one buffer twice) splits exact ties
+            q = rows[blk].copy()
+        s = (q @ e_table.matrix[cols].T) / (qnorm[blk, None] * e_table.norms[cols])
+        cut = s.shape[1] - min(n, s.shape[1])
+        r, c = np.nonzero(s >= np.partition(s, cut, axis=1)[:, cut, None])
+        r, c, v = r, c + cols.start, s[r, c]
+        if cols.start:  # merge with the row block's running top-n
+            r, c, v = (np.concatenate(pair) for pair in zip(cand, (r, c, v)))
+        order = np.lexsort((c, -v, r))
+        r, c, v = r[order], c[order], v[order]
+        top = np.arange(len(r)) - np.searchsorted(r, r) < n  # the first n of each row
+        cand = r[top], c[top], v[top]
+        if cols.stop >= e_table.size:
+            ids[blk] = cand[1].reshape(-1, n)
+            sims[blk] = cand[2].reshape(-1, n)
     return (ids[0], sims[0]) if np.ndim(vecs) == 1 else (ids, sims)
-
-
-def row_blocks(rows, table_size):
-    """Slices of at most max(1, CE_BLOCK // |V|) rows that cover `rows`."""
-    step = max(1, CE_BLOCK // table_size)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -255,9 +286,13 @@ def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights):
 def loss_and_grad(target_ids, e_hat, e_table, index, weights):
     """combined_loss and combined_loss_gradient for a batch of predictions.
 
-    `e_hat` is (B, d), one row per target id. The CE softmax is one (b x d) .
-    (d x V) product per block of b = CE_BLOCK // V rows (the whole batch when
-    the table is small), and L_nbr runs over all k neighbors at once. Returns
+    `e_hat` is (B, d), one row per target id. CE streams the table once, in the
+    tiles of `tiles` (each holds the whole batch unless B is in the hundreds):
+    per tile, one product gives the logits, a running max m and sum z per row
+    rescale the accumulator (the online softmax normaliser of Milakov and
+    Gimelshein, 2018), and a second product adds exp(l - m) @ tile. The loss is
+    log z + m - e_hat . e and the gradient acc / z - e, in O(B x tile) memory
+    at any V. L_nbr runs over all k neighbors at once. Returns
     (totals (B,), {term: (B,)}, gradient (B, d)); a term whose weight is 0 is
     reported as zeros and adds nothing. `index` may be None when l_nbr is 0.
     """
@@ -279,17 +314,21 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
                                  - (cos / norm_hat ** 2)[:, None] * e_hat)
 
     if weights.l_ce:
-        for blk in row_blocks(len(ids), e_table.size):
-            target = (np.arange(len(ids[blk])), ids[blk])
-            p = e_hat[blk] @ table.T  # the only logits array; updated in place below
-            p -= p.max(axis=1, keepdims=True)
-            target_logit = p[target]
+        # online softmax: running max m, sum z and sum of exp(l - m) * E[j] per row
+        m = np.full(len(ids), -np.inf)
+        z = np.zeros(len(ids))
+        acc = np.zeros_like(e_hat)
+        for blk, cols in tiles(len(ids), e_table.size):
+            p = e_hat[blk] @ table[cols].T  # the only logits array; updated in place below
+            top = np.maximum(m[blk], p.max(axis=1))
+            scale = np.exp(m[blk] - top)
+            p -= top[:, None]
             np.exp(p, out=p)
-            z = p.sum(axis=1)
-            parts["ce"][blk] = np.log(z) - target_logit
-            p /= z[:, None]
-            p[target] -= 1.0
-            grad[blk] += weights.l_ce * (p @ table)
+            z[blk] = z[blk] * scale + p.sum(axis=1)
+            acc[blk] = acc[blk] * scale[:, None] + p @ table[cols]
+            m[blk] = top
+        parts["ce"] = np.log(z) + m - np.einsum("bd,bd->b", e_hat, e)
+        grad += weights.l_ce * (acc / z[:, None] - e)
 
     if weights.l_l2:
         diff = e_hat - e

@@ -76,22 +76,22 @@ class _Adam:
 def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights):
     """Forward, loss_and_grad and backward over a batch of samples.
 
-    The batch runs in the passes of model.split_passes. Returns (per-sample
-    totals, per-sample loss terms, gradient of sum_b sample_weights[b] *
-    total_b).
+    Forward and backward run in the passes of model.split_passes; the
+    predictions of all passes meet in one loss_and_grad call, so the table is
+    streamed once per batch. Returns (per-sample totals, per-sample loss
+    terms, gradient of sum_b sample_weights[b] * total_b).
     """
-    target_ids = np.asarray(target_ids)
-    sample_weights = np.asarray(sample_weights, dtype=np.float64)
-    totals = np.empty(len(seqs))
-    parts = {k: np.empty(len(seqs)) for k in ("cos", "ce", "l2", "nbr")}
+    passes = model_mod.split_passes(seqs)
+    e_hat = np.empty((len(seqs), params.config.d_out))
+    caches = []  # every pass's cache stays live until its backward
+    for rows in passes:
+        e_hat[rows], _, cache = model_mod.forward_batch(params, [seqs[i] for i in rows])
+        caches.append(cache)
+    totals, parts, d_ehat = loss_and_grad(target_ids, e_hat, e_table, index, weights)
+    d_ehat *= np.asarray(sample_weights, dtype=np.float64)[:, None]
     grads = None
-    for rows in model_mod.split_passes(seqs):
-        e_hat, _, cache = model_mod.forward_batch(params, [seqs[i] for i in rows])
-        t, p, d_ehat = loss_and_grad(target_ids[rows], e_hat, e_table, index, weights)
-        totals[rows] = t
-        for k, v in p.items():
-            parts[k][rows] = v
-        g = model_mod.backward_batch(params, cache, d_ehat * sample_weights[rows, None])
+    for rows, cache in zip(passes, caches):
+        g = model_mod.backward_batch(params, cache, d_ehat[rows])
         grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
     return totals, parts, grads
 

@@ -169,6 +169,14 @@ class TestNoise:
                    "--out", str(workdir / "n.txt")])
         assert rc == 2
 
+    def test_bad_layout_values_exit_2(self, workdir, capsys):
+        layouts = workdir / "layouts.json"
+        layouts.write_text('{"q": {"a": 1}}')
+        rc = main(["noise", "--seed", "3", "--layouts", str(layouts),
+                   str(workdir / "corpus.txt"), "--out", str(workdir / "n.txt")])
+        assert rc == 2
+        assert "layout 'q': key 'a' needs a list of single characters" in capsys.readouterr().err
+
 
 class TestStats:
     def test_output(self, workdir, capsys):
@@ -292,6 +300,13 @@ class TestInputContracts:
                    "--checkpoint", str(ckpt), "apple"])
         assert rc == 2
         assert "alphabet" in capsys.readouterr().err
+
+    def test_text_table_rows_after_v_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        with open(workdir / "table.txt", "a") as fh:
+            fh.write(" ".join(["1"] * 8) + "\n")
+        assert self.eval_rc(workdir, ckpt) == 2
+        assert "text table has data after its 21 rows" in capsys.readouterr().err
 
     def test_non_finite_table_exit_2(self, workdir, capsys):
         _, ckpt = simulate(workdir)

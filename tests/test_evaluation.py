@@ -12,7 +12,7 @@ from char2subword.evaluation import (
     precision_at_k,
     seq_length_stats,
 )
-from char2subword.objectives import build_neighbor_index, rank_neighbors
+from char2subword.objectives import EmbeddingTable, build_neighbor_index, rank_neighbors
 from char2subword.vocab import char_sequence
 
 
@@ -70,6 +70,20 @@ class TestAccuracy:
         assert whole > 0.0
         monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
         assert accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs)) == whole
+
+    @pytest.mark.parametrize("ce_block", [None, 100])
+    def test_ties_across_tiles_pick_lowest_id(self, params, toy_vocab, alphabet, monkeypatch,
+                                              ce_block):
+        # rows 25-49 repeat rows 0-24, so every argmax ties with a twin 25 ids on
+        m = np.concatenate([np.eye(25), np.eye(25)])
+        table = EmbeddingTable(matrix=m)
+        if ce_block:  # 10-column tiles: each twin sits in another tile
+            monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
+            assert objectives.tiles(50, 50)[1][1] == slice(10, 20)
+        ids = list(range(50))
+        assert accuracy(params, toy_vocab, table, alphabet, embedded=(ids, m)) == 0.5
+        assert accuracy(params, toy_vocab, table, alphabet,
+                        embedded=(ids[:25], m[25:])) == 1.0
 
 
 class TestPrecisionAtK:

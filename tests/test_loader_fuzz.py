@@ -1,10 +1,14 @@
-"""Fuzzed checkpoint and EMBT table files.
+"""Fuzzed loaders: checkpoint and EMBT table files, vocabularies and layouts.
 
-Each case starts from a saved file and truncates it at any offset, appends
-random bytes, or overwrites bytes of its header. Loading must then raise
-ValueError or return what the file still describes, never raise another
+A checkpoint or table case starts from a saved file and truncates it at any
+offset, appends random bytes, or overwrites bytes of its header. A vocabulary
+case is arbitrary file bytes or lines; a layout case is arbitrary text or a
+JSON document shaped roughly like a layout. Loading must then raise ValueError
+(or a subclass) or return what the input describes, never raise another
 exception type.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import char2subword as c2s
 from char2subword import model as M
+from char2subword.noise import load_layouts
 from char2subword.objectives import load_table, save_table_binary
+from char2subword.vocab import UNK, load_vocabulary
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -93,3 +99,65 @@ def test_fuzzed_table_loads_or_raises_value_error(saved):
             assert table.matrix.shape == original.matrix.shape
 
     check()
+
+
+def check_vocabulary(vocab):
+    assert UNK in vocab
+    assert all(tok and tok == tok.strip() for tok in vocab.entries)
+    assert vocab.id_of == {tok: i for i, tok in enumerate(vocab.entries)}
+
+
+# lines near the real format: short tokens, [UNK], duplicates and blank lines
+VOCAB_LINES = st.lists(st.one_of(st.sampled_from([UNK, "", " ", "##a", "a", "[MASK]"]),
+                                 st.text(max_size=6)), max_size=12)
+
+
+@FUZZ
+@given(VOCAB_LINES)
+def test_fuzzed_vocabulary_lines_load_or_raise_value_error(lines):
+    try:
+        vocab = load_vocabulary(lines)
+    except ValueError:
+        return
+    check_vocabulary(vocab)
+
+
+def test_fuzzed_vocabulary_file_loads_or_raises_value_error(tmp_path):
+    path = tmp_path / "vocab.txt"
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=64),
+                     VOCAB_LINES.map(lambda ls: "\n".join(ls).encode("utf-8"))))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            vocab = load_vocabulary(path)
+        except ValueError:  # also undecodable bytes: UnicodeDecodeError
+            return
+        check_vocabulary(vocab)
+
+    check()
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=8)
+# documents near the real format: {name: {key: [neighbor, ...]}} with any values mixed in
+KEY_MAPS = st.dictionaries(st.text(max_size=2),
+                           st.lists(st.text(max_size=2), max_size=3) | JSON, max_size=3)
+LAYOUT_DOCS = st.dictionaries(st.text(max_size=3), KEY_MAPS | JSON, max_size=3).map(json.dumps)
+
+
+@FUZZ
+@given(st.one_of(LAYOUT_DOCS, JSON.map(json.dumps), st.text(max_size=40)))
+def test_fuzzed_layouts_load_or_raise_value_error(doc):
+    try:
+        layouts = load_layouts(doc)
+    except ValueError:  # LayoutError is one
+        return
+    assert [lay.name for lay in layouts] == list(json.loads(doc))
+    for lay in layouts:
+        for key, nbrs in lay.neighbors.items():
+            assert len(key) == 1 and nbrs and key not in nbrs
+            assert all(isinstance(c, str) and len(c) == 1 for c in nbrs)

@@ -50,6 +50,19 @@ class TestLayouts:
         with pytest.raises(LayoutError, match="line"):
             load_layouts('{"x": ')
 
+    @pytest.mark.parametrize("doc, match", [
+        ('{"q": {"a": 1}}', "needs a list of single characters, got 1"),
+        ('{"q": {"a": "bc"}}', "needs a list of single characters, got 'bc'"),
+        ('{"q": {"a": [1]}}', r"got \[1\]"),
+        ('{"q": {"a": ["bc"]}}', r"got \['bc'\]"),
+        ('{"q": {"a": [""]}}', r"got \[''\]"),
+        ('{"q": {"ab": ["c"]}}', "key 'ab' is not a single character"),
+        ('{"q": {"": ["c"]}}', "key '' is not a single character"),
+    ])
+    def test_bad_key_map_values_rejected(self, doc, match):
+        with pytest.raises(LayoutError, match=match):
+            load_layouts(doc)
+
     def test_self_neighbor_rejected(self):
         with pytest.raises(LayoutError, match="'a'"):
             KeyboardLayout(name="bad", neighbors={"a": ["a", "b"]})

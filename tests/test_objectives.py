@@ -71,6 +71,17 @@ class TestEmbeddingTable:
         loaded = load_table(path)
         np.testing.assert_array_equal(loaded.matrix, toy_table.matrix)
 
+    def test_text_rows_after_v_rejected(self, tmp_path):
+        path = tmp_path / "table.txt"
+        save_table_text(path, EmbeddingTable(matrix=np.arange(1.0, 10.0).reshape(3, 3)))
+        with open(path, "a") as fh:
+            fh.write("\n\n")  # blank lines after the rows are allowed
+        assert load_table(path).size == 3
+        with open(path, "a") as fh:
+            fh.write("1 2 3\n")
+        with pytest.raises(ValueError, match="text table has data after its 3 rows"):
+            load_table(path)
+
     def test_binary_round_trip(self, toy_table, tmp_path):
         path = tmp_path / "table.embt"
         save_table_binary(path, toy_table)
@@ -134,6 +145,10 @@ class TestNeighborIndex:
     def test_k_exceeds_size_rejected(self, toy_table):
         with pytest.raises(ValueError):
             build_neighbor_index(toy_table, toy_table.size + 1)
+
+    def test_k_zero_rejected(self, toy_table):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            build_neighbor_index(toy_table, 0)
 
 
 class TestLossWeights:
@@ -309,6 +324,25 @@ class TestLossAndGrad:
         np.testing.assert_allclose(blocked[1]["ce"], whole[1]["ce"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocked[2], whole[2], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("ce_block, n_tiles", [(16, 3 * 13), (1, 9 * 50)])
+    def test_many_tiles_match_per_sample_reference(self, toy_table, monkeypatch, ce_block,
+                                                   n_tiles):
+        idx = build_neighbor_index(toy_table, 5)
+        rng = np.random.default_rng(11)
+        ids = rng.integers(toy_table.size, size=9)
+        ehat = 3.0 * rng.normal(size=(9, toy_table.dim))
+        monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
+        # 16: three row blocks of at most 4 rows by 13 column tiles; 1: 1 x 1 tiles
+        assert len(objectives.tiles(9, toy_table.size)) == n_tiles
+        totals, parts, grad = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
+        for b, tid in enumerate(ids):
+            e = toy_table.row(tid)
+            total, ref_parts = combined_loss(tid, e, ehat[b], toy_table, idx, LossWeights())
+            assert abs(totals[b] - total) < 1e-12
+            assert abs(parts["ce"][b] - ref_parts["ce"]) < 1e-12
+            ref_grad = combined_loss_gradient(tid, e, ehat[b], toy_table, idx, LossWeights())
+            np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
+
     def test_target_out_of_range(self, toy_table):
         with pytest.raises(IndexError):
             loss_and_grad([toy_table.size], np.ones((1, toy_table.dim)), toy_table, None,
@@ -353,6 +387,35 @@ class TestRankNeighbors:
         np.testing.assert_array_equal(blocked[0], whole[0])
         # BLAS may round a product of 3 rows differently from one of 7
         np.testing.assert_allclose(blocked[1], whole[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ce_block", [None, 100, 36])
+    def test_ties_at_the_cut_match_lexsort_oracle(self, monkeypatch, ce_block):
+        # rows are 4 integer directions scaled by powers of two, so cosines tie
+        # exactly and every tie group straddles the 7th place
+        rng = np.random.default_rng(12)
+        base = rng.integers(-3, 4, size=(4, 6)).astype(float)
+        base[:, 0] = 5.0  # no zero rows
+        m = base[rng.integers(4, size=40)] * 2.0 ** rng.integers(0, 3, size=(40, 1))
+        t = EmbeddingTable(matrix=m)
+        queries = np.concatenate([base, rng.integers(-3, 4, size=(4, 6)).astype(float) + 0.5])
+        if ce_block:  # 100: 10-column tiles; 36: 6-column tiles, fewer than n
+            monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
+        ids, sims = rank_neighbors(t, queries, 7)
+        width = objectives.tiles(len(queries), t.size)[0][1].stop
+        spans_tiles = False
+        for q, row_ids, row_sims in zip(queries, ids, sims):
+            s = (m @ q) / (np.linalg.norm(m, axis=1) * np.linalg.norm(q))
+            order = np.lexsort((np.arange(len(s)), -s))
+            assert list(row_ids) == list(order[:7])
+            np.testing.assert_allclose(row_sims, s[order[:7]], rtol=0, atol=1e-12)
+            assert s[order[6]] == s[order[7]]  # a tie straddles the cut
+            tied = np.flatnonzero(s == s[order[6]])
+            spans_tiles |= len(set(tied // width)) > 1
+        assert spans_tiles == (ce_block is not None)
+
+    def test_non_finite_query_rejected(self, toy_table):
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_neighbors(toy_table, np.full(toy_table.dim, np.nan), 3)
 
     def test_batch_rows_match_single_queries(self, toy_table):
         queries = np.random.default_rng(10).normal(size=(5, toy_table.dim))

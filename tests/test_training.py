@@ -347,6 +347,36 @@ class TestBatchedSteps:
             ref = sum(lg[name] for lg in line_grads) / len(line_grads)
             np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=name)
 
+    def test_multi_pass_mlm_batch_makes_one_loss_call(self, params, toy_vocab, toy_table,
+                                                       alphabet, monkeypatch):
+        lines = ["apple badge alarm", "black blade blank berry", "about above actor"]
+        rng = random.Random(5)
+        seqs, targets = [], []
+        for ids, line_seqs in corpus_samples(toy_vocab, alphabet, lines):
+            plan = make_masking_plan(ids, line_seqs, rng, select_p=1.0)
+            seqs += apply_masking(plan, line_seqs, alphabet, rng)
+            targets += [entry.target_id for entry in plan.entries]
+        weights = np.linspace(0.5, 1.5, len(seqs)) / len(seqs)
+        monkeypatch.setattr(M, "PASS_POSITIONS", 14)  # a few short tokens a pass
+        passes = M.split_passes(seqs)
+        assert len(passes) >= 3
+        calls, real = [], training.loss_and_grad
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda ids, *rest: calls.append(len(ids)) or real(ids, *rest))
+        totals, _, grads = training.batch_loss(params, seqs, targets, toy_table, None,
+                                               training._CE_ONLY, weights)
+        assert calls == [len(seqs)]
+        ref = None
+        for rows in passes:  # forward, loss_and_grad and backward per pass
+            e_hat, _, cache = M.forward_batch(params, [seqs[i] for i in rows])
+            t, _, d = real(np.asarray(targets)[rows], e_hat, toy_table, None,
+                           training._CE_ONLY)
+            np.testing.assert_allclose(totals[rows], t, rtol=0, atol=1e-12)
+            g = M.backward_batch(params, cache, d * weights[rows, None])
+            ref = g if ref is None else {k: ref[k] + g[k] for k in ref}
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref[name], rtol=0, atol=1e-12, err_msg=name)
+
     def test_passes_bound_padded_positions(self, alphabet):
         seqs = [char_sequence("x" * n, False, alphabet) for n in (30, 1, 12, 5, 30, 2)] * 8
         passes = M.split_passes(seqs)
