@@ -38,7 +38,7 @@ def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None,
                                 provenance=["table"] * len(pieces), pieces=pieces)
     # hybrid: whole-word lookup, case-sensitive, else back off
     in_table = [mode == EmbedMode.HYBRID and word in vocab.id_of for word in words]
-    _, module_vecs, _ = model_mod.encode(
+    module_vecs = model_mod.encode(
         params, [w for w, hit in zip(words, in_table) if not hit], alphabet,
         marker_on_full_words=marker_on_full_words)
     module_rows = iter(module_vecs)

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import model as model_mod
 from .objectives import rank_neighbors, tiles
-from .vocab import tokenize_word, whitespace_split
+from .vocab import char_sequence, tokenize_word, whitespace_split
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class PrecisionReport:
 def embed_vocab(params, vocab, alphabet, marker_on_full_words=True):
     """f_theta over every non-special vocabulary entry; returns (ids, matrix)."""
     ids = vocab.non_special_ids()
-    _, vecs, _ = model_mod.encode(params, [vocab.token(i) for i in ids], alphabet,
-                                  is_full_word=False, marker_on_full_words=marker_on_full_words)
+    vecs = model_mod.encode(params, [vocab.token(i) for i in ids], alphabet,
+                            is_full_word=False, marker_on_full_words=marker_on_full_words)
     return ids, vecs
 
 
@@ -73,8 +73,8 @@ def neighbor_query(params, e_table, vocab, alphabet, query, is_full_word=True, n
         raise ValueError(f"n={n} exceeds vocabulary size {len(vocab)}")
     if n == 0:
         return []
-    _, vecs, _ = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word,
-                                  marker_on_full_words=marker_on_full_words)
+    vecs = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word,
+                            marker_on_full_words=marker_on_full_words)
     order, sims = rank_neighbors(e_table, vecs[0], n)
     return [(vocab.token(int(i)), float(s)) for i, s in zip(order, sims)]
 
@@ -116,8 +116,9 @@ def seq_length_stats(sentences, vocab):
 
 def dump_attention(params, alphabet, query, is_full_word=True, marker_on_full_words=True):
     """Serialize per-layer per-head attention maps with character-labeled rows."""
-    (seq,), _, (maps,) = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word,
-                                          marker_on_full_words=marker_on_full_words)
+    seq = char_sequence(query, is_full_word, alphabet, max_chars=params.config.max_chars,
+                        marker_on_full_words=marker_on_full_words)
+    _, maps, _ = model_mod.forward(params, seq)
     labels = [alphabet.char(c) for c in seq.chars]
     out = io.StringIO()
     out.write(f"input {query}\nchars {' '.join(labels)}\n")

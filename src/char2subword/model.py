@@ -340,16 +340,13 @@ def split_passes(seqs):
 
 
 def encode(params, words, alphabet, is_full_word=True, marker_on_full_words=True):
-    """Run the module on surface forms; returns (seqs, vectors, maps).
-
-    Row i of `vectors` (len(words), d_out) and `maps[i]` (AttentionMaps) are
+    """Run the module on surface forms; row i of the (len(words), d_out) result is
     words[i]'s. Words are batched by character length, so no batch is padded
-    and every result equals forward() on that word alone, bit for bit.
+    and every row equals forward() on that word alone, bit for bit.
     """
     seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars,
                           marker_on_full_words=marker_on_full_words) for w in words]
     vectors = np.empty((len(seqs), params.config.d_out))
-    maps = [None] * len(seqs)
     by_length = {}
     for i, seq in enumerate(seqs):
         by_length.setdefault(len(seq), []).append(i)
@@ -357,11 +354,8 @@ def encode(params, words, alphabet, is_full_word=True, marker_on_full_words=True
         step = max(1, PASS_POSITIONS // length)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
-            emb, layer_maps, _ = forward_batch(params, [seqs[i] for i in chunk])
-            vectors[chunk] = emb
-            for b, i in enumerate(chunk):
-                maps[i] = AttentionMaps(maps=tuple(tuple(a[b]) for a in layer_maps))
-    return seqs, vectors, maps
+            vectors[chunk] = forward_batch(params, [seqs[i] for i in chunk])[0]
+    return vectors
 
 
 def _manifest(config, alphabet_size):

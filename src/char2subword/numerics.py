@@ -1,4 +1,4 @@
-"""Dense float64 primitives shared by the model, losses, and gradient checks.
+"""Dense float64 primitives shared by the model and the losses.
 
 Everything here is a pure function over numpy arrays. Matrices are 2-D
 row-major float64 arrays; vectors are 1-D float64 arrays.
@@ -15,7 +15,6 @@ __all__ = [
     "gelu_backward",
     "cosine_similarity",
     "sinusoidal_pe",
-    "finite_diff_gradient",
 ]
 
 
@@ -116,32 +115,3 @@ def sinusoidal_pe(position, dim):
     pe[1::2] = np.cos(angle)
     return pe
 
-
-def finite_diff_gradient(f, params, h=1e-5):
-    """Central-difference gradient of a scalar function of named parameters.
-
-    `params` is either a single array or a dict of arrays; the result mirrors
-    that structure. The function is treated as a black box.
-    """
-    if h <= 0:
-        raise ValueError("finite_diff_gradient requires h > 0")
-
-    def grad_of(arr, call):
-        arr = np.asarray(arr, dtype=np.float64)
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            fp = call()
-            flat[idx] = orig - h
-            fm = call()
-            flat[idx] = orig
-            gflat[idx] = (fp - fm) / (2.0 * h)
-        return g
-
-    if isinstance(params, dict):
-        return {name: grad_of(arr, lambda: f(params)) for name, arr in params.items()}
-    params = np.asarray(params, dtype=np.float64)
-    return grad_of(params, lambda: f(params))

@@ -192,105 +192,56 @@ def loss_cos(e, e_hat):
     return 1.0 - cosine_similarity(e, e_hat)
 
 
-def loss_ce(target_id, e_hat, e_table):
-    """-log softmax(e_hat . E^T)[target]; E is frozen."""
-    if not 0 <= target_id < e_table.size:
-        raise IndexError(f"target id {target_id} out of range for |V|={e_table.size}")
-    logits = e_table.matrix @ np.asarray(e_hat, dtype=np.float64)
-    shifted = logits - logits.max()
-    logz = np.log(np.exp(shifted).sum())
-    return float(logz - shifted[target_id])
-
-
 def loss_l2(e, e_hat):
     """Euclidean distance between target and prediction."""
     d = np.asarray(e, dtype=np.float64) - np.asarray(e_hat, dtype=np.float64)
     return float(np.sqrt(d @ d))
 
 
+def loss_ce(target_id, e_hat, e_table):
+    """-log softmax(e_hat . E^T)[target]; E is frozen. The CE term of
+    loss_and_grad on a batch of one."""
+    _, parts, _ = loss_and_grad([target_id], [e_hat], e_table, None, LossWeights(0, 1, 0, 0))
+    return float(parts["ce"][0])
+
+
 def loss_nbr(target_id, e_hat, e_table, index):
     """MSE between the target's and the prediction's cosine distances to the
-    target's top-k table neighbors."""
-    if index.ids.shape[0] != e_table.size:
-        raise ValueError("neighbor index does not match the table")
-    e = e_table.row(target_id)
-    total = 0.0
-    for j in index.neighbors(target_id):
-        nj = e_table.row(j)
-        d_true = 1.0 - cosine_similarity(e, nj)
-        d_pred = 1.0 - cosine_similarity(e_hat, nj)
-        total += (d_true - d_pred) ** 2
-    return total / index.k
+    target's top-k table neighbors. The L_nbr term of loss_and_grad on a batch
+    of one."""
+    _, parts, _ = loss_and_grad([target_id], [e_hat], e_table, index, LossWeights(0, 0, 0, 1))
+    return float(parts["nbr"][0])
+
+
+def _check_target_row(target_id, e, e_table):
+    if not np.array_equal(e, e_table.row(target_id)):
+        raise ValueError(f"e is not the table row of target id {target_id}")
 
 
 def combined_loss(target_id, e, e_hat, e_table, index, weights):
     """Weighted sum of the four objectives for one sample; returns (total,
-    components). The per-sample reference for loss_and_grad."""
-    parts = {
-        "cos": loss_cos(e, e_hat) if weights.l_cos else 0.0,
-        "ce": loss_ce(target_id, e_hat, e_table) if weights.l_ce else 0.0,
-        "l2": loss_l2(e, e_hat) if weights.l_l2 else 0.0,
-        "nbr": loss_nbr(target_id, e_hat, e_table, index) if weights.l_nbr else 0.0,
-    }
-    total = (weights.l_cos * parts["cos"] + weights.l_ce * parts["ce"]
-             + weights.l_l2 * parts["l2"] + weights.l_nbr * parts["nbr"])
-    return total, parts
-
-
-def _grad_cos_sim(v, other):
-    """d cos(v, other) / dv."""
-    nv = np.linalg.norm(v)
-    no = np.linalg.norm(other)
-    c = float(v @ other / (nv * no))
-    return other / (nv * no) - c * v / (nv * nv)
+    components). loss_and_grad on a batch of one; `e` must be
+    e_table.row(target_id)."""
+    _check_target_row(target_id, e, e_table)
+    totals, parts, _ = loss_and_grad([target_id], [e_hat], e_table, index, weights)
+    return float(totals[0]), {name: float(v[0]) for name, v in parts.items()}
 
 
 def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights):
-    """Exact gradient of combined_loss with respect to e_hat; the per-sample
-    reference for loss_and_grad."""
-    e = np.asarray(e, dtype=np.float64)
-    e_hat = np.asarray(e_hat, dtype=np.float64)
-    grad = np.zeros_like(e_hat)
-
-    if weights.l_cos:
-        grad += weights.l_cos * (-_grad_cos_sim(e_hat, e))
-
-    if weights.l_ce:
-        logits = e_table.matrix @ e_hat
-        shifted = logits - logits.max()
-        p = np.exp(shifted)
-        p /= p.sum()
-        p[target_id] -= 1.0
-        grad += weights.l_ce * (e_table.matrix.T @ p)
-
-    if weights.l_l2:
-        diff = e_hat - e
-        norm = np.linalg.norm(diff)
-        if norm > 0.0:  # gradient defined as 0 at e == e_hat
-            grad += weights.l_l2 * diff / norm
-
-    if weights.l_nbr:
-        erow = e_table.row(target_id)
-        acc = np.zeros_like(e_hat)
-        for j in index.neighbors(target_id):
-            nj = e_table.row(j)
-            d_true = 1.0 - cosine_similarity(erow, nj)
-            d_pred = 1.0 - cosine_similarity(e_hat, nj)
-            # d d_pred / d e_hat = -d cos(e_hat, n_j)/d e_hat
-            acc += 2.0 * (d_true - d_pred) * _grad_cos_sim(e_hat, nj)
-        grad += weights.l_nbr * acc / index.k
-
-    return grad
+    """Gradient of combined_loss with respect to e_hat, from loss_and_grad."""
+    _check_target_row(target_id, e, e_table)
+    return loss_and_grad([target_id], [e_hat], e_table, index, weights)[2][0]
 
 
 def loss_and_grad(target_ids, e_hat, e_table, index, weights):
-    """combined_loss and combined_loss_gradient for a batch of predictions.
+    """The weighted four-term loss and its gradient for a batch of predictions.
 
-    `e_hat` is (B, d), one row per target id. CE streams the table once, in the
-    tiles of `tiles` (each holds the whole batch unless B is in the hundreds):
-    per tile, one product gives the logits, a running max m and sum z per row
-    rescale the accumulator (the online softmax normaliser of Milakov and
-    Gimelshein, 2018), and a second product adds exp(l - m) @ tile. The loss is
+    `e_hat` is (B, d), one row per target id; row b's target is
+    E[target_ids[b]]. CE streams the table once, in the tiles of `tiles` (each
+    holds the whole batch unless B is in the hundreds): per tile, one product
+    gives the logits, a running max m and sum z per row rescale the
+    accumulator (the online softmax normaliser of Milakov and Gimelshein,
+    2018), and a second product adds exp(l - m) @ tile. The loss is
     log z + m - e_hat . e and the gradient acc / z - e, in O(B x tile) memory
     at any V. L_nbr runs over all k neighbors at once. Returns
     (totals (B,), {term: (B,)}, gradient (B, d)); a term whose weight is 0 is

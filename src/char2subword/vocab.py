@@ -48,7 +48,7 @@ def load_vocabulary(source):
     Line number (0-based) becomes the token id. Duplicates and a missing
     [UNK] are errors.
     """
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+    if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
         with open(source, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     elif isinstance(source, str):

@@ -6,8 +6,9 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
-from char2subword.numerics import finite_diff_gradient, layer_norm, softmax_rows, sinusoidal_pe, gelu
+from char2subword.numerics import layer_norm, softmax_rows, sinusoidal_pe, gelu
 from char2subword.vocab import char_sequence
+from reference import finite_diff_gradient
 
 
 @pytest.fixture
@@ -199,14 +200,11 @@ class TestForwardBatch:
     def test_encode_bit_identical_to_forward(self, tiny_config, alphabet):
         p = M.init_params(tiny_config, len(alphabet), seed=22)
         words = ["apple", "a", "badge", "zz", "blackberry", "apple", "alarm"]
-        seqs, vecs, maps = M.encode(p, words, alphabet, is_full_word=False)
-        for word, seq, vec, word_maps in zip(words, seqs, vecs, maps):
-            assert seq == char_sequence(word, False, alphabet)
-            e1, maps1, _ = M.forward(p, seq)
+        vecs = M.encode(p, words, alphabet, is_full_word=False)
+        assert vecs.shape == (len(words), tiny_config.d_out)
+        for word, vec in zip(words, vecs):
+            e1, _, _ = M.forward(p, char_sequence(word, False, alphabet))
             np.testing.assert_array_equal(vec, e1)
-            for layer, layer1 in zip(word_maps, maps1):
-                for a, a1 in zip(layer, layer1):
-                    np.testing.assert_array_equal(a, a1)
 
 
 class TestBackwardBatch:

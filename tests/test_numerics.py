@@ -4,7 +4,6 @@ from scipy.stats import norm
 
 from char2subword.numerics import (
     cosine_similarity,
-    finite_diff_gradient,
     gelu,
     gelu_backward,
     layer_norm,
@@ -12,6 +11,7 @@ from char2subword.numerics import (
     sinusoidal_pe,
     softmax_rows,
 )
+from reference import finite_diff_gradient
 
 
 class TestSoftmaxRows:

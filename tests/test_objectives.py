@@ -9,7 +9,7 @@ import pytest
 
 import char2subword
 from char2subword import objectives
-from char2subword.numerics import cosine_similarity, finite_diff_gradient
+from char2subword.numerics import cosine_similarity
 from char2subword.objectives import (
     EmbeddingTable,
     LossWeights,
@@ -26,6 +26,8 @@ from char2subword.objectives import (
     save_table_binary,
     save_table_text,
 )
+import reference
+from reference import finite_diff_gradient
 
 
 def brute_force_neighbors(matrix, i, k):
@@ -261,6 +263,31 @@ class TestCombinedLoss:
         assert total == pytest.approx(sum(parts.values()))
 
 
+    def test_other_target_vector_rejected(self, toy_table):
+        idx = build_neighbor_index(toy_table, 5)
+        ehat = np.random.default_rng(13).normal(size=toy_table.dim)
+        for e in (toy_table.row(4), 2.0 * toy_table.row(3), toy_table.row(3)[:-1]):
+            for fn in (combined_loss, combined_loss_gradient):
+                with pytest.raises(ValueError, match="not the table row of target id 3"):
+                    fn(3, e, ehat, toy_table, idx, LossWeights())
+
+    def test_views_of_loss_and_grad(self, toy_table):
+        idx = build_neighbor_index(toy_table, 5)
+        rng = np.random.default_rng(14)
+        ids = rng.integers(toy_table.size, size=4)
+        ehat = rng.normal(size=(4, toy_table.dim))
+        w = LossWeights(0.5, 2.0, 1.0, 1.5)
+        for tid, v in zip(ids, ehat):
+            totals, parts, grad = loss_and_grad([tid], v[None], toy_table, idx, w)
+            total, one_parts = combined_loss(tid, toy_table.row(tid), v, toy_table, idx, w)
+            assert total == totals[0]
+            assert one_parts == {name: p[0] for name, p in parts.items()}
+            assert loss_ce(tid, v, toy_table) == parts["ce"][0]
+            assert loss_nbr(tid, v, toy_table, idx) == parts["nbr"][0]
+            np.testing.assert_array_equal(
+                combined_loss_gradient(tid, toy_table.row(tid), v, toy_table, idx, w), grad[0])
+
+
 class TestCombinedLossGradient:
     def test_matches_finite_differences(self, toy_table):
         idx = build_neighbor_index(toy_table, 5)
@@ -305,11 +332,11 @@ class TestLossAndGrad:
         assert set(parts) == {"cos", "ce", "l2", "nbr"}
         for b, tid in enumerate(ids):
             e = toy_table.row(tid)
-            total, ref_parts = combined_loss(tid, e, ehat[b], toy_table, idx, weights)
+            total, ref_parts = reference.combined_loss(tid, e, ehat[b], toy_table, idx, weights)
             assert abs(totals[b] - total) < 1e-12
             for k, v in ref_parts.items():
                 assert abs(parts[k][b] - v) < 1e-12, k
-            ref_grad = combined_loss_gradient(tid, e, ehat[b], toy_table, idx, weights)
+            ref_grad = reference.combined_loss_gradient(tid, e, ehat[b], toy_table, idx, weights)
             np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
 
     def test_ce_blocks_match_one_block(self, toy_table, monkeypatch):
@@ -337,10 +364,12 @@ class TestLossAndGrad:
         totals, parts, grad = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
         for b, tid in enumerate(ids):
             e = toy_table.row(tid)
-            total, ref_parts = combined_loss(tid, e, ehat[b], toy_table, idx, LossWeights())
+            total, ref_parts = reference.combined_loss(tid, e, ehat[b], toy_table, idx,
+                                                       LossWeights())
             assert abs(totals[b] - total) < 1e-12
             assert abs(parts["ce"][b] - ref_parts["ce"]) < 1e-12
-            ref_grad = combined_loss_gradient(tid, e, ehat[b], toy_table, idx, LossWeights())
+            ref_grad = reference.combined_loss_gradient(tid, e, ehat[b], toy_table, idx,
+                                                        LossWeights())
             np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
 
     def test_target_out_of_range(self, toy_table):

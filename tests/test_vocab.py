@@ -34,6 +34,11 @@ class TestLoadVocabulary:
         v = load_vocabulary("x\ny\n[UNK]")
         assert [v.id_of[t] for t in v.entries] == list(range(len(v)))
 
+    def test_directory_name_is_text_not_a_path(self, tmp_path):
+        # a string naming a directory is one line of text, which lacks [UNK]
+        with pytest.raises(VocabularyError, match=r"\[UNK\]"):
+            load_vocabulary(str(tmp_path))
+
 
 class TestTokenizeWord:
     @pytest.fixture
