@@ -13,7 +13,6 @@ from .evaluation import (
     seq_length_stats,
 )
 from .model import (
-    AttentionMaps,
     Char2SubwordParams,
     ModelConfig,
     backward,

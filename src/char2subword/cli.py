@@ -122,11 +122,11 @@ def _load_model(args, alphabet):
     the checkpoint was trained with, or character ids would mean other chars."""
     if not getattr(args, "checkpoint", None):
         raise CliError("--checkpoint is required")
-    params, alphabet_chars, marker = model_mod.load_checkpoint(args.checkpoint)
+    params, alphabet_chars, _ = model_mod.load_checkpoint(args.checkpoint)
     if alphabet is not None and list(alphabet.chars) != alphabet_chars:
         raise CliError(f"--vocab {args.vocab} gives a character alphabet that differs "
                        f"from the one checkpoint {args.checkpoint} was trained with")
-    return params, marker
+    return params
 
 
 def cmd_simulate(args):
@@ -154,18 +154,17 @@ def cmd_simulate(args):
 def cmd_pretrain(args):
     merged = _merge(args)
     vocab, alphabet, table = _load_inputs(args)
-    params, marker = _load_model(args, alphabet)
+    params = _load_model(args, alphabet)
     with open(args.corpus, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     sequences = training.corpus_samples(vocab, alphabet, lines,
-                                        max_chars=params.config.max_chars,
-                                        marker_on_full_words=marker)
+                                        max_chars=params.config.max_chars)
     if not sequences:
         raise CliError(f"corpus {args.corpus} is empty")
     train_cfg = _train_config(merged, None)
     params, metrics = training.pretrain_mlm(params, sequences, vocab, table,
                                             alphabet, train_cfg)
-    model_mod.save_checkpoint(args.out, params, alphabet, marker_on_full_words=marker)
+    model_mod.save_checkpoint(args.out, params, alphabet)
     if args.metrics:
         _write_metrics(args.metrics, metrics)
     if metrics:
@@ -176,7 +175,7 @@ def cmd_pretrain(args):
 def cmd_eval(args):
     merged = _merge(args)
     vocab, alphabet, table = _load_inputs(args)
-    params, _ = _load_model(args, alphabet)
+    params = _load_model(args, alphabet)
     k = merged["k"]
     if k > table.size:
         raise CliError(f"--k {k} exceeds vocabulary size {table.size}")
@@ -193,12 +192,11 @@ def cmd_eval(args):
 def cmd_neighbors(args):
     merged = _merge(args)
     vocab, alphabet, table = _load_inputs(args)
-    params, marker = _load_model(args, alphabet)
+    params = _load_model(args, alphabet)
     if merged["n"] > len(vocab):
         raise CliError(f"-n {merged['n']} exceeds vocabulary size {len(vocab)}")
     results = evaluation.neighbor_query(params, table, vocab, alphabet, args.query,
-                                        is_full_word=merged["full_word"], n=merged["n"],
-                                        marker_on_full_words=marker)
+                                        is_full_word=merged["full_word"], n=merged["n"])
     for token, sim in results:
         print(f"{token}\t{sim:.4f}")
     return 0
@@ -244,9 +242,7 @@ def cmd_embed(args):
         mode = EmbedMode(merged["mode"])
     except ValueError:
         raise CliError(f"unknown mode {merged['mode']!r}")
-    params, marker = (None, True)
-    if mode != EmbedMode.TABLE_ONLY:
-        params, marker = _load_model(args, alphabet)
+    params = _load_model(args, alphabet) if mode != EmbedMode.TABLE_ONLY else None
     if args.sentence is not None:
         sentences = [args.sentence]
     elif args.file:
@@ -258,7 +254,7 @@ def cmd_embed(args):
     try:
         for sentence in sentences:
             embedded = embed_sequence(mode, sentence, vocab, table, params=params,
-                                      alphabet=alphabet, marker_on_full_words=marker)
+                                      alphabet=alphabet)
             write_embeddings(out, embedded, mode)
     finally:
         if out is not sys.stdout:
@@ -269,10 +265,9 @@ def cmd_embed(args):
 def cmd_attn(args):
     merged = _merge(args)
     _, alphabet, _ = _load_inputs(args, need_table=False)
-    params, marker = _load_model(args, alphabet)
+    params = _load_model(args, alphabet)
     text = evaluation.dump_attention(params, alphabet, args.query,
-                                     is_full_word=merged["full_word"],
-                                     marker_on_full_words=marker)
+                                     is_full_word=merged["full_word"])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -285,7 +280,7 @@ def cmd_params(args):
     merged = _merge(args)
     if getattr(args, "checkpoint", None):
         alphabet = _load_inputs(args, need_table=False)[1] if args.vocab else None
-        params, _ = _load_model(args, alphabet)
+        params = _load_model(args, alphabet)
         config = params.config
         alphabet_size = params.alphabet_size
     else:

@@ -20,8 +20,7 @@ class EmbeddedSequence:
     pieces: list  # token strings, aligned with vectors
 
 
-def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None,
-                   marker_on_full_words=True):
+def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None):
     """Embed a whitespace-split sentence under the chosen mode.
 
     table_only splits into WordPiece pieces and looks each up; full runs
@@ -39,8 +38,7 @@ def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None,
     # hybrid: whole-word lookup, case-sensitive, else back off
     in_table = [mode == EmbedMode.HYBRID and word in vocab.id_of for word in words]
     module_vecs = model_mod.encode(
-        params, [w for w, hit in zip(words, in_table) if not hit], alphabet,
-        marker_on_full_words=marker_on_full_words)
+        params, [w for w, hit in zip(words, in_table) if not hit], alphabet)
     module_rows = iter(module_vecs)
     vectors = [e_table.row(vocab.id_of[w]) if hit else next(module_rows)
                for w, hit in zip(words, in_table)]

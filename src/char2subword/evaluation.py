@@ -24,11 +24,11 @@ class PrecisionReport:
         return "\n".join(lines) + "\n"
 
 
-def embed_vocab(params, vocab, alphabet, marker_on_full_words=True):
+def embed_vocab(params, vocab, alphabet):
     """f_theta over every non-special vocabulary entry; returns (ids, matrix)."""
     ids = vocab.non_special_ids()
     vecs = model_mod.encode(params, [vocab.token(i) for i in ids], alphabet,
-                            is_full_word=False, marker_on_full_words=marker_on_full_words)
+                            is_full_word=False)
     return ids, vecs
 
 
@@ -66,15 +66,13 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=15, embedded=N
     )
 
 
-def neighbor_query(params, e_table, vocab, alphabet, query, is_full_word=True, n=5,
-                   marker_on_full_words=True):
+def neighbor_query(params, e_table, vocab, alphabet, query, is_full_word=True, n=5):
     """Top-n vocabulary entries by cosine to f_theta(chars(query))."""
     if n > len(vocab):
         raise ValueError(f"n={n} exceeds vocabulary size {len(vocab)}")
     if n == 0:
         return []
-    vecs = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word,
-                            marker_on_full_words=marker_on_full_words)
+    vecs = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word)
     order, sims = rank_neighbors(e_table, vecs[0], n)
     return [(vocab.token(int(i)), float(s)) for i, s in zip(order, sims)]
 
@@ -114,10 +112,9 @@ def seq_length_stats(sentences, vocab):
     )
 
 
-def dump_attention(params, alphabet, query, is_full_word=True, marker_on_full_words=True):
+def dump_attention(params, alphabet, query, is_full_word=True):
     """Serialize per-layer per-head attention maps with character-labeled rows."""
-    seq = char_sequence(query, is_full_word, alphabet, max_chars=params.config.max_chars,
-                        marker_on_full_words=marker_on_full_words)
+    seq = char_sequence(query, is_full_word, alphabet, max_chars=params.config.max_chars)
     _, maps, _ = model_mod.forward(params, seq)
     labels = [alphabet.char(c) for c in seq.chars]
     out = io.StringIO()

@@ -84,19 +84,6 @@ class Char2SubwordParams:
         return Char2SubwordParams(self.config, self.alphabet_size, self.flat.copy())
 
 
-@dataclass(frozen=True)
-class AttentionMaps:
-    """Per layer, per head: an n x n row-stochastic attention matrix."""
-
-    maps: tuple  # tuple over layers of tuples over heads
-
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __len__(self):
-        return len(self.maps)
-
-
 def tensor_shapes(config, alphabet_size):
     """Ordered (name, shape) list for every trainable tensor."""
     d, dh, dout = config.d_char, config.d_head, config.d_out
@@ -303,16 +290,18 @@ def backward_batch(params, cache, upstream):
 
     grads["char_emb"] = np.zeros((params.alphabet_size, d))
     np.add.at(grads["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
-    return {name: grads[name] for name, _ in tensor_shapes(cfg, params.alphabet_size)}
+    return {name: grads[name] for name in t}
 
 
 def forward(params, seq):
     """Run the module on one CharSequence (a batch of one).
 
-    Returns (embedding, attention_maps, cache); cache feeds backward().
+    Returns (embedding, attention maps, cache): the maps are a tuple over
+    layers of tuples over heads of n x n row-stochastic matrices; cache feeds
+    backward().
     """
     emb, maps, cache = forward_batch(params, [seq])
-    return emb[0], AttentionMaps(maps=tuple(tuple(a[0]) for a in maps)), cache
+    return emb[0], tuple(tuple(a[0]) for a in maps), cache
 
 
 def backward(params, seq, cache, upstream):
@@ -339,13 +328,13 @@ def split_passes(seqs):
     return passes if passes[0] else []
 
 
-def encode(params, words, alphabet, is_full_word=True, marker_on_full_words=True):
+def encode(params, words, alphabet, is_full_word=True):
     """Run the module on surface forms; row i of the (len(words), d_out) result is
     words[i]'s. Words are batched by character length, so no batch is padded
     and every row equals forward() on that word alone, bit for bit.
     """
-    seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars,
-                          marker_on_full_words=marker_on_full_words) for w in words]
+    seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars)
+            for w in words]
     vectors = np.empty((len(seqs), params.config.d_out))
     by_length = {}
     for i, seq in enumerate(seqs):
@@ -364,7 +353,7 @@ def _manifest(config, alphabet_size):
             for name, shape in tensor_shapes(config, alphabet_size)]
 
 
-def save_checkpoint(path, params, alphabet, marker_on_full_words=True):
+def save_checkpoint(path, params, alphabet):
     """Write the binary checkpoint: magic, version, JSON header, payload."""
     cfg = params.config
     header = {
@@ -375,7 +364,7 @@ def save_checkpoint(path, params, alphabet, marker_on_full_words=True):
             "standard_preln": False,
         },
         "alphabet": list(alphabet.chars),
-        "marker_on_full_words": marker_on_full_words,
+        "marker_on_full_words": True,
         "manifest": _manifest(cfg, params.alphabet_size),
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
@@ -410,7 +399,8 @@ def _header_config(config):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, alphabet_chars, marker_on_full_words).
+    """Read a checkpoint; returns (params, alphabet_chars, marker_on_full_words),
+    the last always True: full words carry the "##" marker.
 
     The header must be the JSON object save_checkpoint writes, the manifest
     the one its config and alphabet imply, and the payload exactly its 8-byte
@@ -436,8 +426,9 @@ def load_checkpoint(path):
     alphabet, marker = header["alphabet"], header["marker_on_full_words"]
     if not (isinstance(alphabet, list) and all(isinstance(c, str) for c in alphabet)):
         raise ValueError("checkpoint alphabet must be a list of strings")
-    if not isinstance(marker, bool):
-        raise ValueError("checkpoint marker_on_full_words must be true or false")
+    if marker is not True:
+        raise ValueError("checkpoint marker_on_full_words must be true: full words "
+                         "always carry the ## marker")
     cfg = _header_config(header["config"])
     alphabet_size = N_RESERVED_CHARS + len(alphabet)
     if header["manifest"] != _manifest(cfg, alphabet_size):

@@ -91,7 +91,6 @@ def load_layouts(source):
 class NoiseConfig:
     enabled_ops: tuple = OPERATIONS
     layouts: tuple = ()
-    punctuation_set: tuple = DEFAULT_PUNCTUATION
     min_length: int = 5
     p_noise: float = 0.5
 
@@ -107,7 +106,6 @@ class NoiseConfig:
             raise ValueError("p_noise > 0 requires at least one enabled operation")
         object.__setattr__(self, "layouts", tuple(self.layouts))
         object.__setattr__(self, "enabled_ops", tuple(self.enabled_ops))
-        object.__setattr__(self, "punctuation_set", tuple(self.punctuation_set))
 
 
 def _split_marker(token):
@@ -164,9 +162,9 @@ def _toggle(body, rng):
     return body[:pos] + body[pos].swapcase() + body[pos + 1:]
 
 
-def _punctuation(body, rng, config):
+def _punctuation(body, rng):
     pos = rng.randrange(len(body) + 1)
-    mark = rng.choice(config.punctuation_set)
+    mark = rng.choice(DEFAULT_PUNCTUATION)
     return body[:pos] + mark + body[pos:]
 
 
@@ -196,7 +194,7 @@ def apply_op(token, op, rng, config):
     elif op == "toggle":
         body = _toggle(body, rng)
     else:
-        body = _punctuation(body, rng, config)
+        body = _punctuation(body, rng)
     return marker + body
 
 

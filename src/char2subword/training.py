@@ -24,6 +24,14 @@ from .vocab import (
 )
 
 
+# Adam's moment decays and denominator epsilon.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Neighbor depth of train_simulation's per-epoch evaluation.
+EVAL_K = 15
+# Per-character MLM actions: mask with MASK_P, randomize with RANDOMIZE_P, else keep.
+MASK_P, RANDOMIZE_P = 0.8, 0.1
+
+
 class TrainingError(RuntimeError):
     """Raised when training hits a non-finite loss or a config mismatch."""
 
@@ -33,14 +41,10 @@ class TrainConfig:
     epochs: int
     seed: int
     lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     weights: LossWeights = field(default_factory=LossWeights)
     noise: NoiseConfig = None  # None disables augmentation
     nbr_k: int = 5
-    eval_k: int = 15
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -54,23 +58,22 @@ class TrainConfig:
 class _Adam:
     """Adam over the flat parameter vector; m and v are flat vectors too."""
 
-    def __init__(self, config, size):
-        self.cfg = config
+    def __init__(self, lr, size):
+        self.lr = lr
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
     def step(self, params, grads):
-        c = self.cfg
         g = np.concatenate([grads[name].ravel() for name in params.tensors])
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
-        self.m *= c.beta1
-        self.m += (1.0 - c.beta1) * g
-        self.v *= c.beta2
-        self.v += (1.0 - c.beta2) * (g * g)
-        params.flat -= c.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + c.eps)
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * (g * g)
+        params.flat -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights):
@@ -120,7 +123,7 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     checksum = e_table.checksum()
     rng = random.Random(config.seed)
     params = params.copy()
-    opt = _Adam(config, params.flat.size)
+    opt = _Adam(config.lr, params.flat.size)
 
     metrics = []
     for epoch in range(config.epochs):
@@ -150,8 +153,7 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     return params, metrics
 
 
-def train_simulation(params, vocab, e_table, alphabet, config, index=None,
-                     marker_on_full_words=True, eval_every=1):
+def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_every=1):
     """Train f_theta to mimic the frozen table over the vocabulary entries.
 
     Returns (trained params, per-epoch metrics list). Targets are the clean
@@ -160,13 +162,12 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
     """
     if index is None:
         index = build_neighbor_index(e_table, min(config.nbr_k, e_table.size))
-    eval_index = (build_neighbor_index(e_table, min(config.eval_k, e_table.size))
+    eval_index = (build_neighbor_index(e_table, min(EVAL_K, e_table.size))
                   if eval_every else None)
     sample_ids = vocab.non_special_ids()
 
     def chars_of(token):
-        return char_sequence(token, False, alphabet, max_chars=params.config.max_chars,
-                             marker_on_full_words=marker_on_full_words)
+        return char_sequence(token, False, alphabet, max_chars=params.config.max_chars)
 
     clean_seqs = {i: chars_of(vocab.token(i)) for i in sample_ids}
 
@@ -187,14 +188,13 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None,
     def epoch_record(trained, epoch, sums, count):
         record = {"epoch": epoch, **{k: v / count for k, v in sums.items()}}
         if eval_every and (epoch % eval_every == 0 or epoch == config.epochs - 1):
-            embedded = evaluation.embed_vocab(trained, vocab, alphabet,
-                                              marker_on_full_words=marker_on_full_words)
+            embedded = evaluation.embed_vocab(trained, vocab, alphabet)
             report = evaluation.precision_at_k(
                 trained, vocab, e_table, eval_index, alphabet,
                 k_max=eval_index.k, embedded=embedded)
             record["accuracy"] = report.accuracy
             record["prec1"] = report.precision_at[1]
-            record["prec15"] = report.precision_at.get(15, report.precision_at[eval_index.k])
+            record["prec15"] = report.precision_at[eval_index.k]
         return record
 
     return _train(params, vocab, e_table, index, config.weights, config, epoch_batches,
@@ -216,8 +216,7 @@ class MaskingPlan:
         return len(self.entries)
 
 
-def make_masking_plan(token_ids, char_seqs, rng, select_p=0.15,
-                      mask_p=0.8, randomize_p=0.1):
+def make_masking_plan(token_ids, char_seqs, rng, select_p=0.15):
     """Select ~15% of tokens; draw 80/10/10 per-character actions for each."""
     if len(token_ids) != len(char_seqs):
         raise ValueError("token_ids and char_seqs must be aligned")
@@ -228,9 +227,9 @@ def make_masking_plan(token_ids, char_seqs, rng, select_p=0.15,
         actions = []
         for _ in seq.chars:
             u = rng.random()
-            if u < mask_p:
+            if u < MASK_P:
                 actions.append("mask")
-            elif u < mask_p + randomize_p:
+            elif u < MASK_P + RANDOMIZE_P:
                 actions.append("randomize")
             else:
                 actions.append("keep")
@@ -267,19 +266,17 @@ def mlm_step(params, masked_seqs, targets, e_table):
     Returns (loss, grads); gradients flow only into char2subword parameters.
     """
     if not masked_seqs:
-        zero = {name: np.zeros(shape)
-                for name, shape in model_mod.tensor_shapes(params.config, params.alphabet_size)}
-        return 0.0, zero
+        return 0.0, {name: np.zeros_like(t) for name, t in params.tensors.items()}
     n = len(masked_seqs)
     ce, _, grads = batch_loss(params, masked_seqs, targets, e_table, None, _CE_ONLY,
                               np.full(n, 1.0 / n))
     return float(ce.sum()) / n, grads
 
 
-def corpus_samples(vocab, alphabet, lines, max_chars=32, marker_on_full_words=True):
+def corpus_samples(vocab, alphabet, lines, max_chars=32):
     """Tokenize corpus lines into aligned (token_id, CharSequence) sequences.
 
-    Single-piece words are full words (marker handling applies); OOV words
+    Single-piece words are full words (they get the "##" marker); OOV words
     keep their surface characters with an [UNK] target.
     """
     unk_id = vocab.id_of[UNK]
@@ -290,14 +287,12 @@ def corpus_samples(vocab, alphabet, lines, max_chars=32, marker_on_full_words=Tr
             pieces = tokenize_word(vocab, word)
             if pieces == [UNK]:
                 ids.append(unk_id)
-                seqs.append(char_sequence(word, True, alphabet, max_chars=max_chars,
-                                          marker_on_full_words=marker_on_full_words))
+                seqs.append(char_sequence(word, True, alphabet, max_chars=max_chars))
                 continue
             full = len(pieces) == 1
             for piece in pieces:
                 ids.append(vocab.id_of[piece])
-                seqs.append(char_sequence(piece, full, alphabet, max_chars=max_chars,
-                                          marker_on_full_words=marker_on_full_words))
+                seqs.append(char_sequence(piece, full, alphabet, max_chars=max_chars))
         if ids:
             sequences.append((ids, seqs))
     return sequences

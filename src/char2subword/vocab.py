@@ -44,15 +44,16 @@ class Vocabulary:
 def load_vocabulary(source):
     """Build a Vocabulary from one-token-per-line text.
 
-    `source` may be a path, a string of lines, or an iterable of lines.
+    `source` may be a path (an os.PathLike, or a string naming a file), a
+    string of lines, or an iterable of lines.
     Line number (0-based) becomes the token id. Duplicates and a missing
     [UNK] are errors.
     """
-    if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
+    if isinstance(source, str) and not os.path.isfile(source):
+        lines = source.splitlines()
+    elif isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
     else:
         lines = [ln.rstrip("\n") for ln in source]
 
@@ -143,17 +144,17 @@ class CharSequence:
         return len(self.chars)
 
 
-def char_sequence(token, is_full_word, alphabet, max_chars=32, marker_on_full_words=True):
+def char_sequence(token, is_full_word, alphabet, max_chars=32):
     """Map a token to alphabet indices.
 
-    The "##" marker is prepended to full words when `marker_on_full_words`
-    is set (subword pieces already carry theirs). Out-of-alphabet characters
-    map to UNK_CHAR. The result is truncated at `max_chars`.
+    The "##" marker is prepended to full words (subword pieces already carry
+    theirs). Out-of-alphabet characters map to UNK_CHAR. The result is
+    truncated at `max_chars`.
     """
     if not token:
         raise ValueError("char_sequence requires a nonempty token")
     text = token
-    if is_full_word and marker_on_full_words and not text.startswith(MARKER):
+    if is_full_word and not text.startswith(MARKER):
         text = MARKER + text
     idxs = tuple(alphabet.index(ch) for ch in text[:max_chars])
     return CharSequence(token=token, chars=idxs, is_full_word=is_full_word)

@@ -268,16 +268,27 @@ class TestInputContracts:
         assert self.eval_rc(workdir, ckpt) == 2
         assert "checkpoint payload is" in capsys.readouterr().err
 
-    def test_checkpoint_header_without_manifest_exit_2(self, workdir, capsys):
-        _, ckpt = simulate(workdir)
+    @staticmethod
+    def rewrite_header(ckpt, edit):
+        """Apply `edit` to the checkpoint's JSON header, keeping the payload."""
         data = ckpt.read_bytes()
         hlen = int.from_bytes(data[8:12], "little")
         header = json.loads(data[12:12 + hlen])
-        del header["manifest"]
+        edit(header)
         blob = json.dumps(header).encode("utf-8")
         ckpt.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + hlen:])
+
+    def test_checkpoint_header_without_manifest_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        self.rewrite_header(ckpt, lambda header: header.pop("manifest"))
         assert self.eval_rc(workdir, ckpt) == 2
         assert "checkpoint header must be a JSON object" in capsys.readouterr().err
+
+    def test_checkpoint_marker_false_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        self.rewrite_header(ckpt, lambda header: header.update(marker_on_full_words=False))
+        assert self.eval_rc(workdir, ckpt) == 2
+        assert "marker_on_full_words must be true" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, got", [(lambda b: b + b"junkjunk", 8 * 21 * 4 + 8),
                                            (lambda b: b[:-8], 8 * 21 * 4 - 8)],

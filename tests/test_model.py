@@ -51,7 +51,9 @@ class TestForward:
         p = M.init_params(tiny_config, len(alphabet), seed=0)
         seq = char_sequence("a", False, alphabet)
         _, maps, _ = M.forward(p, seq)
+        assert type(maps) is tuple and len(maps) == tiny_config.n_layers
         for layer in maps:
+            assert type(layer) is tuple and len(layer) == tiny_config.n_heads
             for a in layer:
                 assert a.shape == (1, 1)
                 assert a[0, 0] == pytest.approx(1.0)
@@ -275,11 +277,11 @@ class TestCheckpoint:
     def test_round_trip(self, tiny_config, alphabet, tmp_path):
         p = M.init_params(tiny_config, len(alphabet), seed=4)
         path = tmp_path / "model.c2sw"
-        M.save_checkpoint(path, p, alphabet, marker_on_full_words=False)
+        M.save_checkpoint(path, p, alphabet)
         loaded, chars, marker = M.load_checkpoint(path)
         assert loaded.config == tiny_config
         assert chars == list(alphabet.chars)
-        assert marker is False
+        assert marker is True
         for name in p.tensors:
             assert np.array_equal(p.tensors[name], loaded.tensors[name])
 
@@ -350,12 +352,13 @@ class TestCheckpoint:
         (lambda h: dict(h, config=dict(h["config"], ln_eps=1e999)), "ln_eps must be finite"),
         (lambda h: dict(h, alphabet="abc"), "alphabet must be a list"),
         (lambda h: dict(h, marker_on_full_words=None), "marker_on_full_words"),
+        (lambda h: dict(h, marker_on_full_words=False), "marker_on_full_words must be true"),
         (lambda h: dict(h, alphabet=h["alphabet"][:-1]), "manifest"),
         (lambda h: dict(h, manifest={"char_emb": 1}), "manifest"),
     ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker",
             "config-not-object", "config-key-missing", "config-key-unknown", "str-count",
             "float-count", "bool-count", "inf-eps", "alphabet-not-list", "marker-not-bool",
-            "alphabet-short", "manifest-not-list"])
+            "marker-false", "alphabet-short", "manifest-not-list"])
     def test_malformed_header_rejected(self, tiny_config, alphabet, tmp_path, edit, message):
         path = saved_checkpoint(tiny_config, alphabet, tmp_path)
         write_header(path, edit(read_header(path)))

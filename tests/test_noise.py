@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from char2subword.noise import (
+    DEFAULT_PUNCTUATION,
     KeyboardLayout,
     LayoutError,
     NoiseConfig,
@@ -115,7 +116,7 @@ class TestApplyOp:
         out = apply_op("hello", "punctuation", random.Random(4), noise_config)
         assert len(out) == 6
         inserted = set(out) - set("hello")
-        assert inserted <= set(noise_config.punctuation_set)
+        assert inserted <= set(DEFAULT_PUNCTUATION)
 
     def test_mistype_uses_layout_neighbors(self, noise_config):
         lay = noise_config.layouts[0]

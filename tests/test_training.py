@@ -83,7 +83,7 @@ class TestTrainSimulation:
             assert a["total"] == b["total"]
 
     def test_loss_decreases(self, params, toy_vocab, toy_table, alphabet):
-        cfg = TrainConfig(epochs=8, seed=1, eval_k=5)
+        cfg = TrainConfig(epochs=8, seed=1)
         _, metrics = train_simulation(params, toy_vocab, toy_table, alphabet, cfg,
                                       eval_every=0)
         assert metrics[-1]["total"] < metrics[0]["total"]
@@ -216,7 +216,9 @@ class TestMlmStep:
     def test_empty_selection_zero_grads(self, params, toy_table):
         loss, grads = mlm_step(params, [], [], toy_table)
         assert loss == 0.0
-        for g in grads.values():
+        assert list(grads) == list(params.tensors)
+        for name, g in grads.items():
+            assert g.shape == params.tensors[name].shape
             assert np.all(g == 0.0)
 
     def test_loss_is_mean_ce(self, params, toy_table, alphabet):

@@ -39,6 +39,20 @@ class TestLoadVocabulary:
         with pytest.raises(VocabularyError, match=r"\[UNK\]"):
             load_vocabulary(str(tmp_path))
 
+    def test_missing_path_object_raises_os_error(self, tmp_path):
+        missing = tmp_path / "nope.txt"
+        with pytest.raises(FileNotFoundError, match="nope.txt"):
+            load_vocabulary(missing)
+
+    def test_directory_path_object_raises_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=tmp_path.name):
+            load_vocabulary(tmp_path)
+
+    def test_path_object_names_a_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\n[UNK]\n", encoding="utf-8")
+        assert load_vocabulary(path).entries == ("a", "[UNK]")
+
 
 class TestTokenizeWord:
     @pytest.fixture
@@ -98,10 +112,6 @@ class TestCharSequence:
         seq = char_sequence("cz", False, alphabet)
         assert seq.chars[1] == UNK_CHAR_INDEX
         assert seq.chars[0] != UNK_CHAR_INDEX
-
-    def test_marker_switch_off(self, alphabet):
-        seq = char_sequence("cat", True, alphabet, marker_on_full_words=False)
-        assert len(seq) == 3
 
     def test_truncation(self, alphabet):
         seq = char_sequence("catcatcat", False, alphabet, max_chars=4)
