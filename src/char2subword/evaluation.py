@@ -9,6 +9,9 @@ from . import model as model_mod
 from .objectives import rank_neighbors, tiles
 from .vocab import char_sequence, tokenize_word, whitespace_split
 
+# Default neighbor depth of precision@k, and of train_simulation's per-epoch evaluation.
+EVAL_K = 15
+
 
 @dataclass(frozen=True)
 class PrecisionReport:
@@ -47,16 +50,20 @@ def accuracy(params, vocab, e_table, alphabet, embedded=None):
     return float(np.mean(pred == np.asarray(ids)))
 
 
-def precision_at_k(params, vocab, e_table, index, alphabet, k_max=15, embedded=None):
+def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedded=None):
     """Neighbor-overlap precision for k = 1..k_max, averaged over tokens."""
     if k_max > index.k:
         raise ValueError(f"k_max={k_max} exceeds neighbor index depth {index.k}")
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
+    pred = rank_neighbors(e_table, vecs, k_max)[0]
+    truth = index.ids[np.asarray(ids, dtype=np.int64), :k_max]
+    # both rows hold distinct ids, so |truth[:k] & pred[:k]| counts the matches
+    # in the leading k x k block: a 2-D prefix sum, read on its diagonal
+    matches = (pred[:, None, :] == truth[:, :, None]).cumsum(axis=1).cumsum(axis=2)
+    per_row = matches.diagonal(axis1=1, axis2=2) / np.arange(1, k_max + 1)
     overlaps = np.zeros(k_max)
-    for i, pred in zip(ids, rank_neighbors(e_table, vecs, k_max)[0]):
-        truth = index.neighbors(i)
-        for k in range(1, k_max + 1):
-            overlaps[k - 1] += len(set(truth[:k]) & set(pred[:k])) / k
+    for row in per_row:  # in id order: the float sums do not depend on numpy's reduction
+        overlaps += row
     per_k = {k: overlaps[k - 1] / len(ids) for k in range(1, k_max + 1)}
     acc = accuracy(params, vocab, e_table, alphabet, embedded=(ids, vecs))
     return PrecisionReport(

@@ -23,7 +23,7 @@ from .numerics import (
     sinusoidal_pe,
     softmax_rows,
 )
-from .vocab import N_RESERVED_CHARS, char_sequence
+from .vocab import MAX_CHARS, N_RESERVED_CHARS, char_sequence
 
 CHECKPOINT_MAGIC = b"C2SW"
 CHECKPOINT_VERSION = 1
@@ -38,7 +38,7 @@ class ModelConfig:
     d_out: int
     n_layers: int
     n_heads: int
-    max_chars: int = 32
+    max_chars: int = MAX_CHARS
     ln_eps: float = 1e-5
 
     def __post_init__(self):
@@ -46,6 +46,9 @@ class ModelConfig:
             raise ValueError("all ModelConfig counts must be >= 1 (n_layers may be 0)")
         if self.n_layers < 0:
             raise ValueError("n_layers must be >= 0")
+        if self.d_char % 2:
+            raise ValueError(f"d_char ({self.d_char}) must be even: the sinusoidal "
+                             "position encoding fills sin/cos pairs")
         if self.d_char % self.n_heads != 0:
             raise ValueError(
                 f"d_char ({self.d_char}) must be divisible by n_heads ({self.n_heads})"

@@ -16,6 +16,7 @@ from .noise import NoiseConfig, sample_noisy
 from .objectives import LossWeights, build_neighbor_index, loss_and_grad
 from .vocab import (
     MASK_CHAR_INDEX,
+    MAX_CHARS,
     UNK,
     CharSequence,
     char_sequence,
@@ -26,14 +27,12 @@ from .vocab import (
 
 # Adam's moment decays and denominator epsilon.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Neighbor depth of train_simulation's per-epoch evaluation.
-EVAL_K = 15
 # Per-character MLM actions: mask with MASK_P, randomize with RANDOMIZE_P, else keep.
 MASK_P, RANDOMIZE_P = 0.8, 0.1
 
 
 class TrainingError(RuntimeError):
-    """Raised when training hits a non-finite loss or a config mismatch."""
+    """Raised when training has no data, hits a non-finite loss or changes the table."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     Returns (trained copy of params, per-epoch metrics).
     """
     if e_table.dim != params.config.d_out:
-        raise TrainingError(
+        raise ValueError(
             f"table width {e_table.dim} != model output width {params.config.d_out}"
         )
     checksum = e_table.checksum()
@@ -162,7 +161,7 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
     """
     if index is None:
         index = build_neighbor_index(e_table, min(config.nbr_k, e_table.size))
-    eval_index = (build_neighbor_index(e_table, min(EVAL_K, e_table.size))
+    eval_index = (build_neighbor_index(e_table, min(evaluation.EVAL_K, e_table.size))
                   if eval_every else None)
     sample_ids = vocab.non_special_ids()
 
@@ -273,7 +272,7 @@ def mlm_step(params, masked_seqs, targets, e_table):
     return float(ce.sum()) / n, grads
 
 
-def corpus_samples(vocab, alphabet, lines, max_chars=32):
+def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):
     """Tokenize corpus lines into aligned (token_id, CharSequence) sequences.
 
     Single-piece words are full words (they get the "##" marker); OOV words

@@ -16,6 +16,9 @@ UNK_CHAR_INDEX = 0
 MASK_CHAR_INDEX = 1
 N_RESERVED_CHARS = 2
 
+# Characters a sequence keeps; longer tokens are truncated.
+MAX_CHARS = 32
+
 
 class VocabularyError(ValueError):
     """Raised for malformed vocabulary files."""
@@ -144,7 +147,7 @@ class CharSequence:
         return len(self.chars)
 
 
-def char_sequence(token, is_full_word, alphabet, max_chars=32):
+def char_sequence(token, is_full_word, alphabet, max_chars=MAX_CHARS):
     """Map a token to alphabet indices.
 
     The "##" marker is prepended to full words (subword pieces already carry

@@ -2,8 +2,9 @@
 
 The per-sample losses and their loop gradient are written term by term with
 no batching or tiling; `objectives.loss_and_grad` must agree with them to
-1e-12. `finite_diff_gradient` checks hand-written gradients against central
-differences.
+1e-12. `precision_overlaps` is the set loop behind
+`evaluation.precision_at_k`. `finite_diff_gradient` checks hand-written
+gradients against central differences.
 """
 
 import numpy as np
@@ -95,6 +96,15 @@ def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights):
         grad += weights.l_nbr * acc / index.k
 
     return grad
+
+
+def precision_overlaps(truth_rows, pred_rows, k_max):
+    """Sum over rows, in row order, of |truth[:k] & pred[:k]| / k for k = 1..k_max."""
+    overlaps = np.zeros(k_max)
+    for truth, pred in zip(truth_rows, pred_rows):
+        for k in range(1, k_max + 1):
+            overlaps[k - 1] += len(set(truth[:k]) & set(pred[:k])) / k
+    return overlaps
 
 
 def finite_diff_gradient(f, params, h=1e-5):

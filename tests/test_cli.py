@@ -69,6 +69,11 @@ class TestSimulate:
         rc, _ = simulate(workdir, extra=["--noise", "--p-noise", "0.9"])
         assert rc == 0
 
+    def test_no_d_out_flag(self, workdir):
+        # the output width is the table's
+        with pytest.raises(SystemExit):
+            simulate(workdir, extra=["--d-out", "8"])
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, workdir):
@@ -111,6 +116,62 @@ class TestConfigFile:
                    "--seed", "0", "--epochs", "1",
                    "--out", str(workdir / "x.c2sw")])
         assert rc == 2
+
+
+    @staticmethod
+    def write(workdir, doc):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return str(cfg)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"d_char": 8.0}, "argument --d-char: invalid int value: '8.0'"),
+        ({"batch_size": None}, "argument --batch-size: invalid int value: 'null'"),
+        ({"lr": "fast"}, "argument --lr: invalid float value: 'fast'"),
+        ({"noise": True, "p_noise": "x"}, "argument --p-noise: invalid float value: 'x'"),
+        ({"noise": "yes"}, "config key 'noise' may only be true"),
+        ([{"epochs": 1}], "must hold a JSON object"),
+        ({"k": 5}, "unrecognized arguments: --k=5"),
+        ({"epoch": 1}, "simulate takes no config key(s) ['epoch']"),
+        ({"config": "other.json"}, "simulate takes no config key(s) ['config']"),
+        ({"noise": True, "ops": "-swap"}, "unknown noise operation(s): ['-swap']"),
+    ], ids=["float-for-int", "null", "str-for-float", "p-noise", "noise-not-bool", "array",
+            "other-command-key", "flag-prefix", "nested-config", "dash-value"])
+    def test_bad_config_exit_2(self, workdir, capsys, doc, message):
+        rc = main(["simulate", "--config", self.write(workdir, doc),
+                   "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"),
+                   "--seed", "0", "--epochs", "1",
+                   "--out", str(workdir / "x.c2sw")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_values_parse_as_their_flags(self, workdir):
+        rc, ckpt = simulate(workdir, extra=["--noise", "--lr", "0.01"], seed="3")
+        assert rc == 0
+        out = workdir / "cfg_model.c2sw"
+        # numbers as JSON strings, a switch and path flags, with no flag given
+        doc = {"version": 1, "noise": True, "lr": "0.01", "seed": "3", "epochs": "2",
+               "d_char": 8, "n_layers": 1, "n_heads": 1, "vocab": str(workdir / "vocab.txt"),
+               "table": str(workdir / "table.txt"), "out": str(out)}
+        assert main(["simulate", "--config", self.write(workdir, doc)]) == 0
+        assert out.read_bytes() == ckpt.read_bytes()
+
+    def test_neighbors_config_matches_flags(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        query = ["neighbors", "--vocab", str(workdir / "vocab.txt"),
+                 "--table", str(workdir / "table.txt"), "--checkpoint", str(ckpt), "##ple"]
+        capsys.readouterr()  # discard training progress line
+        assert main(query + ["--subword", "-n", "3"]) == 0
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == 3
+        cfg = self.write(workdir, {"full_word": False, "n": 3})
+        assert main(query + ["--config", cfg]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(query + ["--config", cfg, "-n", "2"]) == 0  # the flag wins
+        assert capsys.readouterr().out.splitlines() == expected.splitlines()[:2]
 
 
 class TestEval:
@@ -241,6 +302,39 @@ class TestParams:
         assert rc == 0
         out = capsys.readouterr().out
         assert "(21 x 8): 168" in out
+
+
+    def test_odd_d_char_exit_2(self, workdir, capsys):
+        rc = main(["params", "--vocab", str(workdir / "vocab.txt"),
+                   "--d-char", "7", "--n-heads", "1"])
+        assert rc == 2
+        assert "d_char (7) must be even" in capsys.readouterr().err
+
+
+class TestTableWidth:
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--corpus", "corpus.txt", "--seed", "0", "--epochs", "1",
+         "--out", "pre.c2sw"],
+        ["eval", "--k", "3"],
+        ["neighbors", "apple"],
+        ["embed", "--mode", "hybrid", "apple", "--out", "emb.txt"],
+    ], ids=lambda argv: argv[0])
+    def test_narrow_table_exit_2(self, workdir, capsys, argv):
+        _, ckpt = simulate(workdir)  # output width 8
+        narrow = workdir / "narrow.txt"
+        rng = np.random.default_rng(2)
+        save_table_text(narrow, EmbeddingTable(matrix=rng.normal(size=(21, 4))))
+        capsys.readouterr()  # discard training progress line
+        command, *rest = argv
+        rest = [str(workdir / a) if a.endswith((".txt", ".c2sw")) else a for a in rest]
+        rc = main([command, "--vocab", str(workdir / "vocab.txt"), "--table", str(narrow),
+                   "--checkpoint", str(ckpt), *rest])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"table {narrow} has width 4 but checkpoint {ckpt} has output width 8" \
+            in captured.err
+        assert not (workdir / "pre.c2sw").exists() and not (workdir / "emb.txt").exists()
 
 
 class TestUsageErrors:

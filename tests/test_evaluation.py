@@ -14,6 +14,7 @@ from char2subword.evaluation import (
 )
 from char2subword.objectives import EmbeddingTable, build_neighbor_index, rank_neighbors
 from char2subword.vocab import char_sequence
+from reference import precision_overlaps
 
 
 @pytest.fixture
@@ -112,6 +113,24 @@ class TestPrecisionAtK:
         blocked = precision_at_k(params, toy_vocab, toy_table, idx, alphabet,
                                  embedded=(ids, vecs))
         assert blocked == whole
+
+    @pytest.mark.parametrize("source", ["model", "half_negated"])
+    @pytest.mark.parametrize("k_max, depth", [(1, 1), (5, 15), (15, 15)])
+    def test_matches_set_loop_oracle(self, params, toy_vocab, toy_table, alphabet,
+                                     source, k_max, depth):
+        ids, vecs = embed_vocab(params, toy_vocab, alphabet)
+        if source == "half_negated":  # the even rows share no neighbor with their truth
+            signs = np.where(np.arange(len(ids)) % 2, 1.0, -1.0)
+            vecs = toy_table.matrix[np.asarray(ids)] * signs[:, None]
+        idx = build_neighbor_index(toy_table, depth)
+        pred = rank_neighbors(toy_table, vecs, k_max)[0]
+        truth = [idx.neighbors(i) for i in ids]
+        if source == "half_negated":
+            assert precision_overlaps(truth[::2], pred[::2], k_max).sum() == 0.0
+        expected = precision_overlaps(truth, pred, k_max) / len(ids)
+        rep = precision_at_k(params, toy_vocab, toy_table, idx, alphabet, k_max=k_max,
+                             embedded=(ids, vecs))
+        assert list(rep.precision_at.values()) == list(expected)  # bit-identical
 
     def test_k_max_exceeding_index_rejected(self, params, toy_vocab, toy_table, alphabet):
         idx = build_neighbor_index(toy_table, 5)

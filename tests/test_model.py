@@ -20,6 +20,13 @@ def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("d_char, n_heads", [(7, 1), (9, 3)])
+    def test_odd_d_char_rejected(self, d_char, n_heads):
+        with pytest.raises(ValueError, match=rf"d_char \({d_char}\) must be even"):
+            M.ModelConfig(d_char=d_char, d_out=4, n_layers=1, n_heads=n_heads)
+
+
 class TestInitParams:
     def test_deterministic_per_seed(self, tiny_config, alphabet):
         p1 = M.init_params(tiny_config, len(alphabet), seed=7)
@@ -350,6 +357,7 @@ class TestCheckpoint:
          r"type for \['max_chars'\]"),
         (lambda h: dict(h, config=dict(h["config"], n_layers=True)), r"type for \['n_layers'\]"),
         (lambda h: dict(h, config=dict(h["config"], ln_eps=1e999)), "ln_eps must be finite"),
+        (lambda h: dict(h, config=dict(h["config"], d_char=7, n_heads=1)), "must be even"),
         (lambda h: dict(h, alphabet="abc"), "alphabet must be a list"),
         (lambda h: dict(h, marker_on_full_words=None), "marker_on_full_words"),
         (lambda h: dict(h, marker_on_full_words=False), "marker_on_full_words must be true"),
@@ -357,8 +365,8 @@ class TestCheckpoint:
         (lambda h: dict(h, manifest={"char_emb": 1}), "manifest"),
     ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker",
             "config-not-object", "config-key-missing", "config-key-unknown", "str-count",
-            "float-count", "bool-count", "inf-eps", "alphabet-not-list", "marker-not-bool",
-            "marker-false", "alphabet-short", "manifest-not-list"])
+            "float-count", "bool-count", "inf-eps", "odd-d-char", "alphabet-not-list",
+            "marker-not-bool", "marker-false", "alphabet-short", "manifest-not-list"])
     def test_malformed_header_rejected(self, tiny_config, alphabet, tmp_path, edit, message):
         path = saved_checkpoint(tiny_config, alphabet, tmp_path)
         write_header(path, edit(read_header(path)))

@@ -106,7 +106,7 @@ class TestTrainSimulation:
     def test_width_mismatch_rejected(self, params, toy_vocab, alphabet):
         rng = np.random.default_rng(0)
         narrow = c2s.EmbeddingTable(matrix=rng.normal(size=(len(toy_vocab), 8)))
-        with pytest.raises(TrainingError, match="width"):
+        with pytest.raises(ValueError, match="width"):
             train_simulation(params, toy_vocab, narrow, alphabet,
                              TrainConfig(epochs=1, seed=0))
 
