@@ -30,6 +30,9 @@ def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None):
     """
     if mode != EmbedMode.TABLE_ONLY and params is None:
         raise ValueError(f"{mode.value} mode requires trained module parameters")
+    if mode == EmbedMode.HYBRID and params.config.d_out != e_table.dim:
+        raise ValueError(f"hybrid mode mixes table rows of width {e_table.dim} with "
+                         f"module vectors of width {params.config.d_out}")
     words = whitespace_split(sentence)
     if mode == EmbedMode.TABLE_ONLY:
         pieces = [piece for word in words for piece in tokenize_word(vocab, word)]

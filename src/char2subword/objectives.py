@@ -40,10 +40,12 @@ class EmbeddingTable:
         bad = np.where(norms == 0.0)[0]
         if bad.size:
             raise ValueError(f"embedding table has zero-norm row(s): {bad.tolist()}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "norms", norms)
         m.setflags(write=False)
         norms.setflags(write=False)
+        # views through read-only buffers: no copy, and no view of them (nor
+        # setflags(write=True)) can be made writable, so training cannot write E
+        object.__setattr__(self, "matrix", np.asarray(memoryview(m)))
+        object.__setattr__(self, "norms", np.asarray(memoryview(norms)))
 
     @property
     def size(self):
@@ -114,6 +116,13 @@ class NeighborIndex:
 
     def neighbors(self, i):
         return self.ids[i]
+
+    def prefix(self, k):
+        """The top-k index of the same table. Ranks follow the total order
+        (-cos, id), so a top-k is the first k columns of any deeper top-n."""
+        if not 1 <= k <= self.k:
+            raise ValueError(f"cannot take a top-{k} prefix of a top-{self.k} index")
+        return NeighborIndex(k=k, ids=np.ascontiguousarray(self.ids[:, :k]))
 
 
 def build_neighbor_index(e_table, k):

@@ -2,7 +2,8 @@
 MLM pre-training.
 
 Both trainers are deterministic per (seed, config, inputs) and never write to
-the embedding table; a checksum asserts that after every run.
+the embedding table: EmbeddingTable holds it in read-only buffers, so a write
+raises ValueError where it is attempted.
 """
 
 import random
@@ -32,7 +33,7 @@ MASK_P, RANDOMIZE_P = 0.8, 0.1
 
 
 class TrainingError(RuntimeError):
-    """Raised when training has no data, hits a non-finite loss or changes the table."""
+    """Raised when training has no data or hits a non-finite loss."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,6 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
         raise ValueError(
             f"table width {e_table.dim} != model output width {params.config.d_out}"
         )
-    checksum = e_table.checksum()
     rng = random.Random(config.seed)
     params = params.copy()
     opt = _Adam(config.lr, params.flat.size)
@@ -147,8 +147,6 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
         record["wall_time"] = time.monotonic() - t0
         metrics.append(record)
 
-    if e_table.checksum() != checksum:
-        raise TrainingError("embedding table changed during training")
     return params, metrics
 
 
@@ -159,10 +157,15 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
     table rows even when the input characters are noised. Each Adam step
     runs its `config.batch_size` samples through one batch_loss call.
     """
+    # one ranking of the table serves both indexes: each is a prefix of the deeper
+    nbr_k = min(config.nbr_k, e_table.size)
+    eval_k = min(evaluation.EVAL_K, e_table.size) if eval_every else 0
     if index is None:
-        index = build_neighbor_index(e_table, min(config.nbr_k, e_table.size))
-    eval_index = (build_neighbor_index(e_table, min(evaluation.EVAL_K, e_table.size))
-                  if eval_every else None)
+        ranked = build_neighbor_index(e_table, max(nbr_k, eval_k))
+        index = ranked.prefix(nbr_k)
+    elif eval_k:
+        ranked = build_neighbor_index(e_table, eval_k)
+    eval_index = ranked.prefix(eval_k) if eval_k else None
     sample_ids = vocab.non_special_ids()
 
     def chars_of(token):

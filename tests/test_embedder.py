@@ -83,6 +83,17 @@ class TestHybrid:
         with pytest.raises(ValueError):
             embed_sequence(EmbedMode.HYBRID, "zzzzz", toy_vocab, toy_table)
 
+    def test_width_mismatch_rejected_before_embedding(self, toy_vocab, alphabet,
+                                                      monkeypatch):
+        narrow = c2s.EmbeddingTable(matrix=np.random.default_rng(0).normal(
+            size=(len(toy_vocab), 4)))
+        wide = M.init_params(c2s.ModelConfig(d_char=8, d_out=8, n_layers=1, n_heads=2),
+                             len(alphabet), seed=0)
+        monkeypatch.setattr(M, "encode", lambda *a: pytest.fail("embedded before the check"))
+        with pytest.raises(ValueError, match="width 4 .* width 8"):
+            embed_sequence(EmbedMode.HYBRID, "apple applz", toy_vocab, narrow,
+                           params=wide, alphabet=alphabet)
+
     def test_module_vectors_equal_forward_alone(self, toy_vocab, toy_table, params, alphabet):
         out = embed_sequence(EmbedMode.HYBRID, "applz apple zz blackberries zz q",
                              toy_vocab, toy_table, params=params, alphabet=alphabet)

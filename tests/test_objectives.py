@@ -67,6 +67,22 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             toy_table.norms[0] = 5.0
 
+    def test_no_write_can_reach_the_table(self, toy_table, tmp_path):
+        save_table_text(tmp_path / "table.txt", toy_table)
+        loaded = load_table(tmp_path / "table.txt")  # owns a fresh array
+        for t in (toy_table, loaded):
+            before = t.matrix.copy()
+            writes = (lambda: t.matrix.__setitem__((0, 0), 5.0),
+                      lambda: t.matrix[:2].__setitem__(Ellipsis, 5.0),
+                      lambda: t.norms.__setitem__(0, 5.0),
+                      lambda: t.matrix.setflags(write=True),
+                      lambda: t.matrix[:2].setflags(write=True),
+                      lambda: t.norms.setflags(write=True))
+            for write in writes:
+                with pytest.raises(ValueError):
+                    write()
+            np.testing.assert_array_equal(t.matrix, before)
+
     def test_text_round_trip(self, toy_table, tmp_path):
         path = tmp_path / "table.txt"
         save_table_text(path, toy_table)
@@ -151,6 +167,29 @@ class TestNeighborIndex:
     def test_k_zero_rejected(self, toy_table):
         with pytest.raises(ValueError, match="need n >= 1"):
             build_neighbor_index(toy_table, 0)
+
+    @pytest.mark.parametrize("ce_block", [None, 64, 7])
+    def test_prefix_equals_direct_build(self, monkeypatch, ce_block):
+        # rounded rows and their exact x2 and x0.5 twins: every cosine ties
+        # three ways, so the cuts at k = 4 and 5 split tie groups
+        half = np.round(np.random.default_rng(3).normal(size=(30, 6)), 1)
+        half[:, 0] = np.abs(half[:, 0]) + 0.5  # no zero rows
+        t = EmbeddingTable(matrix=np.concatenate([half, 2.0 * half, 0.5 * half]))
+        if ce_block:  # 64: 8 x 8 tiles; 7: 2 x 3 tiles, narrower than k
+            monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
+        assert (len(objectives.tiles(t.size, t.size)) == 1) == (ce_block is None)
+        deep = build_neighbor_index(t, 15)
+        sims = rank_neighbors(t, t.matrix, 15)[1]
+        assert (sims[:, 3] == sims[:, 4]).all() and (sims[:, 4] == sims[:, 5]).all()
+        for k in (1, 4, 5, 14, 15):
+            np.testing.assert_array_equal(deep.prefix(k).ids, build_neighbor_index(t, k).ids)
+            assert deep.prefix(k).k == k
+
+    def test_prefix_deeper_than_index_rejected(self, toy_table):
+        idx = build_neighbor_index(toy_table, 5)
+        for k in (0, 6):
+            with pytest.raises(ValueError, match=f"top-{k} prefix of a top-5"):
+                idx.prefix(k)
 
 
 class TestLossWeights:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import char2subword as c2s
-from char2subword import model as M, training
+from char2subword import evaluation, model as M, training
 from char2subword.noise import NoiseConfig, default_layouts, sample_noisy
 from char2subword.objectives import LossWeights, build_neighbor_index
 from char2subword.training import (
@@ -94,6 +94,20 @@ class TestTrainSimulation:
         train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
         np.testing.assert_array_equal(toy_table.matrix, before)
 
+    def test_one_ranking_serves_both_indexes(self, params, toy_vocab, toy_table, alphabet,
+                                             monkeypatch):
+        cfg = TrainConfig(epochs=2, seed=4)
+        given = train_simulation(params, toy_vocab, toy_table, alphabet, cfg,
+                                 index=build_neighbor_index(toy_table, cfg.nbr_k))
+        depths, real = [], training.build_neighbor_index
+        monkeypatch.setattr(training, "build_neighbor_index",
+                            lambda t, k: depths.append(k) or real(t, k))
+        built = train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
+        assert depths == [evaluation.EVAL_K]
+        np.testing.assert_array_equal(built[0].flat, given[0].flat)
+        for a, b in zip(built[1], given[1]):
+            assert {**a, "wall_time": 0} == {**b, "wall_time": 0}
+
     def test_metrics_fields(self, params, toy_vocab, toy_table, alphabet):
         cfg = TrainConfig(epochs=2, seed=3)
         _, metrics = train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
@@ -130,6 +144,38 @@ class TestSharedLoop:
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, step \d+"):
             pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
                          TrainConfig(epochs=1, seed=0), select_p=1.0)
+
+    def test_a_table_write_raises_where_it_happens(self, params, toy_vocab, toy_table,
+                                                   alphabet, monkeypatch):
+        real = training.loss_and_grad
+
+        def writing(ids, e_hat, e_table, *rest):
+            e_table.matrix[ids[0]] += 1.0
+            return real(ids, e_hat, e_table, *rest)
+
+        monkeypatch.setattr(training, "loss_and_grad", writing)
+        before = toy_table.matrix.copy()
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        cfg = TrainConfig(epochs=1, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
+        with pytest.raises(ValueError, match="read-only"):
+            pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg,
+                         select_p=1.0)
+        np.testing.assert_array_equal(toy_table.matrix, before)
+
+    def test_training_never_hashes_the_table(self, params, toy_vocab, toy_table, alphabet,
+                                             monkeypatch):
+        def no_hash(self):
+            raise AssertionError("training hashed the table")
+
+        monkeypatch.setattr(c2s.EmbeddingTable, "checksum", no_hash)
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        cfg = TrainConfig(epochs=2, seed=0)
+        _, sim = train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
+        _, mlm = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg,
+                              select_p=1.0)
+        assert len(sim) == len(mlm) == 2
 
     def test_trained_tensors_are_views_of_flat(self, params, toy_vocab, toy_table,
                                                alphabet):
