@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .objectives import rank_neighbors, tiles
+from .objectives import rank_neighbors, scan_table
 from .vocab import char_sequence, tokenize_word, whitespace_split
 
 # Default neighbor depth of precision@k, and of train_simulation's per-epoch evaluation.
@@ -38,24 +38,15 @@ def embed_vocab(params, vocab, alphabet):
 def accuracy(params, vocab, e_table, alphabet, embedded=None):
     """Fraction of non-special entries whose argmax over e_hat . E^T is themselves."""
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
-    pred = np.zeros(len(ids), dtype=np.int64)
-    best = np.full(len(ids), -np.inf)
-    for blk, cols in tiles(len(ids), e_table.size):
-        logits = vecs[blk] @ e_table.matrix[cols].T
-        j = logits.argmax(axis=1)  # the first max in the tile: its lowest id
-        top = logits[np.arange(len(j)), j]
-        win = top > best[blk]  # columns ascend, so a tie keeps the lower id
-        pred[blk] = np.where(win, j + cols.start, pred[blk])
-        best[blk] = np.where(win, top, best[blk])
-    return float(np.mean(pred == np.asarray(ids)))
+    return float(np.mean(scan_table(e_table, vecs, 1)[2] == np.asarray(ids)))
 
 
 def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedded=None):
-    """Neighbor-overlap precision for k = 1..k_max, averaged over tokens."""
+    """Accuracy and neighbor-overlap precision for k = 1..k_max over tokens, from one scan."""
     if k_max > index.k:
         raise ValueError(f"k_max={k_max} exceeds neighbor index depth {index.k}")
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
-    pred = rank_neighbors(e_table, vecs, k_max)[0]
+    pred, _, argmax = scan_table(e_table, vecs, k_max)
     truth = index.ids[np.asarray(ids, dtype=np.int64), :k_max]
     # both rows hold distinct ids, so |truth[:k] & pred[:k]| counts the matches
     # in the leading k x k block: a 2-D prefix sum, read on its diagonal
@@ -65,9 +56,8 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedd
     for row in per_row:  # in id order: the float sums do not depend on numpy's reduction
         overlaps += row
     per_k = {k: overlaps[k - 1] / len(ids) for k in range(1, k_max + 1)}
-    acc = accuracy(params, vocab, e_table, alphabet, embedded=(ids, vecs))
     return PrecisionReport(
-        accuracy=acc,
+        accuracy=float(np.mean(argmax == np.asarray(ids))),
         precision_at=per_k,
         avg_precision=float(np.mean(list(per_k.values()))),
     )

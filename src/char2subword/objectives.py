@@ -15,10 +15,10 @@ import numpy as np
 from .numerics import cosine_similarity
 
 TABLE_MAGIC = b"EMBT"
-# Most entries of a rows x |V| product (CE logits, accuracy logits, cosine
-# ranks) held at once: 4 MB of float64. The product runs in the 2-D tiles of
-# `tiles`, so memory stays bounded at any table size; at toy scale a batch is
-# one tile.
+# Most entries of a rows x |V| product held at once: 4 MB of float64. `tiles`
+# makes every such product, one per tile, for CE's logits and for scan_table's
+# top-n cosines and argmax, so memory stays bounded at any table size; at toy
+# scale a batch is one tile.
 CE_BLOCK = 2 ** 19
 
 
@@ -132,24 +132,25 @@ def build_neighbor_index(e_table, k):
     return NeighborIndex(k=k, ids=rank_neighbors(e_table, e_table.matrix, k)[0])
 
 
-def tiles(rows, cols):
-    """(row slice, column slice) tiles of a rows x cols product, row block by row
-    block with columns ascending, none above CE_BLOCK entries. A row block takes
-    up to max(sqrt(CE_BLOCK), CE_BLOCK // cols) rows, so a batch of a few hundred
-    rows streams the table once and a many-row product gets square BLAS tiles."""
-    if not rows:
-        return []
-    step = min(rows, max(math.isqrt(CE_BLOCK), CE_BLOCK // cols))
-    width = min(cols, max(1, CE_BLOCK // step))
-    return [(slice(lo, lo + step), slice(c, c + width))
-            for lo in range(0, rows, step) for c in range(0, cols, width)]
+def tiles(rows, e_table):
+    """Yield (row slice, column slice, rows[blk] @ E[cols].T), a fresh array, per tile of
+    a rows x |V| product: row block by row block, columns ascending, none above CE_BLOCK
+    entries. A row block takes up to max(sqrt(CE_BLOCK), CE_BLOCK // |V|) rows, so a batch
+    of a few hundred rows streams the table once and many rows get square BLAS tiles."""
+    step = max(1, min(len(rows), max(math.isqrt(CE_BLOCK), CE_BLOCK // e_table.size)))
+    width = min(e_table.size, max(1, CE_BLOCK // step))
+    for lo in range(0, len(rows), step):
+        q = rows[lo:lo + step].copy()  # not a view: numpy's A @ A.T path splits exact ties
+        for c in range(0, e_table.size, width):
+            yield slice(lo, lo + step), slice(c, c + width), q @ e_table.matrix[c:c + width].T
 
 
-def rank_neighbors(e_table, vecs, n):
-    """Top-n table rows by cosine to a vector (d,) or query rows (Q, d), ascending-id ties;
-    returns (ids, sims) shaped (n,) or (Q, n). Exact search over the tiles of `tiles`:
-    each tile keeps every column at or above its rows' n-th largest cosine, so ties at
-    the cut survive, and only those candidates and the running top-n are sorted."""
+def scan_table(e_table, vecs, n):
+    """One exact pass over the tiles of `tiles` for query rows (Q, d): the top-n table
+    rows by cosine, ascending-id ties, as (ids, sims) shaped (Q, n), and each row's
+    argmax of the raw product, lowest id on ties, shaped (Q,). Each tile keeps every
+    column at or above its rows' n-th largest cosine, so ties at the cut survive, and
+    only those candidates and the running top-n are sorted."""
     if n < 1:
         raise ValueError(f"cannot rank the top {n} neighbors; need n >= 1")
     rows = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
@@ -161,11 +162,14 @@ def rank_neighbors(e_table, vecs, n):
     n = min(n, e_table.size)
     ids = np.empty((len(rows), n), dtype=np.int64)
     sims = np.empty(ids.shape)
-    for blk, cols in tiles(len(rows), e_table.size):
-        if cols.start == 0:  # a new row block
-            # a copy: numpy's symmetric A @ A.T path (one buffer twice) splits exact ties
-            q = rows[blk].copy()
-        s = (q @ e_table.matrix[cols].T) / (qnorm[blk, None] * e_table.norms[cols])
+    argmax, best = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), -np.inf)
+    for blk, cols, prod in tiles(rows, e_table):
+        j = prod.argmax(axis=1)  # the first max in the tile: its lowest id
+        peak = prod[np.arange(len(j)), j]
+        win = peak > best[blk]  # columns ascend, so a tie keeps the lower id
+        argmax[blk] = np.where(win, j + cols.start, argmax[blk])
+        best[blk] = np.where(win, peak, best[blk])
+        s = prod / (qnorm[blk, None] * e_table.norms[cols])
         cut = s.shape[1] - min(n, s.shape[1])
         r, c = np.nonzero(s >= np.partition(s, cut, axis=1)[:, cut, None])
         r, c, v = r, c + cols.start, s[r, c]
@@ -178,6 +182,12 @@ def rank_neighbors(e_table, vecs, n):
         if cols.stop >= e_table.size:
             ids[blk] = cand[1].reshape(-1, n)
             sims[blk] = cand[2].reshape(-1, n)
+    return ids, sims, argmax
+
+
+def rank_neighbors(e_table, vecs, n):
+    """scan_table's top-n for a vector (d,) or rows (Q, d): (ids, sims), (n,) or (Q, n)."""
+    ids, sims, _ = scan_table(e_table, vecs, n)
     return (ids[0], sims[0]) if np.ndim(vecs) == 1 else (ids, sims)
 
 
@@ -190,8 +200,8 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.l_cos, self.l_ce, self.l_l2, self.l_nbr)
-        if any(w < 0 for w in vals):
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0 <= w < float("inf") for w in vals):  # also rejects NaN
+            raise ValueError(f"loss weights must be finite and nonnegative, got {vals}")
         if all(w == 0 for w in vals):
             raise ValueError("at least one loss weight must be positive")
 
@@ -278,8 +288,7 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
         m = np.full(len(ids), -np.inf)
         z = np.zeros(len(ids))
         acc = np.zeros_like(e_hat)
-        for blk, cols in tiles(len(ids), e_table.size):
-            p = e_hat[blk] @ table[cols].T  # the only logits array; updated in place below
+        for blk, cols, p in tiles(e_hat, e_table):  # p: a fresh logits tile, updated in place
             top = np.maximum(m[blk], p.max(axis=1))
             scale = np.exp(m[blk] - top)
             p -= top[:, None]

@@ -28,12 +28,14 @@ from .vocab import (
 
 # Adam's moment decays and denominator epsilon.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# Per-character MLM actions: mask with MASK_P, randomize with RANDOMIZE_P, else keep.
+# MLM selects a token with SELECT_P; per character: mask with MASK_P, randomize
+# with RANDOMIZE_P, else keep.
+SELECT_P = 0.15
 MASK_P, RANDOMIZE_P = 0.8, 0.1
 
 
 class TrainingError(RuntimeError):
-    """Raised when training has no data or hits a non-finite loss."""
+    """Raised when training has no data or hits a non-finite loss or parameter."""
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not 0 < self.lr < float("inf"):  # also rejects NaN
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+        if self.nbr_k < 1:
+            raise ValueError(f"nbr_k must be >= 1, got {self.nbr_k}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -143,6 +147,8 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
                 sums[k] += float(v.sum())
             count += len(seqs)
             opt.step(params, grads)
+        if not np.isfinite(params.flat).all():  # the last step's loss is never computed
+            raise TrainingError(f"non-finite parameters after the last step of epoch {epoch}")
         record = epoch_record(params, epoch, sums, count)
         record["wall_time"] = time.monotonic() - t0
         metrics.append(record)
@@ -218,13 +224,13 @@ class MaskingPlan:
         return len(self.entries)
 
 
-def make_masking_plan(token_ids, char_seqs, rng, select_p=0.15):
-    """Select ~15% of tokens; draw 80/10/10 per-character actions for each."""
+def make_masking_plan(token_ids, char_seqs, rng):
+    """Select tokens with SELECT_P; draw 80/10/10 per-character actions for each."""
     if len(token_ids) != len(char_seqs):
         raise ValueError("token_ids and char_seqs must be aligned")
     entries = []
     for pos, (tid, seq) in enumerate(zip(token_ids, char_seqs)):
-        if rng.random() >= select_p:
+        if rng.random() >= SELECT_P:
             continue
         actions = []
         for _ in seq.chars:
@@ -300,7 +306,7 @@ def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):
     return sequences
 
 
-def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config, select_p=0.15):
+def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config):
     """Dynamic character-level MLM over token-id sequences; E stays frozen.
 
     `sequences` is a list of (token_ids, char_seqs) pairs from corpus_samples.
@@ -316,7 +322,7 @@ def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config, select_p=0
         seqs, targets, steps, sizes = [], [], [], []
         for step, si in enumerate(order):
             ids, line_seqs = sequences[si]
-            plan = make_masking_plan(ids, line_seqs, rng, select_p=select_p)
+            plan = make_masking_plan(ids, line_seqs, rng)
             if plan.entries:
                 seqs += apply_masking(plan, line_seqs, alphabet, rng)
                 targets += [entry.target_id for entry in plan.entries]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import char2subword as c2s
+from char2subword import objectives
 from char2subword.noise import DEFAULT_PUNCTUATION, NoiseConfig, default_layouts
 
 TOY_WORDS = """apple about above actor admit after again agent
@@ -54,3 +55,25 @@ def tiny_config():
 @pytest.fixture(scope="session")
 def noise_config():
     return NoiseConfig(layouts=tuple(default_layouts()))
+
+
+@pytest.fixture
+def tile_log(monkeypatch):
+    """The (row slice, column slice) of every tile objectives.tiles yields during
+    the test: one list per pass over the table."""
+    passes = []
+    tiles = objectives.tiles
+
+    def logged(rows, e_table):
+        passes.append([])
+        for blk, cols, product in tiles(rows, e_table):
+            passes[-1].append((blk, cols))
+            yield blk, cols, product
+
+    monkeypatch.setattr(objectives, "tiles", logged)
+    return passes
+
+
+def grid(tiles):
+    """(row blocks, column tiles) of one logged pass."""
+    return len({blk.start for blk, _ in tiles}), len({cols.start for _, cols in tiles})

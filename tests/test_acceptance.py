@@ -15,6 +15,7 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
+from char2subword import training
 from char2subword.cli import main as cli_main
 from char2subword.embedder import EmbedMode, embed_sequence
 from char2subword.evaluation import precision_at_k
@@ -65,9 +66,10 @@ def make_model(alphabet, seed, d_char=16):
 
 
 class TestCriterion1:
-    def test_gradient_fidelity(self, toy_vocab, toy_table):
+    def test_gradient_fidelity(self, toy_vocab, toy_table, monkeypatch):
         """Analytic gradients of the combined loss and the MLM loss match
         central finite differences (< 1e-4 relative) over 20 seeds, < 2 min."""
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         t0 = time.monotonic()
         alphabet = c2s.build_alphabet(toy_vocab)
         assert len(alphabet) <= 30
@@ -92,7 +94,7 @@ class TestCriterion1:
             ids = [tid, int(rng.integers(49))]
             seqs = [char_sequence(toy_vocab.token(i), False, alphabet) for i in ids]
             prng = random.Random(seed)
-            plan = make_masking_plan(ids, seqs, prng, select_p=1.0)
+            plan = make_masking_plan(ids, seqs, prng)
             masked = apply_masking(plan, seqs, alphabet, prng)
             targets = [e.target_id for e in plan.entries]
             _, mlm_grads = mlm_step(params, masked, targets, toy_table)

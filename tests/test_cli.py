@@ -135,8 +135,14 @@ class TestConfigFile:
         ({"epoch": 1}, "simulate takes no config key(s) ['epoch']"),
         ({"config": "other.json"}, "simulate takes no config key(s) ['config']"),
         ({"noise": True, "ops": "-swap"}, "unknown noise operation(s): ['-swap']"),
+        ({"lr": "nan"}, "learning rate must be finite and > 0, got nan"),
+        ({"lr": "inf"}, "learning rate must be finite and > 0, got inf"),
+        ({"w_cos": "nan"}, "loss weights must be finite and nonnegative"),
+        ({"w_nbr": "inf"}, "loss weights must be finite and nonnegative"),
+        ({"nbr_k": 0}, "nbr_k must be >= 1, got 0"),
     ], ids=["float-for-int", "null", "str-for-float", "p-noise", "noise-not-bool", "array",
-            "other-command-key", "flag-prefix", "nested-config", "dash-value"])
+            "other-command-key", "flag-prefix", "nested-config", "dash-value", "lr-nan",
+            "lr-inf", "weight-nan", "weight-inf", "nbr-k-zero"])
     def test_bad_config_exit_2(self, workdir, capsys, doc, message):
         rc = main(["simulate", "--config", self.write(workdir, doc),
                    "--vocab", str(workdir / "vocab.txt"),
@@ -309,6 +315,29 @@ class TestParams:
                    "--d-char", "7", "--n-heads", "1"])
         assert rc == 2
         assert "d_char (7) must be even" in capsys.readouterr().err
+
+
+class TestPretrain:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_parameters_exit_3(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        out = workdir / "pre.c2sw"
+        corpus = workdir / "long.txt"  # enough tokens that the epoch selects some
+        corpus.write_text((workdir / "corpus.txt").read_text() * 5)
+        # rows of norm 10 give gradient entries above 1.8, so lr * m overflows in
+        # the epoch's only Adam step; no loss is computed after it
+        big = workdir / "big.txt"
+        table = load_table(workdir / "table.txt")
+        save_table_text(big, EmbeddingTable(matrix=10.0 * table.matrix))
+        capsys.readouterr()  # discard training progress line
+        rc = main(["pretrain", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(big), "--checkpoint", str(ckpt),
+                   "--corpus", str(corpus), "--seed", "0", "--epochs", "1",
+                   "--lr", "1e308", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "non-finite parameters after the last step of epoch 0" in err
+        assert not out.exists()
 
 
 class TestTableWidth:

@@ -14,6 +14,7 @@ from char2subword.evaluation import (
 )
 from char2subword.objectives import EmbeddingTable, build_neighbor_index, rank_neighbors
 from char2subword.vocab import char_sequence
+from conftest import grid
 from reference import precision_overlaps
 
 
@@ -63,14 +64,26 @@ class TestAccuracy:
 
 
     def test_blocks_match_one_block(self, params, toy_vocab, toy_table, alphabet,
-                                    monkeypatch):
+                                    monkeypatch, tile_log):
         ids = toy_vocab.non_special_ids()
         vecs = np.random.default_rng(3).normal(size=(len(ids), toy_table.dim))
         vecs[5::7] = toy_table.matrix[np.asarray(ids[5::7])]  # some hits
         whole = accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs))
         assert whole > 0.0
-        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
+        assert grid(tile_log[-1]) == (1, 1)
+        # 12 x 12 tiles: 46 rows and 50 columns make 4 row blocks by 5 column tiles
+        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)
         assert accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs)) == whole
+        assert grid(tile_log[-1]) == (4, 5)
+
+    @pytest.mark.parametrize("bad, message", [(0.0, "zero vector"), (np.nan, "non-finite")])
+    def test_zero_or_nan_row_rejected(self, params, toy_vocab, toy_table, alphabet, bad,
+                                      message):
+        ids = toy_vocab.non_special_ids()
+        vecs = toy_table.matrix[np.asarray(ids)].copy()
+        vecs[3] = bad
+        with pytest.raises(ValueError, match=message):
+            accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs))
 
     @pytest.mark.parametrize("ce_block", [None, 100])
     def test_ties_across_tiles_pick_lowest_id(self, params, toy_vocab, alphabet, monkeypatch,
@@ -80,11 +93,13 @@ class TestAccuracy:
         table = EmbeddingTable(matrix=m)
         if ce_block:  # 10-column tiles: each twin sits in another tile
             monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
-            assert objectives.tiles(50, 50)[1][1] == slice(10, 20)
+            assert list(objectives.tiles(m, table))[1][1] == slice(10, 20)
         ids = list(range(50))
-        assert accuracy(params, toy_vocab, table, alphabet, embedded=(ids, m)) == 0.5
-        assert accuracy(params, toy_vocab, table, alphabet,
-                        embedded=(ids[:25], m[25:])) == 1.0
+        idx = build_neighbor_index(table, 15)
+        for embedded, expected in (((ids, m), 0.5), ((ids[:25], m[25:]), 1.0)):
+            assert accuracy(params, toy_vocab, table, alphabet, embedded=embedded) == expected
+            assert precision_at_k(params, toy_vocab, table, idx, alphabet,
+                                  embedded=embedded).accuracy == expected
 
 
 class TestPrecisionAtK:
@@ -105,14 +120,28 @@ class TestPrecisionAtK:
         assert sorted(rep.precision_at) == list(range(1, 16))
 
     def test_blocks_match_one_block(self, params, toy_vocab, toy_table, alphabet,
-                                    monkeypatch):
+                                    monkeypatch, tile_log):
         idx = build_neighbor_index(toy_table, 15)
         ids, vecs = embed_vocab(params, toy_vocab, alphabet)
         whole = precision_at_k(params, toy_vocab, toy_table, idx, alphabet, embedded=(ids, vecs))
-        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
+        assert grid(tile_log[-1]) == (1, 1)
+        # 12 x 12 tiles: 46 rows and 50 columns make 4 row blocks by 5 column tiles
+        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)
         blocked = precision_at_k(params, toy_vocab, toy_table, idx, alphabet,
                                  embedded=(ids, vecs))
+        assert grid(tile_log[-1]) == (4, 5)
         assert blocked == whole
+
+    def test_one_pass_over_the_table(self, params, toy_vocab, toy_table, alphabet,
+                                     monkeypatch, tile_log):
+        idx = build_neighbor_index(toy_table, 15)
+        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)
+        for k_max in (1, 15):
+            tile_log.clear()
+            precision_at_k(params, toy_vocab, toy_table, idx, alphabet, k_max=k_max)
+            assert len(tile_log) == 1  # accuracy and the top-k from the same products
+            corners = {(blk.start, cols.start) for blk, cols in tile_log[0]}
+            assert len(corners) == len(tile_log[0]) == 4 * 5  # each tile once
 
     @pytest.mark.parametrize("source", ["model", "half_negated"])
     @pytest.mark.parametrize("k_max, depth", [(1, 1), (5, 15), (15, 15)])

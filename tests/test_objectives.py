@@ -27,6 +27,7 @@ from char2subword.objectives import (
     save_table_text,
 )
 import reference
+from conftest import grid
 from reference import finite_diff_gradient
 
 
@@ -177,7 +178,7 @@ class TestNeighborIndex:
         t = EmbeddingTable(matrix=np.concatenate([half, 2.0 * half, 0.5 * half]))
         if ce_block:  # 64: 8 x 8 tiles; 7: 2 x 3 tiles, narrower than k
             monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
-        assert (len(objectives.tiles(t.size, t.size)) == 1) == (ce_block is None)
+        assert (len(list(objectives.tiles(t.matrix, t))) == 1) == (ce_block is None)
         deep = build_neighbor_index(t, 15)
         sims = rank_neighbors(t, t.matrix, 15)[1]
         assert (sims[:, 3] == sims[:, 4]).all() and (sims[:, 4] == sims[:, 5]).all()
@@ -194,8 +195,12 @@ class TestNeighborIndex:
 
 class TestLossWeights:
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(-1.0, 1.0, 1.0, 1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            for i in range(4):
+                weights = [1.0] * 4
+                weights[i] = bad
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    LossWeights(*weights)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -378,14 +383,17 @@ class TestLossAndGrad:
             ref_grad = reference.combined_loss_gradient(tid, e, ehat[b], toy_table, idx, weights)
             np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
 
-    def test_ce_blocks_match_one_block(self, toy_table, monkeypatch):
+    def test_ce_blocks_match_one_block(self, toy_table, monkeypatch, tile_log):
         idx = build_neighbor_index(toy_table, 5)
         rng = np.random.default_rng(8)
         ids = rng.integers(toy_table.size, size=7)
         ehat = rng.normal(size=(7, toy_table.dim))
         whole = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
-        monkeypatch.setattr(objectives, "CE_BLOCK", 2 * toy_table.size)  # 2 rows per block
+        assert grid(tile_log[-1]) == (1, 1)
+        # 6 x 6 tiles: 7 rows and 50 columns make 2 row blocks by 9 column tiles
+        monkeypatch.setattr(objectives, "CE_BLOCK", 36)
         blocked = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
+        assert grid(tile_log[-1]) == (2, 9)
         np.testing.assert_allclose(blocked[0], whole[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocked[1]["ce"], whole[1]["ce"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocked[2], whole[2], rtol=0, atol=1e-12)
@@ -399,7 +407,7 @@ class TestLossAndGrad:
         ehat = 3.0 * rng.normal(size=(9, toy_table.dim))
         monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
         # 16: three row blocks of at most 4 rows by 13 column tiles; 1: 1 x 1 tiles
-        assert len(objectives.tiles(9, toy_table.size)) == n_tiles
+        assert len(list(objectives.tiles(ehat, toy_table))) == n_tiles
         totals, parts, grad = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
         for b, tid in enumerate(ids):
             e = toy_table.row(tid)
@@ -445,15 +453,18 @@ class TestRankNeighbors:
             order, _ = rank_neighbors(toy_table, toy_table.row(i), 10)
             assert list(order) == list(idx.neighbors(i))
 
-    def test_blocks_match_one_block(self, toy_table, monkeypatch):
+    def test_blocks_match_one_block(self, toy_table, monkeypatch, tile_log):
         queries = np.random.default_rng(9).normal(size=(7, toy_table.dim))
         whole_index = build_neighbor_index(toy_table, 10)
         whole = rank_neighbors(toy_table, queries, 10)
-        monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)  # 3 rows per block
+        assert [grid(tiles) for tiles in tile_log] == [(1, 1), (1, 1)]
+        # 6 x 6 tiles: 50 and 7 rows by 50 columns make 9 and 2 row blocks by 9 column tiles
+        monkeypatch.setattr(objectives, "CE_BLOCK", 36)
         np.testing.assert_array_equal(build_neighbor_index(toy_table, 10).ids, whole_index.ids)
         blocked = rank_neighbors(toy_table, queries, 10)
+        assert [grid(tiles) for tiles in tile_log[2:]] == [(9, 9), (2, 9)]
         np.testing.assert_array_equal(blocked[0], whole[0])
-        # BLAS may round a product of 3 rows differently from one of 7
+        # BLAS may round a product of 6 rows differently from one of 7
         np.testing.assert_allclose(blocked[1], whole[1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("ce_block", [None, 100, 36])
@@ -469,7 +480,7 @@ class TestRankNeighbors:
         if ce_block:  # 100: 10-column tiles; 36: 6-column tiles, fewer than n
             monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
         ids, sims = rank_neighbors(t, queries, 7)
-        width = objectives.tiles(len(queries), t.size)[0][1].stop
+        width = next(objectives.tiles(queries, t))[1].stop
         spans_tiles = False
         for q, row_ids, row_sims in zip(queries, ids, sims):
             s = (m @ q) / (np.linalg.norm(m, axis=1) * np.linalg.norm(q))

@@ -39,8 +39,13 @@ class TestTrainConfig:
             TrainConfig(epochs=1, seed=0, batch_size=0)
 
     def test_bad_lr(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, seed=0, lr=0.0)
+        for lr in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+                TrainConfig(epochs=1, seed=0, lr=lr)
+
+    def test_bad_nbr_k(self):
+        with pytest.raises(ValueError, match="nbr_k must be >= 1"):
+            TrainConfig(epochs=1, seed=0, nbr_k=0)
 
     def test_negative_epochs(self):
         with pytest.raises(ValueError):
@@ -135,7 +140,8 @@ class TestTrainSimulation:
 
 class TestSharedLoop:
     def test_non_finite_loss_names_epoch_and_step(self, params, toy_vocab, toy_table,
-                                                  alphabet):
+                                                  alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         params.tensors["We"][0, 0] = np.nan
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, step \d+"):
             train_simulation(params, toy_vocab, toy_table, alphabet,
@@ -143,10 +149,26 @@ class TestSharedLoop:
         sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, step \d+"):
             pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
-                         TrainConfig(epochs=1, seed=0), select_p=1.0)
+                         TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_parameters_name_the_epoch(self, params, toy_vocab, toy_table,
+                                                  alphabet, monkeypatch):
+        # one Adam step per epoch, so no loss is computed after it; rows of norm 10
+        # give gradient entries above 1.8, so lr * m overflows in that step
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
+        table = c2s.EmbeddingTable(matrix=10.0 * toy_table.matrix)
+        cfg = TrainConfig(epochs=2, seed=0, lr=1e308, batch_size=64)
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        for run in (lambda: train_simulation(params, toy_vocab, table, alphabet, cfg),
+                    lambda: pretrain_mlm(params, sequences, toy_vocab, table, alphabet, cfg)):
+            with pytest.raises(TrainingError,
+                               match="non-finite parameters after the last step of epoch 0"):
+                run()
 
     def test_a_table_write_raises_where_it_happens(self, params, toy_vocab, toy_table,
                                                    alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         real = training.loss_and_grad
 
         def writing(ids, e_hat, e_table, *rest):
@@ -160,12 +182,13 @@ class TestSharedLoop:
         with pytest.raises(ValueError, match="read-only"):
             train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
         with pytest.raises(ValueError, match="read-only"):
-            pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg,
-                         select_p=1.0)
+            pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)
         np.testing.assert_array_equal(toy_table.matrix, before)
 
     def test_training_never_hashes_the_table(self, params, toy_vocab, toy_table, alphabet,
                                              monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
+
         def no_hash(self):
             raise AssertionError("training hashed the table")
 
@@ -173,18 +196,17 @@ class TestSharedLoop:
         sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
         cfg = TrainConfig(epochs=2, seed=0)
         _, sim = train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
-        _, mlm = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg,
-                              select_p=1.0)
+        _, mlm = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)
         assert len(sim) == len(mlm) == 2
 
     def test_trained_tensors_are_views_of_flat(self, params, toy_vocab, toy_table,
-                                               alphabet):
+                                               alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
         cfg = TrainConfig(epochs=1, seed=0)
         trained = [train_simulation(params, toy_vocab, toy_table, alphabet, cfg,
                                     eval_every=0)[0],
-                   pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg,
-                                select_p=1.0)[0]]
+                   pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)[0]]
         for out in trained:
             assert not np.shares_memory(out.flat, params.flat)
             for name, tensor in out.tensors.items():
@@ -204,12 +226,13 @@ class TestMaskingPlan:
             n_sel += len(plan)
         assert abs(n_sel / 20000 - 0.15) < 0.01
 
-    def test_action_rates(self, alphabet):
+    def test_action_rates(self, alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         rng = random.Random(1)
         seqs = self._seqs(alphabet, ["apple", "badge", "alarm"])
         counts = {"mask": 0, "randomize": 0, "keep": 0}
         for _ in range(20000):
-            plan = make_masking_plan([0, 1, 2], seqs, rng, select_p=1.0)
+            plan = make_masking_plan([0, 1, 2], seqs, rng)
             for entry in plan.entries:
                 for a in entry.actions:
                     counts[a] += 1
@@ -218,9 +241,10 @@ class TestMaskingPlan:
         assert abs(counts["randomize"] / total - 0.1) < 0.01
         assert abs(counts["keep"] / total - 0.1) < 0.01
 
-    def test_actions_cover_all_chars(self, alphabet):
+    def test_actions_cover_all_chars(self, alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         seqs = self._seqs(alphabet, ["apple"])
-        plan = make_masking_plan([0], seqs, random.Random(2), select_p=1.0)
+        plan = make_masking_plan([0], seqs, random.Random(2))
         assert len(plan.entries[0].actions) == len(seqs[0])
 
     def test_misaligned_inputs_rejected(self, alphabet):
@@ -304,32 +328,32 @@ class TestPretrainMlm:
             pretrain_mlm(params, [], toy_vocab, toy_table, alphabet,
                          TrainConfig(epochs=1, seed=0))
 
-    def test_runs_and_reports(self, params, toy_vocab, toy_table, alphabet):
+    def test_runs_and_reports(self, params, toy_vocab, toy_table, alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 0.9)
         sequences = corpus_samples(toy_vocab, alphabet,
                                    ["apple badge alarm", "black blade blank berry"])
         cfg = TrainConfig(epochs=3, seed=0)
-        out, metrics = pretrain_mlm(params, sequences, toy_vocab, toy_table,
-                                    alphabet, cfg, select_p=0.9)
+        out, metrics = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)
         assert len(metrics) == 3
         assert all(m["selected"] > 0 for m in metrics)
         assert not np.array_equal(out.tensors["We"], params.tensors["We"])
 
-    def test_deterministic(self, params, toy_vocab, toy_table, alphabet):
+    def test_deterministic(self, params, toy_vocab, toy_table, alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 0.9)
         sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
         cfg = TrainConfig(epochs=2, seed=9)
-        o1, m1 = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
-                              cfg, select_p=0.9)
-        o2, m2 = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
-                              cfg, select_p=0.9)
+        o1, m1 = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)
+        o2, m2 = pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)
         for name in o1.tensors:
             assert np.array_equal(o1.tensors[name], o2.tensors[name])
         assert [m["mlm_loss"] for m in m1] == [m["mlm_loss"] for m in m2]
 
-    def test_table_left_frozen(self, params, toy_vocab, toy_table, alphabet):
+    def test_table_left_frozen(self, params, toy_vocab, toy_table, alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         before = toy_table.matrix.copy()
         sequences = corpus_samples(toy_vocab, alphabet, ["apple badge"])
         pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
-                     TrainConfig(epochs=1, seed=0), select_p=1.0)
+                     TrainConfig(epochs=1, seed=0))
         np.testing.assert_array_equal(toy_table.matrix, before)
 
 
@@ -372,12 +396,13 @@ class TestBatchedSteps:
 
     def test_pretrain_step_is_mean_of_per_line_mlm_steps(self, params, toy_vocab, toy_table,
                                                          alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 0.5)
         lines = ["apple badge alarm", "black blade blank berry", "zzzzz apple",
                  "about above actor", "beach beard begin"]
         sequences = corpus_samples(toy_vocab, alphabet, lines)
         cfg = TrainConfig(epochs=1, seed=4)  # batch_size 32 > 5 lines: one Adam step
         seen = spy_adam_steps(monkeypatch)
-        pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg, select_p=0.5)
+        pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet, cfg)
         assert len(seen) == 1
         rng = random.Random(cfg.seed)
         order = list(range(len(sequences)))
@@ -385,7 +410,7 @@ class TestBatchedSteps:
         line_grads = []
         for si in order:
             ids, seqs = sequences[si]
-            plan = make_masking_plan(ids, seqs, rng, select_p=0.5)
+            plan = make_masking_plan(ids, seqs, rng)
             masked = apply_masking(plan, seqs, alphabet, rng)
             if plan.entries:
                 targets = [entry.target_id for entry in plan.entries]
@@ -397,11 +422,12 @@ class TestBatchedSteps:
 
     def test_multi_pass_mlm_batch_makes_one_loss_call(self, params, toy_vocab, toy_table,
                                                        alphabet, monkeypatch):
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
         lines = ["apple badge alarm", "black blade blank berry", "about above actor"]
         rng = random.Random(5)
         seqs, targets = [], []
         for ids, line_seqs in corpus_samples(toy_vocab, alphabet, lines):
-            plan = make_masking_plan(ids, line_seqs, rng, select_p=1.0)
+            plan = make_masking_plan(ids, line_seqs, rng)
             seqs += apply_masking(plan, line_seqs, alphabet, rng)
             targets += [entry.target_id for entry in plan.entries]
         weights = np.linspace(0.5, 1.5, len(seqs)) / len(seqs)
