@@ -4,11 +4,12 @@ The forward pass follows pre-norm attention/FFN blocks whose residual adds
 the *normalized* input, and finishes with a linear projection, max-pool over
 positions, and a final layer norm. backward() is a hand-written exact reverse
 pass. All parameters live in one float64 vector, which is also the checkpoint
-payload.
+payload; gradients are vectors of the same layout.
 """
 
 import functools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .numerics import (
 from .vocab import MAX_CHARS, N_RESERVED_CHARS, char_sequence
 
 CHECKPOINT_MAGIC = b"C2SW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # Padded character positions per forward pass: bounds the activations a pass
 # holds for backward (about 5 KB per position at d_char 16, 2 layers).
 PASS_POSITIONS = 256
@@ -63,9 +64,9 @@ class ModelConfig:
 
 @dataclass
 class Char2SubwordParams:
-    """All trainable parameters as one float64 vector laid out in
-    tensor_shapes order (the checkpoint payload); `tensors` maps each name to
-    a view into it, so writing either writes both."""
+    """All trainable parameters, or a gradient of them, as one float64 vector
+    laid out in tensor_shapes order (the checkpoint payload); `tensors` maps
+    each name to a view into it, so writing either writes both."""
 
     config: ModelConfig
     alphabet_size: int
@@ -79,27 +80,29 @@ class Char2SubwordParams:
         self.tensors = {}
         offset = 0
         for name, shape in tensor_shapes(self.config, self.alphabet_size):
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             self.tensors[name] = self.flat[offset:offset + size].reshape(shape)
             offset += size
+
+    @classmethod
+    def zeros(cls, config, alphabet_size):
+        return cls(config, alphabet_size, np.zeros(param_count(config, alphabet_size)))
 
     def copy(self):
         return Char2SubwordParams(self.config, self.alphabet_size, self.flat.copy())
 
 
 def tensor_shapes(config, alphabet_size):
-    """Ordered (name, shape) list for every trainable tensor."""
-    d, dh, dout = config.d_char, config.d_head, config.d_out
+    """Ordered (name, shape) list for every trainable tensor. Layer j's Wqkv
+    holds its query, key and value projections side by side, columns Wq | Wk |
+    Wv, each n_heads blocks of d_head columns in head order."""
+    d, dout = config.d_char, config.d_out
     shapes = [("char_emb", (alphabet_size, d))]
     for j in range(config.n_layers):
-        shapes += [(f"L{j}.ln1.g", (d,)), (f"L{j}.ln1.b", (d,))]
-        for i in range(config.n_heads):
-            shapes += [
-                (f"L{j}.Wq.{i}", (d, dh)),
-                (f"L{j}.Wk.{i}", (d, dh)),
-                (f"L{j}.Wv.{i}", (d, dh)),
-            ]
         shapes += [
+            (f"L{j}.ln1.g", (d,)),
+            (f"L{j}.ln1.b", (d,)),
+            (f"L{j}.Wqkv", (d, 3 * d)),
             (f"L{j}.Wo", (d, d)),
             (f"L{j}.ln2.g", (d,)),
             (f"L{j}.ln2.b", (d,)),
@@ -118,11 +121,16 @@ def tensor_shapes(config, alphabet_size):
 
 
 def init_params(config, alphabet_size, seed):
-    """Xavier-uniform weights, zero biases, identity layer norms; seeded."""
+    """Xavier-uniform weights, zero biases, identity layer norms; seeded. Each
+    head's query, key and value matrix is its own (d_char, d_head) Xavier draw,
+    in checkpoint version 1's order, so a seed gives the parameters it always has."""
     rng = np.random.default_rng(seed)
-    params = Char2SubwordParams(config, alphabet_size, np.zeros(param_count(config, alphabet_size)))
+    params = Char2SubwordParams.zeros(config, alphabet_size)
     for name, tensor in params.tensors.items():
-        if tensor.ndim == 2:
+        if name.endswith(".Wqkv"):
+            bound = np.sqrt(6.0 / (config.d_char + config.d_head))
+            tensor[...] = _packed_qkv(rng.uniform(-bound, bound, size=tensor.size), config)
+        elif tensor.ndim == 2:
             fan_in, fan_out = tensor.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
@@ -133,7 +141,7 @@ def init_params(config, alphabet_size, seed):
 
 def param_count(config, alphabet_size):
     """Exact trainable-parameter total for the module."""
-    return sum(int(np.prod(shape)) for _, shape in tensor_shapes(config, alphabet_size))
+    return sum(math.prod(shape) for _, shape in tensor_shapes(config, alphabet_size))
 
 
 def table_param_count(v, d):
@@ -147,12 +155,6 @@ def _pe_table(max_chars, d_char):
     table = np.stack([sinusoidal_pe(p, d_char) for p in range(max_chars)])
     table.setflags(write=False)
     return table
-
-
-def _qkv_weights(t, j, n_heads):
-    """Layer j's per-head Wq, Wk, Wv side by side: one (d, 3d) matrix."""
-    return np.concatenate([t[f"L{j}.W{kind}.{i}"] for kind in "qkv" for i in range(n_heads)],
-                          axis=1)
 
 
 def forward_batch(params, seqs):
@@ -190,9 +192,8 @@ def forward_batch(params, seqs):
     for j in range(cfg.n_layers):
         xin = x
         xb = layer_norm(xin, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
-        w_qkv = _qkv_weights(t, j, h)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
-        q, k, v = (xb @ w_qkv).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
         scores = (q @ k.swapaxes(-1, -2)) * scale
         if padded:
             scores += key_bias
@@ -205,7 +206,7 @@ def forward_batch(params, seqs):
         g = gelu(u)
         f = g @ t[f"L{j}.W2"] + t[f"L{j}.b2"]
         xout = f + xbp
-        layers.append({"xin": xin, "xb": xb, "w_qkv": w_qkv, "q": q, "k": k, "v": v,
+        layers.append({"xin": xin, "xb": xb, "q": q, "k": k, "v": v,
                        "a": a, "c": c, "xp": xp, "xbp": xbp, "u": u, "g": g})
         maps.append(a)
         x = xout
@@ -223,7 +224,8 @@ def forward_batch(params, seqs):
 
 
 def backward_batch(params, cache, upstream):
-    """Exact gradients of sum_b <upstream[b], forward_batch(params, seqs)[0][b]>.
+    """Exact gradients of sum_b <upstream[b], forward_batch(params, seqs)[0][b]>,
+    as a Char2SubwordParams whose vector is the gradient.
 
     Padded positions receive exactly zero gradient, so they add nothing to
     any tensor's gradient.
@@ -233,41 +235,35 @@ def backward_batch(params, cache, upstream):
     b, n = cache["ids"].shape
     d, h, dh = cfg.d_char, cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
-    grads = {}
+    grads = Char2SubwordParams.zeros(cfg, params.alphabet_size)
+    g = grads.tensors  # each gradient is written into its view
 
     upstream = np.asarray(upstream, dtype=np.float64)
-    d_pooled, grads["ln_out.g"], grads["ln_out.b"] = layer_norm_backward(
+    d_pooled, g["ln_out.g"][...], g["ln_out.b"][...] = layer_norm_backward(
         cache["pooled"], t["ln_out.g"], cfg.ln_eps, upstream)
 
     dy = np.zeros((b, n, cfg.d_out))
     np.put_along_axis(dy, cache["arg"][:, None, :], d_pooled[:, None, :], axis=1)
 
-    grads["We"] = cache["x_final"].reshape(-1, d).T @ dy.reshape(-1, cfg.d_out)
-    grads["be"] = d_pooled.sum(axis=0)
+    g["We"][...] = cache["x_final"].reshape(-1, d).T @ dy.reshape(-1, cfg.d_out)
+    g["be"][...] = d_pooled.sum(axis=0)
     dx = dy @ t["We"].T
 
     for j in reversed(range(cfg.n_layers)):
         layer = cache["layers"][j]
-        df = dx
-        d_res2 = dx
-        grads[f"L{j}.W2"] = layer["g"].reshape(-1, 4 * d).T @ df.reshape(-1, d)
-        grads[f"L{j}.b2"] = df.reshape(-1, d).sum(axis=0)
-        dg = df @ t[f"L{j}.W2"].T
-        du = gelu_backward(layer["u"], dg)
-        grads[f"L{j}.W1"] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
-        grads[f"L{j}.b1"] = du.reshape(-1, 4 * d).sum(axis=0)
+        # dx reaches both the FFN output and the residual around it
+        g[f"L{j}.W2"][...] = layer["g"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
+        g[f"L{j}.b2"][...] = dx.reshape(-1, d).sum(axis=0)
+        du = gelu_backward(layer["u"], dx @ t[f"L{j}.W2"].T)
+        g[f"L{j}.W1"][...] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
+        g[f"L{j}.b1"][...] = du.reshape(-1, 4 * d).sum(axis=0)
         dxbp_ffn = du @ t[f"L{j}.W1"].T
 
-        dxp, g2g, g2b = layer_norm_backward(
-            layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn + d_res2
-        )
-        grads[f"L{j}.ln2.g"] = g2g
-        grads[f"L{j}.ln2.b"] = g2b
-
-        dm = dxp
-        d_res1 = dxp
-        grads[f"L{j}.Wo"] = layer["c"].reshape(-1, d).T @ dm.reshape(-1, d)
-        dhead = (dm @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+        # dxp reaches both the attention output and the residual around it
+        dxp, g[f"L{j}.ln2.g"][...], g[f"L{j}.ln2.b"][...] = layer_norm_backward(
+            layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn + dx)
+        g[f"L{j}.Wo"][...] = layer["c"].reshape(-1, d).T @ dxp.reshape(-1, d)
+        dhead = (dxp @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
 
         a = layer["a"]
         da = dhead @ layer["v"].swapaxes(-1, -2)
@@ -277,23 +273,16 @@ def backward_batch(params, cache, upstream):
         ds = ds * scale
         dq = ds @ layer["k"]
         dk = ds.swapaxes(-1, -2) @ layer["q"]
-        # back to (b * n, 3d), columns laid out as in _qkv_weights
+        # back to (b * n, 3d), columns laid out as in Wqkv
         dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
-        g_qkv = layer["xb"].reshape(-1, d).T @ dqkv
-        for col, kind in enumerate(kind for kind in "qkv" for _ in range(h)):
-            grads[f"L{j}.W{kind}.{col % h}"] = g_qkv[:, col * dh:(col + 1) * dh]
-        dxb_attn = (dqkv @ layer["w_qkv"].T).reshape(b, n, d)
+        g[f"L{j}.Wqkv"][...] = layer["xb"].reshape(-1, d).T @ dqkv
+        dxb_attn = (dqkv @ t[f"L{j}.Wqkv"].T).reshape(b, n, d)
 
-        dxin, g1g, g1b = layer_norm_backward(
-            layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn + d_res1
-        )
-        grads[f"L{j}.ln1.g"] = g1g
-        grads[f"L{j}.ln1.b"] = g1b
-        dx = dxin
+        dx, g[f"L{j}.ln1.g"][...], g[f"L{j}.ln1.b"][...] = layer_norm_backward(
+            layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn + dxp)
 
-    grads["char_emb"] = np.zeros((params.alphabet_size, d))
-    np.add.at(grads["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
-    return {name: grads[name] for name in t}
+    np.add.at(g["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
+    return grads
 
 
 def forward(params, seq):
@@ -308,10 +297,10 @@ def forward(params, seq):
 
 
 def backward(params, seq, cache, upstream):
-    """Exact gradients of <upstream, forward(params, seq)> for every tensor."""
+    """Exact gradients of <upstream, forward(params, seq)>, named views of one vector."""
     if cache["seqs"] != [seq]:
         raise ValueError("backward cache does not match the given sequence")
-    return backward_batch(params, cache, np.asarray(upstream, dtype=np.float64)[None, :])
+    return backward_batch(params, cache, np.atleast_2d(upstream)).tensors
 
 
 def split_passes(seqs):
@@ -350,10 +339,25 @@ def encode(params, words, alphabet, is_full_word=True):
     return vectors
 
 
-def _manifest(config, alphabet_size):
-    """The checkpoint header's [name, rows, cols] list (cols 0 for a vector)."""
-    return [[name, shape[0], shape[1] if len(shape) == 2 else 0]
-            for name, shape in tensor_shapes(config, alphabet_size)]
+def _packed_qkv(v1_order, config):
+    """A layer's Wqkv from its numbers in checkpoint version 1's order, per-head
+    matrices Wq.0, Wk.0, Wv.0, Wq.1, ...: (heads, 3, d_char, d_head) becomes
+    (d_char, 3, heads, d_head)."""
+    d, h, dh = config.d_char, config.n_heads, config.d_head
+    return np.reshape(v1_order, (h, 3, d, dh)).transpose(2, 1, 0, 3).reshape(d, 3 * d)
+
+
+def _manifest(config, alphabet_size, version):
+    """The checkpoint header's [name, rows, cols] list (cols 0 for a vector).
+    Version 1 lists each Wqkv as its per-head matrices, in _packed_qkv's order."""
+    manifest = []
+    for name, shape in tensor_shapes(config, alphabet_size):
+        if version == 1 and name.endswith(".Wqkv"):
+            manifest += [[f"{name[:-3]}{kind}.{i}", config.d_char, config.d_head]
+                         for i in range(config.n_heads) for kind in "qkv"]
+        else:
+            manifest.append([name, shape[0], shape[1] if len(shape) == 2 else 0])
+    return manifest
 
 
 def save_checkpoint(path, params, alphabet):
@@ -368,7 +372,7 @@ def save_checkpoint(path, params, alphabet):
         },
         "alphabet": list(alphabet.chars),
         "marker_on_full_words": True,
-        "manifest": _manifest(cfg, params.alphabet_size),
+        "manifest": _manifest(cfg, params.alphabet_size, CHECKPOINT_VERSION),
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -408,6 +412,8 @@ def load_checkpoint(path):
     The header must be the JSON object save_checkpoint writes, the manifest
     the one its config and alphabet imply, and the payload exactly its 8-byte
     parameters: anything else, a truncated or padded file too, is a ValueError.
+    Version 1 files, which store each head's Q, K and V matrices apart, are
+    read into the packed Wqkv layout.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -417,7 +423,7 @@ def load_checkpoint(path):
         if len(fields) != 8:
             raise ValueError(f"checkpoint is truncated after {4 + len(fields)} bytes")
         version, hlen = struct.unpack("<II", fields)
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         if hlen > os.fstat(fh.fileno()).st_size - 12:  # fh.read(hlen) allocates hlen bytes
             raise ValueError(f"checkpoint header of {hlen} bytes runs past the end of the file")
@@ -434,7 +440,7 @@ def load_checkpoint(path):
                          "always carry the ## marker")
     cfg = _header_config(header["config"])
     alphabet_size = N_RESERVED_CHARS + len(alphabet)
-    if header["manifest"] != _manifest(cfg, alphabet_size):
+    if header["manifest"] != _manifest(cfg, alphabet_size, version):
         raise ValueError("checkpoint manifest does not match the tensors its config "
                          "and alphabet imply")
     expected = 8 * param_count(cfg, alphabet_size)
@@ -443,4 +449,8 @@ def load_checkpoint(path):
                          f"expected {expected} for its {expected // 8} parameters")
     params = Char2SubwordParams(cfg, alphabet_size,
                                 np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    if version == 1:  # same offsets and sizes; only each Wqkv's order differs
+        for j in range(cfg.n_layers):
+            w = params.tensors[f"L{j}.Wqkv"]
+            w[...] = _packed_qkv(w, cfg)
     return params, alphabet, marker

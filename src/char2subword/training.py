@@ -69,7 +69,7 @@ class _Adam:
         self.v = np.zeros(size)
 
     def step(self, params, grads):
-        g = np.concatenate([grads[name].ravel() for name in params.tensors])
+        g = grads.flat
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -86,7 +86,8 @@ def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights
     Forward and backward run in the passes of model.split_passes; the
     predictions of all passes meet in one loss_and_grad call, so the table is
     streamed once per batch. Returns (per-sample totals, per-sample loss
-    terms, gradient of sum_b sample_weights[b] * total_b).
+    terms, gradient of sum_b sample_weights[b] * total_b as a
+    Char2SubwordParams); an empty batch has a zero gradient.
     """
     passes = model_mod.split_passes(seqs)
     e_hat = np.empty((len(seqs), params.config.d_out))
@@ -96,18 +97,17 @@ def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights
         caches.append(cache)
     totals, parts, d_ehat = loss_and_grad(target_ids, e_hat, e_table, index, weights)
     d_ehat *= np.asarray(sample_weights, dtype=np.float64)[:, None]
-    grads = None
+    grads = model_mod.Char2SubwordParams.zeros(params.config, params.alphabet_size)
     for rows, cache in zip(passes, caches):
-        g = model_mod.backward_batch(params, cache, d_ehat[rows])
-        grads = g if grads is None else {k: grads[k] + g[k] for k in grads}
+        grads.flat += model_mod.backward_batch(params, cache, d_ehat[rows]).flat
     return totals, parts, grads
 
 
 def simulation_sample_loss(params, seq, target_id, e_table, index, weights):
-    """Forward, loss, and full parameter gradient for one simulation sample."""
+    """Forward, loss, and full parameter gradient (named views) for one simulation sample."""
     totals, parts, grads = batch_loss(params, [seq], [target_id], e_table, index, weights,
                                       [1.0])
-    return float(totals[0]), {k: float(v[0]) for k, v in parts.items()}, grads
+    return float(totals[0]), {k: float(v[0]) for k, v in parts.items()}, grads.tensors
 
 
 def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
@@ -197,6 +197,8 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
         record = {"epoch": epoch, **{k: v / count for k, v in sums.items()}}
         if eval_every and (epoch % eval_every == 0 or epoch == config.epochs - 1):
             embedded = evaluation.embed_vocab(trained, vocab, alphabet)
+            if not np.isfinite(embedded[1]).all():  # finite but huge parameters overflow
+                raise TrainingError(f"non-finite vocabulary embeddings after epoch {epoch}")
             report = evaluation.precision_at_k(
                 trained, vocab, e_table, eval_index, alphabet,
                 k_max=eval_index.k, embedded=embedded)
@@ -269,16 +271,15 @@ _CE_ONLY = LossWeights(l_cos=0.0, l_ce=1.0, l_l2=0.0, l_nbr=0.0)
 
 
 def mlm_step(params, masked_seqs, targets, e_table):
-    """Mean CE of frozen-table predictions over the selected tokens.
+    """Mean CE of frozen-table predictions over the selected tokens (0 for none).
 
-    Returns (loss, grads); gradients flow only into char2subword parameters.
+    Returns (loss, grads), grads as named views of one vector; gradients flow
+    only into char2subword parameters.
     """
-    if not masked_seqs:
-        return 0.0, {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    n = len(masked_seqs)
+    n = max(len(masked_seqs), 1)
     ce, _, grads = batch_loss(params, masked_seqs, targets, e_table, None, _CE_ONLY,
-                              np.full(n, 1.0 / n))
-    return float(ce.sum()) / n, grads
+                              np.full(len(masked_seqs), 1.0 / n))
+    return float(ce.sum()) / n, grads.tensors
 
 
 def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):

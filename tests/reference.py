@@ -4,8 +4,12 @@ The per-sample losses and their loop gradient are written term by term with
 no batching or tiling; `objectives.loss_and_grad` must agree with them to
 1e-12. `precision_overlaps` is the set loop behind
 `evaluation.precision_at_k`. `finite_diff_gradient` checks hand-written
-gradients against central differences.
+gradients against central differences. `save_checkpoint_v1` is the writer of
+checkpoint version 1, which `model.load_checkpoint` still reads.
 """
+
+import json
+import struct
 
 import numpy as np
 
@@ -135,3 +139,40 @@ def finite_diff_gradient(f, params, h=1e-5):
         return {name: grad_of(arr, lambda: f(params)) for name, arr in params.items()}
     params = np.asarray(params, dtype=np.float64)
     return grad_of(params, lambda: f(params))
+
+
+def save_checkpoint_v1(path, params, alphabet):
+    """Write `params` as a version-1 checkpoint, the reference the loader's
+    conversion is checked against. Version 1 stores each head's query, key and
+    value matrix as its own (d_char, d_head) tensor L{j}.W{q,k,v}.{head}, head
+    by head: these are column blocks of the packed Wqkv, laid out Wq | Wk | Wv
+    with heads in order within each."""
+    cfg = params.config
+    d, dh = cfg.d_char, cfg.d_head
+    tensors = []
+    for name, tensor in params.tensors.items():
+        if not name.endswith(".Wqkv"):
+            tensors.append((name, tensor))
+            continue
+        layer = name[:-len("Wqkv")]
+        for head in range(cfg.n_heads):
+            for block, kind in enumerate("qkv"):
+                col = block * d + head * dh
+                tensors.append((f"{layer}W{kind}.{head}", tensor[:, col:col + dh]))
+    header = {
+        "config": {
+            "d_char": cfg.d_char, "d_out": cfg.d_out,
+            "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
+            "max_chars": cfg.max_chars, "ln_eps": cfg.ln_eps,
+            "standard_preln": False,
+        },
+        "alphabet": list(alphabet.chars),
+        "marker_on_full_words": True,
+        "manifest": [[name, t.shape[0], t.shape[1] if t.ndim == 2 else 0]
+                     for name, t in tensors],
+    }
+    blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"C2SW" + struct.pack("<II", 1, len(blob)) + blob)
+        for _, tensor in tensors:
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from char2subword import build_alphabet, load_checkpoint, load_vocabulary
 from char2subword.cli import main
 from char2subword.objectives import EmbeddingTable, load_table, save_table_binary, save_table_text
 
 from conftest import TOY_WORDS
+from reference import save_checkpoint_v1
 
 
 @pytest.fixture
@@ -68,6 +70,17 @@ class TestSimulate:
     def test_noise_flag(self, workdir):
         rc, _ = simulate(workdir, extra=["--noise", "--p-noise", "0.9"])
         assert rc == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_eval_exit_3(self, workdir, capsys):
+        # Adam's first step moves every parameter by about lr: finite, but the
+        # end-of-epoch eval's forward pass overflows
+        rc, ckpt = simulate(workdir, extra=["--lr", "1e308", "--batch-size", "64"],
+                            epochs="1")
+        assert rc == 3
+        assert "numeric failure: non-finite vocabulary embeddings after epoch 0" \
+            in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_no_d_out_flag(self, workdir):
         # the output width is the table's
@@ -292,6 +305,30 @@ class TestAttn:
         out = capsys.readouterr().out
         assert out.startswith("input apple\n")
         assert "layer 0 head 0" in out
+
+
+class TestCheckpointVersions:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--table", "table.txt", "--k", "5"],
+        ["embed", "--table", "table.txt", "--mode", "full", "apple zzqx about"],
+        ["embed", "--table", "table.txt", "--mode", "hybrid", "apple zzqx about"],
+        ["attn", "apple"],
+        ["neighbors", "--table", "table.txt", "apple", "-n", "4"],
+    ], ids=["eval", "embed-full", "embed-hybrid", "attn", "neighbors"])
+    def test_v1_file_gives_the_same_output(self, workdir, capsys, argv):
+        _, ckpt = simulate(workdir, extra=["--n-heads", "2"])  # heads interleave in v1
+        v1 = workdir / "v1.c2sw"
+        alphabet = build_alphabet(load_vocabulary(workdir / "vocab.txt"))
+        save_checkpoint_v1(v1, load_checkpoint(ckpt)[0], alphabet)
+        capsys.readouterr()  # discard training progress line
+        command, *rest = argv
+        rest = [str(workdir / a) if a.endswith(".txt") else a for a in rest]
+        outs = []
+        for path in (ckpt, v1):
+            assert main([command, "--vocab", str(workdir / "vocab.txt"),
+                         "--checkpoint", str(path), *rest]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
 
 
 class TestParams:

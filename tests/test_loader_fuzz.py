@@ -1,4 +1,5 @@
-"""Fuzzed loaders: checkpoint and EMBT table files, vocabularies and layouts.
+"""Fuzzed loaders: checkpoint (versions 1 and 2) and EMBT table files,
+vocabularies and layouts.
 
 A checkpoint or table case starts from a saved file and truncates it at any
 offset, appends random bytes, or overwrites bytes of its header. A vocabulary
@@ -20,6 +21,8 @@ from char2subword.noise import load_layouts
 from char2subword.objectives import load_table, save_table_binary
 from char2subword.vocab import UNK, load_vocabulary
 
+from reference import save_checkpoint_v1
+
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
 
@@ -38,30 +41,31 @@ def overwrite(data, at, new):
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory, toy_vocab, toy_table, tiny_config):
-    """A checkpoint and an EMBT table on disk, with their bytes and the
-    checkpoint's header end (12-byte preamble plus JSON header)."""
+    """A checkpoint in each version and an EMBT table on disk, with the
+    table's bytes."""
     out = tmp_path_factory.mktemp("fuzz")
     alphabet = c2s.build_alphabet(toy_vocab)
-    ckpt, table = out / "model.c2sw", out / "table.embt"
-    M.save_checkpoint(ckpt, M.init_params(tiny_config, len(alphabet), seed=4), alphabet)
-    save_table_binary(table, toy_table)
-    data = ckpt.read_bytes()
-    return {"ckpt": ckpt, "ckpt_bytes": data,
-            "ckpt_header_end": 12 + int.from_bytes(data[8:12], "little"),
-            "table": table, "table_bytes": table.read_bytes(), "out": out}
+    params = M.init_params(tiny_config, len(alphabet), seed=4)
+    paths = {"v2": out / "model.c2sw", "v1": out / "model_v1.c2sw", "table": out / "table.embt"}
+    M.save_checkpoint(paths["v2"], params, alphabet)
+    save_checkpoint_v1(paths["v1"], params, alphabet)
+    save_table_binary(paths["table"], toy_table)
+    return {**paths, "table_bytes": paths["table"].read_bytes(), "out": out}
 
 
-def test_fuzzed_checkpoint_loads_or_raises_value_error(saved):
-    original = M.load_checkpoint(saved["ckpt"])
-    path = saved["out"] / "fuzzed.c2sw"
+def fuzz_checkpoint(path, out):
+    """Load every mutation of the checkpoint at `path`; the header ends after
+    the 12-byte preamble and the JSON header."""
+    original, data = M.load_checkpoint(path), path.read_bytes()
+    fuzzed = out / "fuzzed.c2sw"
 
     @FUZZ
-    @given(mutations(saved["ckpt_bytes"], saved["ckpt_header_end"]))
+    @given(mutations(data, 12 + int.from_bytes(data[8:12], "little")))
     def check(case):
-        kind, data = case
-        path.write_bytes(data)
+        kind, mutated = case
+        fuzzed.write_bytes(mutated)
         try:
-            params, chars, marker = M.load_checkpoint(path)
+            params, chars, marker = M.load_checkpoint(fuzzed)
         except ValueError:
             return
         # a cut or a tail always changes the payload length
@@ -72,10 +76,18 @@ def test_fuzzed_checkpoint_loads_or_raises_value_error(saved):
         assert isinstance(params.config, M.ModelConfig)
         assert all(isinstance(c, str) for c in chars) and len(chars) == len(original[1])
         assert isinstance(marker, bool)
-        if data == saved["ckpt_bytes"]:
+        if mutated == data:
             assert (params.config, chars, marker) == (original[0].config, *original[1:])
 
     check()
+
+
+def test_fuzzed_checkpoint_loads_or_raises_value_error(saved):
+    fuzz_checkpoint(saved["v2"], saved["out"])
+
+
+def test_fuzzed_v1_checkpoint_loads_or_raises_value_error(saved):
+    fuzz_checkpoint(saved["v1"], saved["out"])
 
 
 def test_fuzzed_table_loads_or_raises_value_error(saved):

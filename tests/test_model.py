@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -8,7 +9,7 @@ import char2subword as c2s
 from char2subword import model as M
 from char2subword.numerics import layer_norm, softmax_rows, sinusoidal_pe, gelu
 from char2subword.vocab import char_sequence
-from reference import finite_diff_gradient
+from reference import finite_diff_gradient, save_checkpoint_v1
 
 
 @pytest.fixture
@@ -18,6 +19,18 @@ def alphabet(toy_vocab):
 
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def assert_qkv_blocks_match_finite_differences(cfg, params, grads, loss, seed):
+    """Check one random coordinate in every (q/k/v, head) column block of each
+    layer's Wqkv against central differences of loss()."""
+    rng = np.random.default_rng(seed)
+    for j, block, head in np.ndindex(cfg.n_layers, 3, cfg.n_heads):
+        name, row = f"L{j}.Wqkv", int(rng.integers(cfg.d_char))
+        col = block * cfg.d_char + head * cfg.d_head + int(rng.integers(cfg.d_head))
+        # a one-entry view, so the differences perturb the parameter itself
+        fd = finite_diff_gradient(lambda _: loss(), params.tensors[name][row, col:col + 1])
+        assert rel_err(grads[name][row, col], fd[0]) < 1e-4, (name, row, col)
 
 
 class TestModelConfig:
@@ -51,6 +64,9 @@ class TestInitParams:
         w = p.tensors["L0.W1"]
         bound = np.sqrt(6.0 / sum(w.shape))
         assert np.all(np.abs(w) <= bound)
+        # each head's (d_char, d_head) query, key and value block has its own bound
+        qkv = p.tensors["L0.Wqkv"]
+        assert np.abs(qkv).max() <= np.sqrt(6.0 / (tiny_config.d_char + tiny_config.d_head))
 
 
 class TestForward:
@@ -101,22 +117,31 @@ class TestForward:
 
     def test_matches_step_by_step_trace(self, alphabet):
         # independent re-derivation of the layer equations at hand size
-        cfg = M.ModelConfig(d_char=2, d_out=2, n_layers=1, n_heads=1)
+        cfg = M.ModelConfig(d_char=4, d_out=2, n_layers=1, n_heads=2)
         p = M.init_params(cfg, len(alphabet), seed=5)
         seq = char_sequence("ab", False, alphabet)
         t = p.tensors
-        x = np.stack([t["char_emb"][seq.chars[0]] + sinusoidal_pe(0, 2),
-                      t["char_emb"][seq.chars[1]] + sinusoidal_pe(1, 2)])
+        x = np.stack([t["char_emb"][seq.chars[0]] + sinusoidal_pe(0, 4),
+                      t["char_emb"][seq.chars[1]] + sinusoidal_pe(1, 4)])
         xb = layer_norm(x, t["L0.ln1.g"], t["L0.ln1.b"], cfg.ln_eps)
-        q, k, v = xb @ t["L0.Wq.0"], xb @ t["L0.Wk.0"], xb @ t["L0.Wv.0"]
-        a = softmax_rows(q @ k.T / np.sqrt(2.0))
-        xp = (a @ v) @ t["L0.Wo"] + xb
+        # Wqkv's 12 columns: Wq | Wk | Wv, each head 0's two columns, then head 1's
+        w = t["L0.Wqkv"]
+        maps, heads = [], []
+        for h in range(2):
+            q = xb @ w[:, 2 * h:2 * h + 2]
+            k = xb @ w[:, 4 + 2 * h:4 + 2 * h + 2]
+            v = xb @ w[:, 8 + 2 * h:8 + 2 * h + 2]
+            maps.append(softmax_rows(q @ k.T / np.sqrt(4.0)))
+            heads.append(maps[-1] @ v)
+        xp = np.hstack(heads) @ t["L0.Wo"] + xb
         xbp = layer_norm(xp, t["L0.ln2.g"], t["L0.ln2.b"], cfg.ln_eps)
         xo = gelu(xbp @ t["L0.W1"] + t["L0.b1"]) @ t["L0.W2"] + t["L0.b2"] + xbp
         y = xo @ t["We"] + t["be"]
         expected = layer_norm(y.max(axis=0), t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
-        emb, _, _ = M.forward(p, seq)
+        emb, (layer_maps,), _ = M.forward(p, seq)
         np.testing.assert_allclose(emb, expected, atol=1e-12)
+        for a, a_ref in zip(layer_maps, maps, strict=True):
+            np.testing.assert_allclose(a, a_ref, atol=1e-12)
 
 
 class TestBackward:
@@ -158,11 +183,11 @@ class TestBackward:
             e, _, _ = M.forward(p, seq)
             return float(e @ u)
 
-        for name in ("We", "be", "char_emb", "L0.Wq.0", "L0.Wk.1", "L0.Wv.0",
-                     "L0.Wo", "L1.W1", "L1.b1", "L1.W2", "L1.b2",
+        for name in ("We", "be", "char_emb", "L0.Wo", "L1.W1", "L1.b1", "L1.W2", "L1.b2",
                      "L0.ln1.g", "L1.ln2.b", "ln_out.g", "ln_out.b"):
             fd = finite_diff_gradient(lambda _: loss(), p.tensors[name], h=1e-5)
             assert rel_err(grads[name], fd).max() < 1e-4, name
+        assert_qkv_blocks_match_finite_differences(cfg, p, grads, loss, seed=13)
 
 
 def mixed_batch(alphabet, max_chars=32):
@@ -224,10 +249,11 @@ class TestBackwardBatch:
         u = np.random.default_rng(24).normal(size=(len(seqs), cfg.d_out))
         _, _, cache = M.forward_batch(p, seqs)
         grads = M.backward_batch(p, cache, u)
+        assert_views_of_flat(grads)
         ref = summed_grads(p, seqs, u)
-        assert list(grads) == list(ref)
+        assert list(grads.tensors) == list(ref)
         for name in ref:
-            np.testing.assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12,
+            np.testing.assert_allclose(grads.tensors[name], ref[name], rtol=0, atol=1e-12,
                                        err_msg=name)
 
     def test_padded_batch_matches_finite_differences(self, alphabet):
@@ -237,17 +263,17 @@ class TestBackwardBatch:
                 for t in ("a", "badge", "blackberry")]
         u = np.random.default_rng(26).normal(size=(len(seqs), cfg.d_out))
         _, _, cache = M.forward_batch(p, seqs)
-        grads = M.backward_batch(p, cache, u)
+        grads = M.backward_batch(p, cache, u).tensors
 
         def loss():
             e, _, _ = M.forward_batch(p, seqs)
             return float((e * u).sum())
 
-        for name in ("We", "be", "char_emb", "L0.Wq.0", "L0.Wk.1", "L1.Wv.1",
-                     "L0.Wo", "L1.W1", "L0.b1", "L1.W2", "L1.b2",
+        for name in ("We", "be", "char_emb", "L0.Wo", "L1.W1", "L0.b1", "L1.W2", "L1.b2",
                      "L0.ln1.g", "L1.ln2.b", "ln_out.g", "ln_out.b"):
             fd = finite_diff_gradient(lambda _: loss(), p.tensors[name], h=1e-5)
             assert rel_err(grads[name], fd).max() < 1e-4, name
+        assert_qkv_blocks_match_finite_differences(cfg, p, grads, loss, seed=27)
 
     def test_padding_adds_nothing(self, tiny_config, alphabet):
         p = M.init_params(tiny_config, len(alphabet), seed=27)
@@ -259,9 +285,7 @@ class TestBackwardBatch:
         longer = seqs + [char_sequence("blackberries", False, alphabet)]
         _, _, cache = M.forward_batch(p, longer)
         grads_padded = M.backward_batch(p, cache, np.vstack([u, np.zeros(tiny_config.d_out)]))
-        for name in grads:
-            np.testing.assert_allclose(grads_padded[name], grads[name], rtol=0, atol=1e-12,
-                                       err_msg=name)
+        np.testing.assert_allclose(grads_padded.flat, grads.flat, rtol=0, atol=1e-12)
 
 
 class TestParamCount:
@@ -291,6 +315,47 @@ class TestCheckpoint:
         assert marker is True
         for name in p.tensors:
             assert np.array_equal(p.tensors[name], loaded.tensors[name])
+        assert path.read_bytes()[4:8] == struct.pack("<I", 2)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_v1_loads_as_its_v2_resave(self, alphabet, tmp_path, n_heads):
+        cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=n_heads)
+        rng = np.random.default_rng(n_heads)
+        p = M.Char2SubwordParams(cfg, len(alphabet),
+                                 rng.normal(size=M.param_count(cfg, len(alphabet))))
+        v1, v2 = tmp_path / "v1.c2sw", tmp_path / "v2.c2sw"
+        save_checkpoint_v1(v1, p, alphabet)
+        loaded, chars, _ = M.load_checkpoint(v1)
+        np.testing.assert_array_equal(loaded.flat, p.flat)
+        M.save_checkpoint(v2, loaded, alphabet)
+        resaved, resaved_chars, _ = M.load_checkpoint(v2)
+        np.testing.assert_array_equal(resaved.flat, loaded.flat)
+        assert (resaved.config, resaved_chars) == (cfg, chars)
+
+    def test_v1_bytes_of_seeded_init_pinned(self, tiny_config, alphabet, tmp_path):
+        # the SHA-256 of this model's file as the version-1 writer saved it:
+        # init_params draws the same numbers into the same places
+        path = tmp_path / "v1.c2sw"
+        save_checkpoint_v1(path, M.init_params(tiny_config, len(alphabet), seed=4), alphabet)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "d0b3141ac28890719f657e3eb2d0003cbfc7f93763be0f05897c71392fc02990"
+
+    def test_manifest_must_match_version(self, tiny_config, alphabet, tmp_path):
+        p = M.init_params(tiny_config, len(alphabet), seed=4)
+        path = tmp_path / "model.c2sw"
+        for save, other_version in ((M.save_checkpoint, 1), (save_checkpoint_v1, 2)):
+            save(path, p, alphabet)
+            data = path.read_bytes()
+            path.write_bytes(data[:4] + struct.pack("<I", other_version) + data[8:])
+            with pytest.raises(ValueError, match="manifest"):
+                M.load_checkpoint(path)
+
+    def test_unknown_version_rejected(self, tiny_config, alphabet, tmp_path):
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", 3) + data[8:])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+            M.load_checkpoint(path)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -422,6 +487,8 @@ class TestFlatParams:
         assert_views_of_flat(p.copy())
         assert_views_of_flat(M.load_checkpoint(saved_checkpoint(tiny_config, alphabet,
                                                                 tmp_path))[0])
+        save_checkpoint_v1(tmp_path / "v1.c2sw", p, alphabet)
+        assert_views_of_flat(M.load_checkpoint(tmp_path / "v1.c2sw")[0])
 
     def test_copy_is_independent(self, tiny_config, alphabet):
         p = M.init_params(tiny_config, len(alphabet), seed=4)
