@@ -77,12 +77,8 @@ class Char2SubwordParams:
         count = param_count(self.config, self.alphabet_size)
         if self.flat.shape != (count,):
             raise ValueError(f"parameter vector has shape {self.flat.shape}, expected ({count},)")
-        self.tensors = {}
-        offset = 0
-        for name, shape in tensor_shapes(self.config, self.alphabet_size):
-            size = math.prod(shape)
-            self.tensors[name] = self.flat[offset:offset + size].reshape(shape)
-            offset += size
+        self.tensors = {name: self.flat[span].reshape(shape)
+                        for name, span, shape in _layout(self.config, self.alphabet_size)}
 
     @classmethod
     def zeros(cls, config, alphabet_size):
@@ -139,9 +135,20 @@ def init_params(config, alphabet_size, seed):
     return params
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(config, alphabet_size):
+    """(name, slice of the flat vector, shape) per tensor, in tensor_shapes order;
+    built once per shape."""
+    layout, stop = [], 0
+    for name, shape in tensor_shapes(config, alphabet_size):
+        start, stop = stop, stop + math.prod(shape)
+        layout.append((name, slice(start, stop), shape))
+    return tuple(layout)
+
+
 def param_count(config, alphabet_size):
     """Exact trainable-parameter total for the module."""
-    return sum(math.prod(shape) for _, shape in tensor_shapes(config, alphabet_size))
+    return _layout(config, alphabet_size)[-1][1].stop
 
 
 def table_param_count(v, d):

@@ -4,6 +4,8 @@ The table E is never trainable: loss gradients flow to the predicted
 vector only.
 """
 
+import collections
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -17,9 +19,15 @@ from .numerics import cosine_similarity
 TABLE_MAGIC = b"EMBT"
 # Most entries of a rows x |V| product held at once: 4 MB of float64. `tiles`
 # makes every such product, one per tile, for CE's logits and for scan_table's
-# top-n cosines and argmax, so memory stays bounded at any table size; at toy
-# scale a batch is one tile.
+# top-n cosines and argmax; the pool holds at most _IN_FLIGHT tiles, so memory
+# stays bounded at any table size. At toy scale a batch is one tile. Loading a
+# table and its row norms also goes in row chunks of at most this many entries.
 CE_BLOCK = 2 ** 19
+# Runs the tiles of a multi-tile product; numpy releases the GIL in matmul, exp,
+# partition and argmax. Made here, so no binding changes later: the executor
+# starts no thread until its first submit.
+_POOL = concurrent.futures.ThreadPoolExecutor(os.cpu_count() or 1)
+_IN_FLIGHT = 2 * (os.cpu_count() or 1)  # tiles submitted and not yet yielded
 
 
 @dataclass(frozen=True)
@@ -33,7 +41,7 @@ class EmbeddingTable:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or not m.shape[0]:  # row blocks divide by |V|
             raise ValueError(f"embedding table must be 2-D with at least one row, got {m.shape}")
-        norms = np.linalg.norm(m, axis=1)
+        norms = _row_norms(m)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise ValueError(f"embedding table has non-finite row(s): {bad.tolist()}")
@@ -61,6 +69,22 @@ class EmbeddingTable:
     def checksum(self):
         """SHA-256 hex digest of the matrix bytes; stable across processes."""
         return hashlib.sha256(memoryview(np.ascontiguousarray(self.matrix)).cast("B")).hexdigest()
+
+
+def _row_chunks(v, d):
+    """Slices of consecutive rows of a v x d matrix, at most CE_BLOCK entries each
+    (one row if a row is wider)."""
+    step = max(1, CE_BLOCK // max(d, 1))
+    return [slice(lo, lo + step) for lo in range(0, v, step)]
+
+
+def _row_norms(m):
+    """np.linalg.norm(m, axis=1) of a 2-D array, row chunk by row chunk, so no
+    temporary as large as m is made."""
+    norms = np.empty(len(m))
+    for rows in _row_chunks(*m.shape):
+        norms[rows] = np.linalg.norm(m[rows], axis=1)
+    return norms
 
 
 def save_table_text(path, table):
@@ -94,8 +118,11 @@ def load_table(path):
             if size != 4 * v * d:
                 raise ValueError(f"EMBT payload is {size} bytes, "
                                  f"expected {4 * v * d} for a {v}x{d} float32 table")
-            data = np.frombuffer(fh.read(size), dtype="<f4")
-            return EmbeddingTable(matrix=data.astype(np.float64).reshape(v, d))
+            m = np.empty((v, d))  # filled chunk by chunk: no float32 copy of the whole file
+            for rows in _row_chunks(v, d):
+                chunk = m[rows].reshape(-1)  # a view: m is C-contiguous
+                chunk[:] = np.frombuffer(fh.read(4 * chunk.size), dtype="<f4")
+            return EmbeddingTable(matrix=m)
     with open(path, encoding="utf-8") as fh:
         v, d = (int(x) for x in fh.readline().split())
         rows = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(v)]
@@ -132,47 +159,81 @@ def build_neighbor_index(e_table, k):
     return NeighborIndex(k=k, ids=rank_neighbors(e_table, e_table.matrix, k)[0])
 
 
-def tiles(rows, e_table):
-    """Yield (row slice, column slice, rows[blk] @ E[cols].T), a fresh array, per tile of
-    a rows x |V| product: row block by row block, columns ascending, none above CE_BLOCK
-    entries. A row block takes up to max(sqrt(CE_BLOCK), CE_BLOCK // |V|) rows, so a batch
-    of a few hundred rows streams the table once and many rows get square BLAS tiles."""
+def tiles(rows, e_table, fn):
+    """Yield (row slice, column slice, fn(row slice, column slice, product)) per tile of
+    a rows x |V| product, in tile order: row block by row block, columns ascending, none
+    above CE_BLOCK entries. `product` is rows[blk] @ E[cols].T, a fresh array that fn may
+    overwrite. A row block takes up to max(sqrt(CE_BLOCK), CE_BLOCK // |V|) rows, so a
+    batch of a few hundred rows streams the table once and many rows get square BLAS
+    tiles. A single tile runs inline. More run on the thread pool, at most _IN_FLIGHT
+    submitted and not yet yielded, so fn runs beside other tiles and the caller and must
+    write nothing they read. Results come back in tile order, so they do not depend on
+    the worker count. A tile that raises cancels the tiles not yet started, and its
+    error reaches the caller once the running ones have finished."""
     step = max(1, min(len(rows), max(math.isqrt(CE_BLOCK), CE_BLOCK // e_table.size)))
     width = min(e_table.size, max(1, CE_BLOCK // step))
-    for lo in range(0, len(rows), step):
-        q = rows[lo:lo + step].copy()  # not a view: numpy's A @ A.T path splits exact ties
-        for c in range(0, e_table.size, width):
-            yield slice(lo, lo + step), slice(c, c + width), q @ e_table.matrix[c:c + width].T
+
+    def grid():
+        for lo in range(0, len(rows), step):
+            q = rows[lo:lo + step].copy()  # not a view: numpy's A @ A.T path splits exact ties
+            for c in range(0, e_table.size, width):
+                yield slice(lo, lo + step), slice(c, c + width), q
+
+    def tile(blk, cols, q):
+        return fn(blk, cols, q @ e_table.matrix[cols].T)
+
+    if len(rows) <= step and e_table.size <= width:  # one tile, or none
+        for blk, cols, q in grid():
+            yield blk, cols, tile(blk, cols, q)
+        return
+    pending = collections.deque()
+    try:
+        for blk, cols, q in grid():
+            pending.append((blk, cols, _POOL.submit(tile, blk, cols, q)))
+            if len(pending) >= _IN_FLIGHT:
+                blk, cols, future = pending.popleft()
+                yield blk, cols, future.result()
+        while pending:
+            blk, cols, future = pending.popleft()
+            yield blk, cols, future.result()
+    finally:  # an error, or the caller stopped early: no tile outlives the call
+        for _, _, future in pending:
+            future.cancel()
+        concurrent.futures.wait([future for _, _, future in pending])
 
 
 def scan_table(e_table, vecs, n):
     """One exact pass over the tiles of `tiles` for query rows (Q, d): the top-n table
     rows by cosine, ascending-id ties, as (ids, sims) shaped (Q, n), and each row's
-    argmax of the raw product, lowest id on ties, shaped (Q,). Each tile keeps every
-    column at or above its rows' n-th largest cosine, so ties at the cut survive, and
-    only those candidates and the running top-n are sorted."""
+    argmax of the raw product, lowest id on ties, shaped (Q,). Each tile finds its own
+    argmax and keeps every column at or above its rows' n-th largest cosine, so ties at
+    the cut survive; the running argmax and top-n are merged in column order, and only
+    the candidates and the running top-n are sorted."""
     if n < 1:
         raise ValueError(f"cannot rank the top {n} neighbors; need n >= 1")
     rows = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
-    qnorm = np.linalg.norm(rows, axis=1)
+    qnorm = _row_norms(rows)
     if (qnorm == 0.0).any():
         raise ValueError("cannot rank neighbors of a zero vector")
     if not np.isfinite(qnorm).all():  # NaN sims would pass no cut
         raise ValueError("cannot rank neighbors of a non-finite vector")
     n = min(n, e_table.size)
+
+    def scan(blk, cols, prod):
+        j = prod.argmax(axis=1)  # the first max in the tile: its lowest id
+        peak = prod[np.arange(len(j)), j]
+        s = np.divide(prod, qnorm[blk, None] * e_table.norms[cols], out=prod)
+        cut = s.shape[1] - min(n, s.shape[1])
+        r, c = np.nonzero(s >= np.partition(s, cut, axis=1)[:, cut, None])
+        return j, peak, (r, c + cols.start, s[r, c])
+
     ids = np.empty((len(rows), n), dtype=np.int64)
     sims = np.empty(ids.shape)
     argmax, best = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), -np.inf)
-    for blk, cols, prod in tiles(rows, e_table):
-        j = prod.argmax(axis=1)  # the first max in the tile: its lowest id
-        peak = prod[np.arange(len(j)), j]
+    for blk, cols, (j, peak, (r, c, v)) in tiles(rows, e_table, scan):
         win = peak > best[blk]  # columns ascend, so a tie keeps the lower id
         argmax[blk] = np.where(win, j + cols.start, argmax[blk])
         best[blk] = np.where(win, peak, best[blk])
-        s = prod / (qnorm[blk, None] * e_table.norms[cols])
-        cut = s.shape[1] - min(n, s.shape[1])
-        r, c = np.nonzero(s >= np.partition(s, cut, axis=1)[:, cut, None])
-        r, c, v = r, c + cols.start, s[r, c]
         if cols.start:  # merge with the row block's running top-n
             r, c, v = (np.concatenate(pair) for pair in zip(cand, (r, c, v)))
         order = np.lexsort((c, -v, r))
@@ -257,14 +318,17 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
 
     `e_hat` is (B, d), one row per target id; row b's target is
     E[target_ids[b]]. CE streams the table once, in the tiles of `tiles` (each
-    holds the whole batch unless B is in the hundreds): per tile, one product
-    gives the logits, a running max m and sum z per row rescale the
-    accumulator (the online softmax normaliser of Milakov and Gimelshein,
-    2018), and a second product adds exp(l - m) @ tile. The loss is
-    log z + m - e_hat . e and the gradient acc / z - e, in O(B x tile) memory
-    at any V. L_nbr runs over all k neighbors at once. Returns
-    (totals (B,), {term: (B,)}, gradient (B, d)); a term whose weight is 0 is
-    reported as zeros and adds nothing. `index` may be None when l_nbr is 0.
+    holds the whole batch unless B is in the hundreds). Each tile, on the pool
+    when there are several, turns its product into logits l and returns its
+    row max m_t, z_t = sum exp(l - m_t) and, with a second product,
+    acc_t = exp(l - m_t) @ tile. The caller merges them in tile order into a
+    running max m, sum z and accumulator acc per row, each rescaled to the new
+    max (the online softmax normaliser of Milakov and Gimelshein, 2018). The
+    loss is log z + m - e_hat . e and the gradient acc / z - e, in
+    O(B x tile) memory per tile in flight at any V. L_nbr runs over all k
+    neighbors at once. Returns (totals (B,), {term: (B,)}, gradient (B, d)); a
+    term whose weight is 0 is reported as zeros and adds nothing. `index` may
+    be None when l_nbr is 0.
     """
     ids = np.asarray(target_ids, dtype=np.int64)
     e_hat = np.asarray(e_hat, dtype=np.float64)
@@ -284,17 +348,22 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
                                  - (cos / norm_hat ** 2)[:, None] * e_hat)
 
     if weights.l_ce:
-        # online softmax: running max m, sum z and sum of exp(l - m) * E[j] per row
+        def partial(blk, cols, p):  # p: a fresh logits tile, overwritten
+            m_t = p.max(axis=1)
+            p -= m_t[:, None]
+            np.exp(p, out=p)
+            return m_t, p.sum(axis=1), p @ table[cols]
+
+        # online softmax: merge each tile's max m_t, sum z_t = sum exp(l - m_t) and
+        # acc_t = exp(l - m_t) @ E[cols] into the running m, z and acc per row
         m = np.full(len(ids), -np.inf)
         z = np.zeros(len(ids))
         acc = np.zeros_like(e_hat)
-        for blk, cols, p in tiles(e_hat, e_table):  # p: a fresh logits tile, updated in place
-            top = np.maximum(m[blk], p.max(axis=1))
-            scale = np.exp(m[blk] - top)
-            p -= top[:, None]
-            np.exp(p, out=p)
-            z[blk] = z[blk] * scale + p.sum(axis=1)
-            acc[blk] = acc[blk] * scale[:, None] + p @ table[cols]
+        for blk, cols, (m_t, z_t, acc_t) in tiles(e_hat, e_table, partial):
+            top = np.maximum(m[blk], m_t)
+            scale, scale_t = np.exp(m[blk] - top), np.exp(m_t - top)
+            z[blk] = z[blk] * scale + z_t * scale_t
+            acc[blk] = acc[blk] * scale[:, None] + acc_t * scale_t[:, None]
             m[blk] = top
         parts["ce"] = np.log(z) + m - np.einsum("bd,bd->b", e_hat, e)
         grad += weights.l_ce * (acc / z[:, None] - e)

@@ -64,14 +64,19 @@ def tile_log(monkeypatch):
     passes = []
     tiles = objectives.tiles
 
-    def logged(rows, e_table):
+    def logged(rows, e_table, fn):
         passes.append([])
-        for blk, cols, product in tiles(rows, e_table):
+        for blk, cols, result in tiles(rows, e_table, fn):
             passes[-1].append((blk, cols))
-            yield blk, cols, product
+            yield blk, cols, result
 
     monkeypatch.setattr(objectives, "tiles", logged)
     return passes
+
+
+def products(rows, e_table):
+    """objectives.tiles with each tile's product as its result."""
+    return objectives.tiles(rows, e_table, lambda blk, cols, product: product)
 
 
 def grid(tiles):

@@ -14,7 +14,7 @@ from char2subword.evaluation import (
 )
 from char2subword.objectives import EmbeddingTable, build_neighbor_index, rank_neighbors
 from char2subword.vocab import char_sequence
-from conftest import grid
+from conftest import grid, products
 from reference import precision_overlaps
 
 
@@ -93,7 +93,7 @@ class TestAccuracy:
         table = EmbeddingTable(matrix=m)
         if ce_block:  # 10-column tiles: each twin sits in another tile
             monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
-            assert list(objectives.tiles(m, table))[1][1] == slice(10, 20)
+            assert list(products(m, table))[1][1] == slice(10, 20)
         ids = list(range(50))
         idx = build_neighbor_index(table, 15)
         for embedded, expected in (((ids, m), 0.5), ((ids[:25], m[25:]), 1.0)):

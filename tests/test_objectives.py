@@ -1,7 +1,9 @@
+import concurrent.futures
 import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 import char2subword
 from char2subword import objectives
+from char2subword.evaluation import precision_at_k
 from char2subword.numerics import cosine_similarity
 from char2subword.objectives import (
     EmbeddingTable,
@@ -27,7 +30,7 @@ from char2subword.objectives import (
     save_table_text,
 )
 import reference
-from conftest import grid
+from conftest import grid, products
 from reference import finite_diff_gradient
 
 
@@ -123,6 +126,20 @@ class TestEmbeddingTable:
             with pytest.raises(ValueError, match=rf"truncated after {cut} bytes"):
                 load_table(path)
 
+    @pytest.mark.parametrize("ce_block", [600, 100])
+    def test_binary_chunks_match_one_shot_load(self, tmp_path, monkeypatch, ce_block):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "table.embt"
+        save_table_binary(path, EmbeddingTable(matrix=rng.normal(size=(10, 200))))
+        # 600: chunks of 3 rows, the last one short; 100: one row per chunk, each wider
+        monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
+        assert len(objectives._row_chunks(10, 200)) == (4 if ce_block == 600 else 10)
+        loaded = load_table(path)
+        whole = np.frombuffer(path.read_bytes()[12:], dtype="<f4").astype(np.float64)
+        whole = whole.reshape(10, 200)
+        assert loaded.matrix.tobytes() == whole.tobytes()
+        assert loaded.norms.tobytes() == np.linalg.norm(whole, axis=1).tobytes()
+
 
 class TestNeighborIndex:
     def test_hand_case(self):
@@ -178,7 +195,7 @@ class TestNeighborIndex:
         t = EmbeddingTable(matrix=np.concatenate([half, 2.0 * half, 0.5 * half]))
         if ce_block:  # 64: 8 x 8 tiles; 7: 2 x 3 tiles, narrower than k
             monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
-        assert (len(list(objectives.tiles(t.matrix, t))) == 1) == (ce_block is None)
+        assert (len(list(products(t.matrix, t))) == 1) == (ce_block is None)
         deep = build_neighbor_index(t, 15)
         sims = rank_neighbors(t, t.matrix, 15)[1]
         assert (sims[:, 3] == sims[:, 4]).all() and (sims[:, 4] == sims[:, 5]).all()
@@ -407,7 +424,7 @@ class TestLossAndGrad:
         ehat = 3.0 * rng.normal(size=(9, toy_table.dim))
         monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
         # 16: three row blocks of at most 4 rows by 13 column tiles; 1: 1 x 1 tiles
-        assert len(list(objectives.tiles(ehat, toy_table))) == n_tiles
+        assert len(list(products(ehat, toy_table))) == n_tiles
         totals, parts, grad = loss_and_grad(ids, ehat, toy_table, idx, LossWeights())
         for b, tid in enumerate(ids):
             e = toy_table.row(tid)
@@ -423,6 +440,127 @@ class TestLossAndGrad:
         with pytest.raises(IndexError):
             loss_and_grad([toy_table.size], np.ones((1, toy_table.dim)), toy_table, None,
                           LossWeights(0, 1, 0, 0))
+
+
+class InlineExecutor(concurrent.futures.Executor):
+    """Runs each submitted tile at once on the calling thread, and counts them."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class SpyPool(concurrent.futures.ThreadPoolExecutor):
+    """A one-worker pool that keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.futures.append(super().submit(fn, *args, **kwargs))
+        return self.futures[-1]
+
+
+def same_bits(a, b):
+    """Two outputs of TestTilePool.table_pass_outputs, compared bit for bit."""
+    (ids_a, loss_a, report_a, ranked_a), (ids_b, loss_b, report_b, ranked_b) = a, b
+    arrays = [(ids_a, ids_b), (loss_a[0], loss_b[0]), (loss_a[2], loss_b[2]),
+              *zip(ranked_a, ranked_b), *((loss_a[1][k], loss_b[1][k]) for k in loss_a[1])]
+    return report_a == report_b and all(x.tobytes() == y.tobytes() for x, y in arrays)
+
+
+class TestTilePool:
+    def table_pass_outputs(self, toy_table):
+        """Every table pass: CE loss and gradient, precision@k with accuracy, the index."""
+        rng = np.random.default_rng(14)
+        idx = build_neighbor_index(toy_table, 15)
+        ids = rng.integers(toy_table.size, size=7)
+        loss = loss_and_grad(ids, 3.0 * rng.normal(size=(7, toy_table.dim)), toy_table, idx,
+                             LossWeights())
+        vecs = rng.normal(size=(toy_table.size, toy_table.dim))
+        report = precision_at_k(None, None, toy_table, idx, None,
+                                embedded=(list(range(toy_table.size)), vecs))
+        return idx.ids, loss, report, rank_neighbors(toy_table, vecs, 15)
+
+    def test_pool_one_worker_and_inline_give_identical_bits(self, toy_table, monkeypatch,
+                                                           tile_log):
+        # 6 x 6 tiles: 7 and 50 rows by 50 columns make 2 and 9 row blocks by 9 column tiles
+        monkeypatch.setattr(objectives, "CE_BLOCK", 36)
+        pooled = self.table_pass_outputs(toy_table)
+        assert {grid(tiles) for tiles in tile_log} == {(9, 9), (2, 9)}
+        with concurrent.futures.ThreadPoolExecutor(1) as one:
+            monkeypatch.setattr(objectives, "_POOL", one)
+            assert same_bits(pooled, self.table_pass_outputs(toy_table))
+        interval = sys.getswitchinterval()
+        try:  # more workers than cores, switching threads as often as it can
+            sys.setswitchinterval(1e-6)
+            with concurrent.futures.ThreadPoolExecutor(8) as many:
+                monkeypatch.setattr(objectives, "_POOL", many)
+                assert same_bits(pooled, self.table_pass_outputs(toy_table))
+        finally:
+            sys.setswitchinterval(interval)
+        inline = InlineExecutor()
+        monkeypatch.setattr(objectives, "_POOL", inline)
+        assert same_bits(pooled, self.table_pass_outputs(toy_table))
+        assert inline.submitted == 9 * 9 + 2 * 9 + 9 * 9 + 9 * 9
+
+    def test_one_tile_submits_nothing(self, toy_table, monkeypatch):
+        inline = InlineExecutor()
+        monkeypatch.setattr(objectives, "_POOL", inline)
+        self.table_pass_outputs(toy_table)
+        assert inline.submitted == 0
+
+    def test_tiles_in_flight_bounded(self, toy_table, monkeypatch):
+        monkeypatch.setattr(objectives, "CE_BLOCK", 1)  # 50 x 50 one-entry tiles
+        pool = SpyPool()
+        monkeypatch.setattr(objectives, "_POOL", pool)
+        yielded = 0
+        for blk, cols, product in objectives.tiles(toy_table.matrix, toy_table,
+                                                   lambda blk, cols, p: p):
+            assert 0 < len(pool.futures) - yielded <= objectives._IN_FLIGHT
+            want = toy_table.matrix[blk.start] @ toy_table.matrix[cols.start]
+            assert product[0, 0] == pytest.approx(want, rel=0, abs=1e-12)
+            yielded += 1
+        assert yielded == len(pool.futures) == 50 * 50
+        pool.shutdown()
+
+    def test_tile_error_reaches_caller_and_no_future_stays_pending(self, toy_table,
+                                                                    monkeypatch):
+        monkeypatch.setattr(objectives, "CE_BLOCK", 36)  # 9 x 9 tiles
+        pool = SpyPool()
+        monkeypatch.setattr(objectives, "_POOL", pool)
+
+        def fail_at_sixth(blk, cols, product):
+            if (blk.start, cols.start) == (0, 30):
+                raise ArithmeticError("tile (0, 30) failed")
+            if (blk.start, cols.start) > (0, 30):
+                time.sleep(0.1)  # later tiles are still queued or running at the error
+            return product
+
+        got = []
+        with pytest.raises(ArithmeticError, match=r"tile \(0, 30\) failed"):
+            for blk, cols, _ in objectives.tiles(toy_table.matrix, toy_table, fail_at_sixth):
+                got.append(cols.start)
+        assert got == [0, 6, 12, 18, 24]
+        assert len(pool.futures) <= len(got) + 1 + objectives._IN_FLIGHT < 9 * 9
+        assert all(f.done() for f in pool.futures)
+        assert any(f.cancelled() for f in pool.futures)
+        # a caller that stops early leaves nothing pending either
+        pool.futures.clear()
+        passes = objectives.tiles(toy_table.matrix, toy_table, lambda blk, cols, p: p)
+        next(passes)
+        passes.close()
+        assert all(f.done() for f in pool.futures)
+        pool.shutdown()
 
 
 class TestChecksum:
@@ -480,7 +618,7 @@ class TestRankNeighbors:
         if ce_block:  # 100: 10-column tiles; 36: 6-column tiles, fewer than n
             monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
         ids, sims = rank_neighbors(t, queries, 7)
-        width = next(objectives.tiles(queries, t))[1].stop
+        width = next(products(queries, t))[1].stop
         spans_tiles = False
         for q, row_ids, row_sims in zip(queries, ids, sims):
             s = (m @ q) / (np.linalg.norm(m, axis=1) * np.linalg.norm(q))
