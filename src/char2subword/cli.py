@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from . import evaluation, model as model_mod, training
 from .embedder import EmbedMode, embed_sequence, write_embeddings
 from .noise import NoiseConfig, default_layouts, load_layouts, sample_noisy
-from .objectives import LossWeights, build_neighbor_index, load_table
+from .objectives import LossWeights, build_neighbor_index, check_vocab_size, load_table
 from .training import TrainConfig, TrainingError
 from .vocab import build_alphabet, load_vocabulary
 
@@ -88,8 +88,7 @@ def _load_inputs(args, need_table=True):
         if not args.table:
             raise CliError("--table is required")
         table = load_table(args.table)
-        if table.size != len(vocab):
-            raise CliError(f"table has {table.size} rows but vocabulary has {len(vocab)}")
+        check_vocab_size(table, vocab)  # before eval spends time on the index
     return vocab, alphabet, table
 
 
@@ -117,11 +116,9 @@ def _model_config(args, d_out):
 
 
 def _write_metrics(path, metrics):
-    # wall_time is dropped so reruns are byte-identical
     with open(path, "w", encoding="utf-8") as fh:
         for record in metrics:
-            clean = {k: v for k, v in record.items() if k != "wall_time"}
-            fh.write(json.dumps(clean, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _load_model(args, alphabet, table=None):

@@ -4,6 +4,7 @@ import enum
 from dataclasses import dataclass
 
 from . import model as model_mod
+from .objectives import check_vocab_size
 from .vocab import tokenize_word, whitespace_split
 
 
@@ -28,6 +29,7 @@ def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None):
     off to the module for out-of-vocabulary words. The module runs once per
     sentence, over all the words it embeds.
     """
+    check_vocab_size(e_table, vocab)
     if mode != EmbedMode.TABLE_ONLY and params is None:
         raise ValueError(f"{mode.value} mode requires trained module parameters")
     if mode == EmbedMode.HYBRID and params.config.d_out != e_table.dim:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .objectives import rank_neighbors, scan_table
+from .objectives import check_vocab_size, rank_neighbors, scan_table
 from .vocab import char_sequence, tokenize_word, whitespace_split
 
 # Default neighbor depth of precision@k, and of train_simulation's per-epoch evaluation.
@@ -37,12 +37,14 @@ def embed_vocab(params, vocab, alphabet):
 
 def accuracy(params, vocab, e_table, alphabet, embedded=None):
     """Fraction of non-special entries whose argmax over e_hat . E^T is themselves."""
+    check_vocab_size(e_table, vocab)
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
     return float(np.mean(scan_table(e_table, vecs, 1)[2] == np.asarray(ids)))
 
 
 def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedded=None):
     """Accuracy and neighbor-overlap precision for k = 1..k_max over tokens, from one scan."""
+    check_vocab_size(e_table, vocab)
     if k_max > index.k:
         raise ValueError(f"k_max={k_max} exceeds neighbor index depth {index.k}")
     ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
@@ -64,11 +66,8 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedd
 
 
 def neighbor_query(params, e_table, vocab, alphabet, query, is_full_word=True, n=5):
-    """Top-n vocabulary entries by cosine to f_theta(chars(query))."""
-    if n > len(vocab):
-        raise ValueError(f"n={n} exceeds vocabulary size {len(vocab)}")
-    if n == 0:
-        return []
+    """Top-n vocabulary entries by cosine to f_theta(chars(query)); n in 1..|V|."""
+    check_vocab_size(e_table, vocab)
     vecs = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word)
     order, sims = rank_neighbors(e_table, vecs[0], n)
     return [(vocab.token(int(i)), float(s)) for i, s in zip(order, sims)]

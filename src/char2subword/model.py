@@ -167,11 +167,12 @@ def _pe_table(max_chars, d_char):
 def forward_batch(params, seqs):
     """Run the module on a list of CharSequences as one padded batch.
 
-    Shorter sequences are padded to the longest; padded keys get -inf before
-    every attention softmax and padded positions -inf before the max-pool, so
-    each row depends on its own characters only. Returns (embeddings (B,
-    d_out), attention maps (one (B, heads, n, n) array per layer), cache);
-    the cache feeds backward_batch().
+    Shorter sequences are padded to the longest. Every pass carries the
+    padding mask: padded keys get -inf before every attention softmax and
+    padded positions -inf before the max-pool, so each row depends on its own
+    characters only (real positions get 0.0, which changes no bit). Returns
+    (embeddings (B, d_out), attention maps (one (B, heads, n, n) array per
+    layer), cache); the cache feeds backward_batch().
     """
     cfg = params.config
     t = params.tensors
@@ -187,10 +188,9 @@ def forward_batch(params, seqs):
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s.chars
     real = np.arange(n) < lengths[:, None]
-    padded = not real.all()
 
     x = t["char_emb"][ids] + _pe_table(cfg.max_chars, cfg.d_char)[:n]
-    key_bias = np.where(real, 0.0, -np.inf)[:, None, None, :] if padded else None
+    key_bias = np.where(real, 0.0, -np.inf)[:, None, None, :]
 
     h, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
@@ -201,9 +201,7 @@ def forward_batch(params, seqs):
         xb = layer_norm(xin, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
         q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        if padded:
-            scores += key_bias
+        scores = (q @ k.swapaxes(-1, -2)) * scale + key_bias
         a = softmax_rows(scores)
         c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
         m = c @ t[f"L{j}.Wo"]
@@ -218,9 +216,7 @@ def forward_batch(params, seqs):
         maps.append(a)
         x = xout
 
-    y = x @ t["We"] + t["be"]
-    if padded:
-        y = np.where(real[:, :, None], y, -np.inf)
+    y = np.where(real[:, :, None], x @ t["We"] + t["be"], -np.inf)
     arg = y.argmax(axis=1)
     pooled = np.take_along_axis(y, arg[:, None, :], axis=1)[:, 0, :]
     emb = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)

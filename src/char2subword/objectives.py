@@ -152,10 +152,14 @@ class NeighborIndex:
         return NeighborIndex(k=k, ids=np.ascontiguousarray(self.ids[:, :k]))
 
 
+def check_vocab_size(e_table, vocab):
+    """Raise ValueError unless the table has one row per vocabulary entry."""
+    if e_table.size != len(vocab):
+        raise ValueError(f"table has {e_table.size} rows but vocabulary has {len(vocab)}")
+
+
 def build_neighbor_index(e_table, k):
     """Rank all rows by cosine similarity, ties broken by ascending id."""
-    if k > e_table.size:
-        raise ValueError(f"k={k} exceeds table size {e_table.size}")
     return NeighborIndex(k=k, ids=rank_neighbors(e_table, e_table.matrix, k)[0])
 
 
@@ -208,16 +212,16 @@ def scan_table(e_table, vecs, n):
     argmax of the raw product, lowest id on ties, shaped (Q,). Each tile finds its own
     argmax and keeps every column at or above its rows' n-th largest cosine, so ties at
     the cut survive; the running argmax and top-n are merged in column order, and only
-    the candidates and the running top-n are sorted."""
-    if n < 1:
-        raise ValueError(f"cannot rank the top {n} neighbors; need n >= 1")
+    the candidates and the running top-n are sorted. n must be in 1..|V|."""
+    if not 1 <= n <= e_table.size:
+        raise ValueError(f"cannot rank the top {n} neighbors of {e_table.size} table rows; "
+                         f"need n >= 1 and n <= {e_table.size}")
     rows = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
     qnorm = _row_norms(rows)
     if (qnorm == 0.0).any():
         raise ValueError("cannot rank neighbors of a zero vector")
     if not np.isfinite(qnorm).all():  # NaN sims would pass no cut
         raise ValueError("cannot rank neighbors of a non-finite vector")
-    n = min(n, e_table.size)
 
     def scan(blk, cols, prod):
         j = prod.argmax(axis=1)  # the first max in the tile: its lowest id

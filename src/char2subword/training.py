@@ -7,14 +7,13 @@ raises ValueError where it is attempted.
 """
 
 import random
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluation, model as model_mod
 from .noise import NoiseConfig, sample_noisy
-from .objectives import LossWeights, build_neighbor_index, loss_and_grad
+from .objectives import LossWeights, build_neighbor_index, check_vocab_size, loss_and_grad
 from .vocab import (
     MASK_CHAR_INDEX,
     MAX_CHARS,
@@ -35,7 +34,7 @@ MASK_P, RANDOMIZE_P = 0.8, 0.1
 
 
 class TrainingError(RuntimeError):
-    """Raised when training has no data or hits a non-finite loss or parameter."""
+    """Raised when training has no data or hits a non-finite loss, parameter or output."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,7 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     loss sums of the epoch's `count` samples into its metrics record.
     Returns (trained copy of params, per-epoch metrics).
     """
+    check_vocab_size(e_table, vocab)
     if e_table.dim != params.config.d_out:
         raise ValueError(
             f"table width {e_table.dim} != model output width {params.config.d_out}"
@@ -129,8 +129,8 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     opt = _Adam(config.lr, params.flat.size)
 
     metrics = []
+    last_seqs = None  # the last Adam step's batch: one forward on it ends training
     for epoch in range(config.epochs):
-        t0 = time.monotonic()
         sums = dict.fromkeys(("total", "cos", "ce", "l2", "nbr"), 0.0)
         count = 0
         for seqs, target_ids, sample_weights, steps in epoch_batches(rng):
@@ -147,12 +147,14 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
                 sums[k] += float(v.sum())
             count += len(seqs)
             opt.step(params, grads)
+            last_seqs = seqs
         if not np.isfinite(params.flat).all():  # the last step's loss is never computed
             raise TrainingError(f"non-finite parameters after the last step of epoch {epoch}")
-        record = epoch_record(params, epoch, sums, count)
-        record["wall_time"] = time.monotonic() - t0
-        metrics.append(record)
+        metrics.append(epoch_record(params, epoch, sums, count))
 
+    if last_seqs and not np.isfinite(model_mod.forward_batch(params, last_seqs[:1])[0]).all():
+        # finite but huge parameters overflow; MLM's epoch records run no forward pass
+        raise TrainingError("non-finite output after the last step of training")
     return params, metrics
 
 

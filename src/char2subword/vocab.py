@@ -47,14 +47,11 @@ class Vocabulary:
 def load_vocabulary(source):
     """Build a Vocabulary from one-token-per-line text.
 
-    `source` may be a path (an os.PathLike, or a string naming a file), a
-    string of lines, or an iterable of lines.
-    Line number (0-based) becomes the token id. Duplicates and a missing
-    [UNK] are errors.
+    `source` is a path (a str or an os.PathLike) or any other iterable of
+    lines. Line number (0-based) becomes the token id. Duplicates and a
+    missing [UNK] are errors.
     """
-    if isinstance(source, str) and not os.path.isfile(source):
-        lines = source.splitlines()
-    elif isinstance(source, (str, os.PathLike)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     else:

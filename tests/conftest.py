@@ -10,7 +10,7 @@ alarm alert alike alive allow alone among anger angle
 ankle apart arena argue arise armor array aside asset
 avoid awake award aware badge baker basic batch beach
 beard begin being below bench berry birth black blade
-blame blank""".split()
+blame blank blast blend bless""".split()
 
 
 # filled by tests/test_acceptance.py; echoed after the run so the
@@ -27,7 +27,7 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def toy_vocab():
-    return c2s.load_vocabulary("\n".join(TOY_WORDS[:49] + ["[UNK]"]))
+    return c2s.load_vocabulary(TOY_WORDS[:49] + ["[UNK]"])
 
 
 @pytest.fixture(scope="session")

@@ -212,6 +212,14 @@ class TestEval:
                    "--checkpoint", str(ckpt), "--k", "99"])
         assert rc == 2
 
+    def test_k_zero_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        rc = main(["eval", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"),
+                   "--checkpoint", str(ckpt), "--k", "0"])
+        assert rc == 2
+        assert "need n >= 1 and n <= 21" in capsys.readouterr().err
+
 
 class TestNeighbors:
     def test_lists_n(self, workdir, capsys):
@@ -226,6 +234,18 @@ class TestNeighbors:
         for line in lines:
             token, sim = line.split("\t")
             float(sim)
+
+    @pytest.mark.parametrize("n", ["0", "22"])
+    def test_n_outside_vocabulary_exit_2(self, workdir, capsys, n):
+        _, ckpt = simulate(workdir)
+        capsys.readouterr()  # discard training progress line
+        rc = main(["neighbors", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"),
+                   "--checkpoint", str(ckpt), "apple", "-n", n])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need n >= 1 and n <= 21" in captured.err
 
     def test_missing_checkpoint_exit_2(self, workdir):
         rc = main(["neighbors", "--vocab", str(workdir / "vocab.txt"),
@@ -266,6 +286,14 @@ class TestStats:
         out = capsys.readouterr().out
         assert "mean_tokens 3.5" in out
         assert "ratio" in out
+
+    def test_missing_vocab_file_exit_2(self, workdir, capsys):
+        rc = main(["stats", "--vocab", str(workdir / "missing.txt"),
+                   "--corpus", str(workdir / "corpus.txt")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing.txt" in captured.err
 
 
 class TestEmbed:
@@ -374,6 +402,22 @@ class TestPretrain:
         assert rc == 3
         err = capsys.readouterr().err
         assert "non-finite parameters after the last step of epoch 0" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_but_huge_parameters_exit_3(self, workdir, capsys):
+        # unit rows keep every gradient entry below 1.8, so Adam's one step leaves the
+        # parameters finite at about 1e308; the forward pass after training overflows
+        _, ckpt = simulate(workdir)
+        out = workdir / "pre.c2sw"
+        capsys.readouterr()  # discard training progress line
+        rc = main(["pretrain", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"), "--checkpoint", str(ckpt),
+                   "--corpus", str(workdir / "corpus.txt"), "--seed", "1", "--epochs", "1",
+                   "--lr", "1e308", "--out", str(out)])
+        assert rc == 3
+        assert "numeric failure: non-finite output after the last step" in \
+            capsys.readouterr().err
         assert not out.exists()
 
 

@@ -71,10 +71,10 @@ class TestAccuracy:
         whole = accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs))
         assert whole > 0.0
         assert grid(tile_log[-1]) == (1, 1)
-        # 12 x 12 tiles: 46 rows and 50 columns make 4 row blocks by 5 column tiles
+        # 12 x 12 tiles: 49 rows and 50 columns make 5 row blocks by 5 column tiles
         monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)
         assert accuracy(params, toy_vocab, toy_table, alphabet, embedded=(ids, vecs)) == whole
-        assert grid(tile_log[-1]) == (4, 5)
+        assert grid(tile_log[-1]) == (5, 5)
 
     @pytest.mark.parametrize("bad, message", [(0.0, "zero vector"), (np.nan, "non-finite")])
     def test_zero_or_nan_row_rejected(self, params, toy_vocab, toy_table, alphabet, bad,
@@ -125,11 +125,11 @@ class TestPrecisionAtK:
         ids, vecs = embed_vocab(params, toy_vocab, alphabet)
         whole = precision_at_k(params, toy_vocab, toy_table, idx, alphabet, embedded=(ids, vecs))
         assert grid(tile_log[-1]) == (1, 1)
-        # 12 x 12 tiles: 46 rows and 50 columns make 4 row blocks by 5 column tiles
+        # 12 x 12 tiles: 49 rows and 50 columns make 5 row blocks by 5 column tiles
         monkeypatch.setattr(objectives, "CE_BLOCK", 3 * toy_table.size)
         blocked = precision_at_k(params, toy_vocab, toy_table, idx, alphabet,
                                  embedded=(ids, vecs))
-        assert grid(tile_log[-1]) == (4, 5)
+        assert grid(tile_log[-1]) == (5, 5)
         assert blocked == whole
 
     def test_one_pass_over_the_table(self, params, toy_vocab, toy_table, alphabet,
@@ -141,7 +141,7 @@ class TestPrecisionAtK:
             precision_at_k(params, toy_vocab, toy_table, idx, alphabet, k_max=k_max)
             assert len(tile_log) == 1  # accuracy and the top-k from the same products
             corners = {(blk.start, cols.start) for blk, cols in tile_log[0]}
-            assert len(corners) == len(tile_log[0]) == 4 * 5  # each tile once
+            assert len(corners) == len(tile_log[0]) == 5 * 5  # each tile once
 
     @pytest.mark.parametrize("source", ["model", "half_negated"])
     @pytest.mark.parametrize("k_max, depth", [(1, 1), (5, 15), (15, 15)])
@@ -183,12 +183,45 @@ class TestNeighborQuery:
         assert [t for t, _ in out] == [toy_vocab.token(int(i)) for i in order]
 
     def test_n_zero(self, params, toy_vocab, toy_table, alphabet):
-        assert neighbor_query(params, toy_table, toy_vocab, alphabet, "x", n=0) == []
+        with pytest.raises(ValueError, match="need n >= 1"):
+            neighbor_query(params, toy_table, toy_vocab, alphabet, "x", n=0)
 
     def test_n_too_large(self, params, toy_vocab, toy_table, alphabet):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"n <= {toy_table.size}"):
             neighbor_query(params, toy_table, toy_vocab, alphabet, "x",
                            n=len(toy_vocab) + 1)
+
+    def test_n_vocab_size_lists_every_entry(self, params, toy_vocab, toy_table, alphabet):
+        out = neighbor_query(params, toy_table, toy_vocab, alphabet, "x", n=len(toy_vocab))
+        assert sorted(t for t, _ in out) == sorted(toy_vocab.entries)
+
+
+class TestVocabSizeChecked:
+    """Each library entry point that pairs a table with a vocabulary checks
+    that the table has one row per entry."""
+
+    @pytest.fixture
+    def short_table(self, toy_table):
+        return EmbeddingTable(matrix=toy_table.matrix[:-1])
+
+    def test_accuracy(self, params, toy_vocab, short_table, alphabet):
+        with pytest.raises(ValueError, match="table has 49 rows but vocabulary has 50"):
+            accuracy(params, toy_vocab, short_table, alphabet)
+
+    def test_precision_at_k(self, params, toy_vocab, short_table, alphabet):
+        idx = build_neighbor_index(short_table, 15)
+        with pytest.raises(ValueError, match="table has 49 rows but vocabulary has 50"):
+            precision_at_k(params, toy_vocab, short_table, idx, alphabet)
+
+    def test_neighbor_query(self, params, toy_vocab, short_table, alphabet):
+        with pytest.raises(ValueError, match="table has 49 rows but vocabulary has 50"):
+            neighbor_query(params, short_table, toy_vocab, alphabet, "apple", n=3)
+
+    @pytest.mark.parametrize("mode", list(c2s.EmbedMode), ids=lambda m: m.value)
+    def test_embed_sequence(self, params, toy_vocab, short_table, alphabet, mode):
+        with pytest.raises(ValueError, match="table has 49 rows but vocabulary has 50"):
+            c2s.embed_sequence(mode, "apple zzz", toy_vocab, short_table, params=params,
+                               alphabet=alphabet)
 
 
 class TestSeqLengthStats:

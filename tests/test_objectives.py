@@ -186,6 +186,23 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match="need n >= 1"):
             build_neighbor_index(toy_table, 0)
 
+    def test_depth_above_size_rejected_at_every_entry(self, toy_table):
+        v = toy_table.size
+        for rank in (lambda n: build_neighbor_index(toy_table, n),
+                     lambda n: rank_neighbors(toy_table, toy_table.matrix[0], n),
+                     lambda n: rank_neighbors(toy_table, toy_table.matrix, n)):
+            with pytest.raises(ValueError, match=f"need n >= 1 and n <= {v}"):
+                rank(v + 1)
+
+    def test_depth_equal_to_size_ranks_every_row(self, toy_table):
+        v = toy_table.size
+        idx = build_neighbor_index(toy_table, v)
+        assert idx.ids.shape == (v, v)
+        assert all(sorted(row) == list(range(v)) for row in idx.ids.tolist())
+        ids, sims = rank_neighbors(toy_table, toy_table.matrix[3], v)
+        assert sorted(ids.tolist()) == list(range(v)) and ids[0] == 3
+        assert list(sims) == sorted(sims, reverse=True)
+
     @pytest.mark.parametrize("ce_block", [None, 64, 7])
     def test_prefix_equals_direct_build(self, monkeypatch, ce_block):
         # rounded rows and their exact x2 and x0.5 twins: every cosine ties
@@ -479,7 +496,7 @@ def same_bits(a, b):
 
 
 class TestTilePool:
-    def table_pass_outputs(self, toy_table):
+    def table_pass_outputs(self, toy_table, toy_vocab):
         """Every table pass: CE loss and gradient, precision@k with accuracy, the index."""
         rng = np.random.default_rng(14)
         idx = build_neighbor_index(toy_table, 15)
@@ -487,36 +504,36 @@ class TestTilePool:
         loss = loss_and_grad(ids, 3.0 * rng.normal(size=(7, toy_table.dim)), toy_table, idx,
                              LossWeights())
         vecs = rng.normal(size=(toy_table.size, toy_table.dim))
-        report = precision_at_k(None, None, toy_table, idx, None,
+        report = precision_at_k(None, toy_vocab, toy_table, idx, None,
                                 embedded=(list(range(toy_table.size)), vecs))
         return idx.ids, loss, report, rank_neighbors(toy_table, vecs, 15)
 
-    def test_pool_one_worker_and_inline_give_identical_bits(self, toy_table, monkeypatch,
-                                                           tile_log):
+    def test_pool_one_worker_and_inline_give_identical_bits(self, toy_table, toy_vocab,
+                                                           monkeypatch, tile_log):
         # 6 x 6 tiles: 7 and 50 rows by 50 columns make 2 and 9 row blocks by 9 column tiles
         monkeypatch.setattr(objectives, "CE_BLOCK", 36)
-        pooled = self.table_pass_outputs(toy_table)
+        pooled = self.table_pass_outputs(toy_table, toy_vocab)
         assert {grid(tiles) for tiles in tile_log} == {(9, 9), (2, 9)}
         with concurrent.futures.ThreadPoolExecutor(1) as one:
             monkeypatch.setattr(objectives, "_POOL", one)
-            assert same_bits(pooled, self.table_pass_outputs(toy_table))
+            assert same_bits(pooled, self.table_pass_outputs(toy_table, toy_vocab))
         interval = sys.getswitchinterval()
         try:  # more workers than cores, switching threads as often as it can
             sys.setswitchinterval(1e-6)
             with concurrent.futures.ThreadPoolExecutor(8) as many:
                 monkeypatch.setattr(objectives, "_POOL", many)
-                assert same_bits(pooled, self.table_pass_outputs(toy_table))
+                assert same_bits(pooled, self.table_pass_outputs(toy_table, toy_vocab))
         finally:
             sys.setswitchinterval(interval)
         inline = InlineExecutor()
         monkeypatch.setattr(objectives, "_POOL", inline)
-        assert same_bits(pooled, self.table_pass_outputs(toy_table))
+        assert same_bits(pooled, self.table_pass_outputs(toy_table, toy_vocab))
         assert inline.submitted == 9 * 9 + 2 * 9 + 9 * 9 + 9 * 9
 
-    def test_one_tile_submits_nothing(self, toy_table, monkeypatch):
+    def test_one_tile_submits_nothing(self, toy_table, toy_vocab, monkeypatch):
         inline = InlineExecutor()
         monkeypatch.setattr(objectives, "_POOL", inline)
-        self.table_pass_outputs(toy_table)
+        self.table_pass_outputs(toy_table, toy_vocab)
         assert inline.submitted == 0
 
     def test_tiles_in_flight_bounded(self, toy_table, monkeypatch):

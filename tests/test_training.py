@@ -110,8 +110,7 @@ class TestTrainSimulation:
         built = train_simulation(params, toy_vocab, toy_table, alphabet, cfg)
         assert depths == [evaluation.EVAL_K]
         np.testing.assert_array_equal(built[0].flat, given[0].flat)
-        for a, b in zip(built[1], given[1]):
-            assert {**a, "wall_time": 0} == {**b, "wall_time": 0}
+        assert built[1] == given[1]
 
     def test_metrics_fields(self, params, toy_vocab, toy_table, alphabet):
         cfg = TrainConfig(epochs=2, seed=3)
@@ -119,7 +118,7 @@ class TestTrainSimulation:
         assert len(metrics) == 2
         for rec in metrics:
             for key in ("epoch", "total", "cos", "ce", "l2", "nbr",
-                        "accuracy", "prec1", "prec15", "wall_time"):
+                        "accuracy", "prec1", "prec15"):
                 assert key in rec
 
     def test_width_mismatch_rejected(self, params, toy_vocab, alphabet):
@@ -164,6 +163,43 @@ class TestSharedLoop:
                     lambda: pretrain_mlm(params, sequences, toy_vocab, table, alphabet, cfg)):
             with pytest.raises(TrainingError,
                                match="non-finite parameters after the last step of epoch 0"):
+                run()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_but_huge_parameters_fail_after_training(self, params, toy_vocab,
+                                                            toy_table, alphabet, monkeypatch):
+        # unit rows keep every gradient entry below 1.8, so Adam's steps of about
+        # lr leave the parameters finite; MLM's epoch records run no forward pass
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        with pytest.raises(TrainingError, match="non-finite output after the last step"):
+            pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
+                         TrainConfig(epochs=1, seed=0, lr=1e308))
+
+    @pytest.mark.parametrize("epochs, select_p, passes", [
+        (0, 1.0, []), (1, 0.0, []), (2, 1.0, [3, 3, 1])])
+    def test_output_check_runs_once_after_the_last_step(self, params, toy_vocab, toy_table,
+                                                        alphabet, monkeypatch, epochs,
+                                                        select_p, passes):
+        # each epoch's one Adam step runs one 3-sequence pass; then the check runs
+        # one pass on one sequence, unless no step ran
+        monkeypatch.setattr(training, "SELECT_P", select_p)
+        seen, real = [], M.forward_batch
+        monkeypatch.setattr(M, "forward_batch",
+                            lambda p, seqs: seen.append(len(seqs)) or real(p, seqs))
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
+                     TrainConfig(epochs=epochs, seed=0))
+        assert seen == passes
+
+    def test_table_vocab_size_mismatch_rejected(self, params, toy_vocab, toy_table,
+                                                alphabet):
+        short = c2s.EmbeddingTable(matrix=toy_table.matrix[:-1])
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"])
+        cfg = TrainConfig(epochs=1, seed=0)
+        for run in (lambda: train_simulation(params, toy_vocab, short, alphabet, cfg),
+                    lambda: pretrain_mlm(params, sequences, toy_vocab, short, alphabet, cfg)):
+            with pytest.raises(ValueError, match="table has 49 rows but vocabulary has 50"):
                 run()
 
     def test_a_table_write_raises_where_it_happens(self, params, toy_vocab, toy_table,

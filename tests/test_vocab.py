@@ -17,26 +17,26 @@ from char2subword.vocab import (
 
 class TestLoadVocabulary:
     def test_direct_construction(self):
-        v = load_vocabulary("a\n##b\n[UNK]\ncd")
+        v = load_vocabulary(["a", "##b", "[UNK]", "cd"])
         assert len(v) == 4
         assert v.id_of["##b"] == 1
         assert v.token(3) == "cd"
 
     def test_duplicate_rejected_with_line_numbers(self):
         with pytest.raises(VocabularyError, match=r"lines 0 and 2"):
-            load_vocabulary("a\n[UNK]\na")
+            load_vocabulary(["a", "[UNK]", "a"])
 
     def test_missing_unk_rejected(self):
         with pytest.raises(VocabularyError, match=r"\[UNK\]"):
-            load_vocabulary("a\nb")
+            load_vocabulary(["a", "b"])
 
     def test_ids_bijective(self):
-        v = load_vocabulary("x\ny\n[UNK]")
+        v = load_vocabulary(["x", "y", "[UNK]"])
         assert [v.id_of[t] for t in v.entries] == list(range(len(v)))
 
-    def test_directory_name_is_text_not_a_path(self, tmp_path):
-        # a string naming a directory is one line of text, which lacks [UNK]
-        with pytest.raises(VocabularyError, match=r"\[UNK\]"):
+    def test_directory_name_raises_os_error(self, tmp_path):
+        # a string is always a path, never vocabulary text
+        with pytest.raises(IsADirectoryError, match=tmp_path.name):
             load_vocabulary(str(tmp_path))
 
     def test_missing_path_object_raises_os_error(self, tmp_path):
@@ -57,7 +57,7 @@ class TestLoadVocabulary:
 class TestTokenizeWord:
     @pytest.fixture
     def greedy_vocab(self):
-        return load_vocabulary("un\n##able\nable\n[UNK]\nhello")
+        return load_vocabulary(["un", "##able", "able", "[UNK]", "hello"])
 
     def test_greedy_longest_prefix(self, greedy_vocab):
         assert tokenize_word(greedy_vocab, "unable") == ["un", "##able"]
@@ -83,7 +83,7 @@ class TestTokenizeWord:
                                     min_size=1, max_size=8, unique=True))
         vocab_tokens = [UNK] + pieces + ["##" + p for p in pieces]
         # unique=True above does not dedupe across the two lists
-        vocab = load_vocabulary("\n".join(dict.fromkeys(vocab_tokens)))
+        vocab = load_vocabulary(dict.fromkeys(vocab_tokens))
         word = data.draw(st.text(alphabet="abc", min_size=1, max_size=10))
         out = tokenize_word(vocab, word)
         if out == [UNK]:
@@ -97,7 +97,7 @@ class TestTokenizeWord:
 class TestCharSequence:
     @pytest.fixture
     def alphabet(self):
-        v = load_vocabulary("cat\n##ing\n[UNK]")
+        v = load_vocabulary(["cat", "##ing", "[UNK]"])
         return build_alphabet(v)
 
     def test_full_word_gets_marker(self, alphabet):
