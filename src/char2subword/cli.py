@@ -2,6 +2,12 @@
 embed, attn, params.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure.
+Every usage error is one `error:` line and exit 2, reported before any input
+file is read. Required: --vocab (all but noise and params); --table
+(simulate, pretrain, eval, neighbors, embed); --checkpoint (pretrain, eval,
+neighbors, attn); --seed (simulate, pretrain, noise); and embed's sentence
+or --file, not both. embed needs --checkpoint unless --mode table_only, and
+params needs --vocab or --checkpoint.
 A JSON config file (--config, schema version 1) is an object whose keys are
 the command's own flags, spelled with `_` for `-`: `n` is -n, `noise: true`
 is --noise and `full_word: false` is --subword. Its values go through the
@@ -30,8 +36,8 @@ class CliError(ValueError):
     pass
 
 
-class _ConfigParser(argparse.ArgumentParser):
-    """Raises parse errors as CliError, so main() returns 2 for a bad config value."""
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as CliError, so main() returns 2 with one error: line."""
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
@@ -64,13 +70,11 @@ def _config_argv(path):
 
 def _parse_args(argv):
     """Parse argv with the --config file's flags, if any, after the command name."""
-    pre = argparse.ArgumentParser(prog="char2subword", add_help=False)
+    pre = _Parser(prog="char2subword", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
-    if path is None:
-        return build_parser().parse_args(argv)
-    flags = _config_argv(path)
-    args = build_parser(_ConfigParser).parse_args(argv[:1] + list(flags.values()) + argv[1:])
+    flags = {} if path is None else _config_argv(path)
+    args = build_parser().parse_args(argv[:1] + list(flags.values()) + argv[1:])
     # a prefix of a flag parses as that flag, so each key must be a flag's full name
     unknown = sorted(key for key in flags if key == "config" or key not in vars(args))
     if unknown:
@@ -78,15 +82,12 @@ def _parse_args(argv):
     return args
 
 
-def _load_inputs(args, need_table=True):
-    if not args.vocab:
-        raise CliError("--vocab is required")
+def _load_inputs(args):
+    """--vocab, its alphabet and, for a command with a --table flag, the table."""
     vocab = load_vocabulary(args.vocab)
     alphabet = build_alphabet(vocab)
     table = None
-    if need_table:
-        if not args.table:
-            raise CliError("--table is required")
+    if "table" in args:
         table = load_table(args.table)
         check_vocab_size(table, vocab)  # before eval spends time on the index
     return vocab, alphabet, table
@@ -104,8 +105,6 @@ def _noise_config(args):
 
 
 def _train_config(args, **options):
-    if args.seed is None:
-        raise CliError("--seed is required (no wall-clock default)")
     return TrainConfig(epochs=args.epochs, seed=args.seed, lr=args.lr,
                        batch_size=args.batch_size, **options)
 
@@ -125,8 +124,6 @@ def _load_model(args, alphabet, table=None):
     """Load --checkpoint; `alphabet` (from --vocab, or None) must be the one
     the checkpoint was trained with, or character ids would mean other chars,
     and `table` (or None) must be as wide as the checkpoint's output."""
-    if not args.checkpoint:
-        raise CliError("--checkpoint is required")
     params, alphabet_chars, _ = model_mod.load_checkpoint(args.checkpoint)
     if alphabet is not None and list(alphabet.chars) != alphabet_chars:
         raise CliError(f"--vocab {args.vocab} gives a character alphabet that differs "
@@ -167,6 +164,9 @@ def cmd_pretrain(args):
         raise CliError(f"corpus {args.corpus} is empty")
     params, metrics = training.pretrain_mlm(params, sequences, vocab, table,
                                             alphabet, _train_config(args))
+    if metrics and not any(record["selected"] for record in metrics):
+        raise CliError(f"corpus {args.corpus} selected no token to mask in {len(metrics)} "
+                       f"epoch(s), so no step was taken; use a longer corpus or another --seed")
     model_mod.save_checkpoint(args.out, params, alphabet)
     if args.metrics:
         _write_metrics(args.metrics, metrics)
@@ -199,8 +199,6 @@ def cmd_neighbors(args):
 
 
 def cmd_noise(args):
-    if args.seed is None:
-        raise CliError("--seed is required")
     noise_cfg = _noise_config(args)
     rng = random.Random(args.seed)
     changed = 0
@@ -216,7 +214,7 @@ def cmd_noise(args):
 
 
 def cmd_stats(args):
-    vocab, _, _ = _load_inputs(args, need_table=False)
+    vocab, _, _ = _load_inputs(args)
     with open(args.corpus, encoding="utf-8") as fh:
         sentences = [ln.rstrip("\n") for ln in fh]
     stats = evaluation.seq_length_stats(sentences, vocab)
@@ -225,16 +223,16 @@ def cmd_stats(args):
 
 
 def cmd_embed(args):
-    vocab, alphabet, table = _load_inputs(args)
     mode = EmbedMode(args.mode)
+    if mode != EmbedMode.TABLE_ONLY and not args.checkpoint:
+        raise CliError(f"embed --mode {mode.value} requires --checkpoint")
+    vocab, alphabet, table = _load_inputs(args)
     params = _load_model(args, alphabet, table) if mode != EmbedMode.TABLE_ONLY else None
-    if args.sentence is not None:
+    if args.file is None:
         sentences = [args.sentence]
-    elif args.file:
+    else:
         with open(args.file, encoding="utf-8") as fh:
             sentences = [ln.rstrip("\n") for ln in fh]
-    else:
-        raise CliError("provide a sentence argument or --file")
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         for sentence in sentences:
             embedded = embed_sequence(mode, sentence, vocab, table, params=params,
@@ -244,7 +242,7 @@ def cmd_embed(args):
 
 
 def cmd_attn(args):
-    _, alphabet, _ = _load_inputs(args, need_table=False)
+    _, alphabet, _ = _load_inputs(args)
     params = _load_model(args, alphabet)
     text = evaluation.dump_attention(params, alphabet, args.query,
                                      is_full_word=args.full_word)
@@ -257,12 +255,14 @@ def cmd_attn(args):
 
 
 def cmd_params(args):
+    if not (args.vocab or args.checkpoint):
+        raise CliError("params requires --vocab or --checkpoint")
+    alphabet = _load_inputs(args)[1] if args.vocab else None
     if args.checkpoint:
-        alphabet = _load_inputs(args, need_table=False)[1] if args.vocab else None
         params = _load_model(args, alphabet)
         config, alphabet_size = params.config, params.alphabet_size
     else:
-        alphabet_size = len(_load_inputs(args, need_table=False)[1])
+        alphabet_size = len(alphabet)
         config = _model_config(args, args.d_out)
     module = model_mod.param_count(config, alphabet_size)
     table = model_mod.table_param_count(args.table_v, args.table_d)
@@ -273,23 +273,24 @@ def cmd_params(args):
     return 0
 
 
-def build_parser(parser_class=argparse.ArgumentParser):
-    parser = parser_class(
+def build_parser():
+    parser = _Parser(
         prog="char2subword",
         description="Train and evaluate a character-level mimic of a frozen "
                     "subword embedding table.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, table=True, ckpt=False, seed=False):
+    inputs = {"vocab": {"help": "vocabulary file, one token per line"},
+              "table": {"help": "embedding table file (text or EMBT binary)"},
+              "checkpoint": {"help": "model checkpoint (C2SW binary)"},
+              "seed": {"type": int, "help": "random seed (no wall-clock default)"}}
+
+    def common(p, *flags, optional=()):
+        """--config, then each of `flags`, all required but the `optional` ones."""
         p.add_argument("--config", help="JSON config file of flag values; flags override it")
-        p.add_argument("--vocab", help="vocabulary file, one token per line")
-        if table:
-            p.add_argument("--table", help="embedding table file (text or EMBT binary)")
-        if ckpt:
-            p.add_argument("--checkpoint", help="model checkpoint (C2SW binary)")
-        if seed:
-            p.add_argument("--seed", type=int, help="random seed (required; no wall-clock default)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", required=flag not in optional, **inputs[flag])
 
     def model_flags(p):
         p.add_argument("--d-char", type=int, default=16)
@@ -310,7 +311,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
                        help="comma-separated noise operations")
 
     p = sub.add_parser("simulate", help="train the module to mimic the table")
-    common(p, seed=True)
+    common(p, "vocab", "table", "seed")
     model_flags(p)
     train_flags(p)
     noise_flags(p)
@@ -325,7 +326,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pretrain", help="character-level MLM pre-training")
-    common(p, ckpt=True, seed=True)
+    common(p, "vocab", "table", "checkpoint", "seed")
     train_flags(p)
     p.add_argument("--corpus", required=True, help="one whitespace-tokenized sentence per line")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -333,13 +334,13 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("eval", help="accuracy and precision@k report")
-    common(p, ckpt=True)
+    common(p, "vocab", "table", "checkpoint")
     p.add_argument("--k", type=int, default=evaluation.EVAL_K, help="max neighbor depth")
     p.add_argument("--out", help="report output path")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("neighbors", help="nearest vocabulary entries for a query")
-    common(p, ckpt=True)
+    common(p, "vocab", "table", "checkpoint")
     p.add_argument("query")
     p.add_argument("-n", type=int, default=5, help="number of neighbors")
     p.add_argument("--subword", dest="full_word", action="store_false",
@@ -347,35 +348,35 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("noise", help="stream noise over a corpus")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    common(p, "seed")
     noise_flags(p)
     p.add_argument("in_corpus")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("stats", help="token vs subword sequence-length statistics")
-    common(p, table=False)
+    common(p, "vocab")
     p.add_argument("--corpus", required=True)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("embed", help="embed sentences in table_only/full/hybrid mode")
-    common(p, ckpt=True)
+    common(p, "vocab", "table", "checkpoint", optional=("checkpoint",))
     p.add_argument("--mode", choices=[m.value for m in EmbedMode], default="hybrid")
-    p.add_argument("sentence", nargs="?")
-    p.add_argument("--file", help="embed every line of this file")
+    text = p.add_mutually_exclusive_group(required=True)
+    text.add_argument("sentence", nargs="?")
+    text.add_argument("--file", help="embed every line of this file")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("attn", help="dump attention maps for an input")
-    common(p, table=False, ckpt=True)
+    common(p, "vocab", "checkpoint")
     p.add_argument("query")
     p.add_argument("--subword", dest="full_word", action="store_false")
     p.add_argument("--out")
     p.set_defaults(func=cmd_attn)
 
     p = sub.add_parser("params", help="module vs table parameter accounting")
-    common(p, table=False, ckpt=True)
+    common(p, "vocab", "checkpoint", optional=("vocab", "checkpoint"))
     model_flags(p)
     p.add_argument("--d-out", type=int, default=768)
     p.add_argument("--table-v", type=int, default=119547)

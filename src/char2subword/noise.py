@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 from .vocab import MARKER, SPECIAL_TOKENS
 
-OPERATIONS = ("mistype", "repeat", "swap", "drop", "toggle", "punctuation")
 DEFAULT_PUNCTUATION = ("(", ")", "-", ".", ",", "'", ":", ";")
 _MAX_RETRIES = 16
 
@@ -87,27 +86,6 @@ def load_layouts(source):
     return layouts
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    enabled_ops: tuple = OPERATIONS
-    layouts: tuple = ()
-    min_length: int = 5
-    p_noise: float = 0.5
-
-    def __post_init__(self):
-        if self.min_length < 2:
-            raise ValueError("min_length must be >= 2")
-        if not 0.0 <= self.p_noise <= 1.0:
-            raise ValueError("p_noise must be in [0, 1]")
-        bad = [op for op in self.enabled_ops if op not in OPERATIONS]
-        if bad:
-            raise ValueError(f"unknown noise operation(s): {bad}")
-        if self.p_noise > 0 and not self.enabled_ops:
-            raise ValueError("p_noise > 0 requires at least one enabled operation")
-        object.__setattr__(self, "layouts", tuple(self.layouts))
-        object.__setattr__(self, "enabled_ops", tuple(self.enabled_ops))
-
-
 def _split_marker(token):
     if token.startswith(MARKER):
         return MARKER, token[len(MARKER):]
@@ -134,12 +112,12 @@ def _mistype(body, rng, config):
     raise NoiseError("mistype: retries exhausted without a change")
 
 
-def _repeat(body, rng):
+def _repeat(body, rng, config):
     pos = rng.randrange(len(body))
     return body[:pos] + body[pos] + body[pos:]
 
 
-def _swap(body, rng):
+def _swap(body, rng, config):
     # last position has no next character; choose among 0..len-2
     for _ in range(_MAX_RETRIES):
         pos = rng.randrange(len(body) - 1)
@@ -148,12 +126,12 @@ def _swap(body, rng):
     raise NoiseError("swap: retries exhausted without a change")
 
 
-def _drop(body, rng):
+def _drop(body, rng, config):
     pos = rng.randrange(len(body))
     return body[:pos] + body[pos + 1:]
 
 
-def _toggle(body, rng):
+def _toggle(body, rng, config):
     # len check guards oddities like 'ß' -> 'SS' that would change length
     cased = [i for i, ch in enumerate(body) if ch.swapcase() != ch and len(ch.swapcase()) == 1]
     if not cased:
@@ -162,10 +140,37 @@ def _toggle(body, rng):
     return body[:pos] + body[pos].swapcase() + body[pos + 1:]
 
 
-def _punctuation(body, rng):
+def _punctuation(body, rng, config):
     pos = rng.randrange(len(body) + 1)
     mark = rng.choice(DEFAULT_PUNCTUATION)
     return body[:pos] + mark + body[pos:]
+
+
+# name -> edit(body, rng, config), in the order of OPERATIONS, which seeded draws index
+_EDITS = {"mistype": _mistype, "repeat": _repeat, "swap": _swap, "drop": _drop,
+          "toggle": _toggle, "punctuation": _punctuation}
+OPERATIONS = tuple(_EDITS)
+
+
+@dataclass(frozen=True)
+class NoiseConfig:
+    enabled_ops: tuple = OPERATIONS
+    layouts: tuple = ()
+    min_length: int = 5
+    p_noise: float = 0.5
+
+    def __post_init__(self):
+        if self.min_length < 2:
+            raise ValueError("min_length must be >= 2")
+        if not 0.0 <= self.p_noise <= 1.0:
+            raise ValueError("p_noise must be in [0, 1]")
+        bad = [op for op in self.enabled_ops if op not in OPERATIONS]
+        if bad:
+            raise ValueError(f"unknown noise operation(s): {bad}")
+        if self.p_noise > 0 and not self.enabled_ops:
+            raise ValueError("p_noise > 0 requires at least one enabled operation")
+        object.__setattr__(self, "layouts", tuple(self.layouts))
+        object.__setattr__(self, "enabled_ops", tuple(self.enabled_ops))
 
 
 def apply_op(token, op, rng, config):
@@ -176,26 +181,14 @@ def apply_op(token, op, rng, config):
     """
     if token in SPECIAL_TOKENS:
         raise NoiseError(f"refusing to noise special token {token!r}")
-    if op not in OPERATIONS:
+    if op not in _EDITS:
         raise ValueError(f"unknown operation {op!r}")
     marker, body = _split_marker(token)
     if len(body) < config.min_length:
         raise NoiseError(
             f"token {token!r} has {len(body)} editable characters; need >= {config.min_length}"
         )
-    if op == "mistype":
-        body = _mistype(body, rng, config)
-    elif op == "repeat":
-        body = _repeat(body, rng)
-    elif op == "swap":
-        body = _swap(body, rng)
-    elif op == "drop":
-        body = _drop(body, rng)
-    elif op == "toggle":
-        body = _toggle(body, rng)
-    else:
-        body = _punctuation(body, rng)
-    return marker + body
+    return marker + _EDITS[op](body, rng, config)
 
 
 def sample_noisy(token, rng, config):
@@ -204,7 +197,7 @@ def sample_noisy(token, rng, config):
     Short tokens, special tokens, and op-level failures fall through to the
     unchanged token.
     """
-    if config.p_noise <= 0.0 or not config.enabled_ops:
+    if config.p_noise <= 0.0:  # NoiseConfig enables an op whenever p_noise > 0
         return token
     if token in SPECIAL_TOKENS:
         return token

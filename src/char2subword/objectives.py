@@ -340,12 +340,12 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
         raise IndexError(f"target ids out of range for |V|={e_table.size}")
     table = e_table.matrix
     e = table[ids]
+    norm_e = e_table.norms[ids]
     norm_hat = np.linalg.norm(e_hat, axis=1)
     parts = {name: np.zeros(len(ids)) for name in ("cos", "ce", "l2", "nbr")}
     grad = np.zeros_like(e_hat)
 
     if weights.l_cos:
-        norm_e = np.linalg.norm(e, axis=1)
         cos = np.einsum("bd,bd->b", e_hat, e) / (norm_hat * norm_e)
         parts["cos"] = 1.0 - cos
         grad -= weights.l_cos * (e / (norm_hat * norm_e)[:, None]
@@ -382,9 +382,9 @@ def loss_and_grad(target_ids, e_hat, e_table, index, weights):
     if weights.l_nbr:
         if index.ids.shape[0] != e_table.size:
             raise ValueError("neighbor index does not match the table")
-        nbrs = table[index.ids[ids]]  # (B, k, d)
-        norm_n = np.linalg.norm(nbrs, axis=2)
-        norm_e = np.linalg.norm(e, axis=1)
+        nbr_ids = index.ids[ids]
+        nbrs = table[nbr_ids]  # (B, k, d)
+        norm_n = e_table.norms[nbr_ids]
         cos_true = np.einsum("bkd,bd->bk", nbrs, e) / (norm_n * norm_e[:, None])
         cos_pred = np.einsum("bkd,bd->bk", nbrs, e_hat) / (norm_n * norm_hat[:, None])
         gap = (1.0 - cos_true) - (1.0 - cos_pred)

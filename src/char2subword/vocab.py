@@ -106,30 +106,16 @@ class CharAlphabet:
 
 
 def build_alphabet(vocab, extra_chars=""):
-    """Collect the distinct characters of all vocabulary entries.
+    """Collect the distinct characters of the marker, of the non-special
+    vocabulary entries and of `extra_chars`, in first-seen order.
 
     Marker characters are always included so marked sequences are
     representable even on vocabularies without continuation pieces.
     """
-    seen = []
-    seen_set = set()
-    for ch in MARKER:
-        if ch not in seen_set:
-            seen_set.add(ch)
-            seen.append(ch)
-    for entry in vocab.entries:
-        if entry in SPECIAL_TOKENS:
-            continue
-        for ch in entry:
-            if ch not in seen_set:
-                seen_set.add(ch)
-                seen.append(ch)
-    for ch in extra_chars:
-        if ch not in seen_set:
-            seen_set.add(ch)
-            seen.append(ch)
+    entries = "".join(entry for entry in vocab.entries if entry not in SPECIAL_TOKENS)
+    seen = tuple(dict.fromkeys(MARKER + entries + extra_chars))  # first-seen order
     index_of = {ch: i + N_RESERVED_CHARS for i, ch in enumerate(seen)}
-    return CharAlphabet(chars=tuple(seen), index_of=index_of)
+    return CharAlphabet(chars=seen, index_of=index_of)
 
 
 @dataclass(frozen=True)

@@ -82,10 +82,11 @@ class TestSimulate:
             in capsys.readouterr().err
         assert not ckpt.exists()
 
-    def test_no_d_out_flag(self, workdir):
+    def test_no_d_out_flag(self, workdir, capsys):
         # the output width is the table's
-        with pytest.raises(SystemExit):
-            simulate(workdir, extra=["--d-out", "8"])
+        rc, _ = simulate(workdir, extra=["--d-out", "8"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: char2subword: unrecognized arguments: --d-out 8\n"
 
 
 class TestConfigFile:
@@ -420,6 +421,22 @@ class TestPretrain:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_selected_token_exit_2(self, workdir, capsys):
+        # seed 0 masks no token of the two-line corpus, so no Adam step would run
+        _, ckpt = simulate(workdir)
+        out = workdir / "pre.c2sw"
+        capsys.readouterr()  # discard training progress line
+        rc = main(["pretrain", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"), "--checkpoint", str(ckpt),
+                   "--corpus", str(workdir / "corpus.txt"), "--seed", "0", "--epochs", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"corpus {workdir / 'corpus.txt'} selected no token to mask in 1 epoch(s)" \
+            in captured.err
+        assert not out.exists()
+
 
 class TestTableWidth:
     @pytest.mark.parametrize("argv", [
@@ -448,15 +465,59 @@ class TestTableWidth:
 
 
 class TestUsageErrors:
-    def test_unknown_mode(self, workdir):
-        with pytest.raises(SystemExit):
-            main(["embed", "--vocab", str(workdir / "vocab.txt"),
-                  "--table", str(workdir / "table.txt"),
-                  "--mode", "bogus", "apple"])
+    def test_unknown_mode(self, workdir, capsys):
+        rc = main(["embed", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"),
+                   "--mode", "bogus", "apple"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: char2subword embed: argument --mode: invalid choice: 'bogus'")
+        assert err.count("\n") == 1
 
     def test_missing_vocab_exit_2(self, workdir):
         rc = main(["stats", "--corpus", str(workdir / "corpus.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--vocab", "v.txt", "--table", "t.txt", "--out", "x.c2sw"], "--seed"),
+        (["pretrain", "--vocab", "v.txt", "--table", "t.txt", "--checkpoint", "m.c2sw",
+          "--corpus", "c.txt", "--out", "x.c2sw"], "--seed"),
+        (["noise", "c.txt", "--out", "n.txt"], "--seed"),
+        (["pretrain", "--vocab", "v.txt", "--table", "t.txt", "--seed", "0",
+          "--corpus", "c.txt", "--out", "x.c2sw"], "--checkpoint"),
+        (["eval", "--vocab", "v.txt", "--table", "t.txt", "--out", "r.txt"], "--checkpoint"),
+        (["neighbors", "--vocab", "v.txt", "--table", "t.txt", "apple"], "--checkpoint"),
+        (["attn", "--vocab", "v.txt", "apple", "--out", "a.txt"], "--checkpoint"),
+        (["stats", "--corpus", "c.txt"], "--vocab"),
+        (["embed", "--vocab", "v.txt", "--table", "t.txt", "--mode", "full", "apple"],
+         "--checkpoint"),
+        (["embed", "--vocab", "v.txt", "--table", "t.txt", "--mode", "table_only", "apple",
+          "--file", "f.txt"], "--file"),
+        (["embed", "--vocab", "v.txt", "--table", "t.txt", "--mode", "table_only"], "--file"),
+        (["params", "--table-v", "21"], "--checkpoint"),
+    ], ids=["simulate-seed", "pretrain-seed", "noise-seed", "pretrain-checkpoint",
+            "eval-checkpoint", "neighbors-checkpoint", "attn-checkpoint", "stats-vocab",
+            "embed-full-checkpoint", "embed-sentence-and-file", "embed-no-text",
+            "params-vocab-or-checkpoint"])
+    def test_missing_flag_named_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
+        # no path exists, so a check made after loading would name a missing file
+        rc = main([str(tmp_path / a) if a.endswith((".txt", ".c2sw")) else a for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+        assert "No such file" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_config_without_value_exit_2(self, capsys):
+        assert main(["simulate", "--config"]) == 2
+        assert capsys.readouterr().err == \
+            "error: char2subword: argument --config: expected one argument\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--seed SEED" in capsys.readouterr().out
 
 
 class TestInputContracts:

@@ -395,27 +395,43 @@ class TestCombinedLossGradient:
         assert abs(float(g @ ehat)) < 1e-10
 
 
+def assert_matches_per_sample_reference(table, weights):
+    idx = build_neighbor_index(table, 5)
+    rng = np.random.default_rng(7)
+    ids = rng.integers(table.size, size=9)
+    ehat = rng.normal(size=(9, table.dim))
+    ehat[0] = table.row(ids[0])  # e_hat == e, where the L2 gradient is 0
+    totals, parts, grad = loss_and_grad(ids, ehat, table, idx, weights)
+    assert set(parts) == {"cos", "ce", "l2", "nbr"}
+    for b, tid in enumerate(ids):
+        e = table.row(tid)
+        total, ref_parts = reference.combined_loss(tid, e, ehat[b], table, idx, weights)
+        assert abs(totals[b] - total) < 1e-12
+        for k, v in ref_parts.items():
+            assert abs(parts[k][b] - v) < 1e-12, k
+        ref_grad = reference.combined_loss_gradient(tid, e, ehat[b], table, idx, weights)
+        np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
+
+
+ALL_WEIGHTINGS = [
+    LossWeights(), LossWeights(1, 0, 0, 0), LossWeights(0, 1, 0, 0),
+    LossWeights(0, 0, 1, 0), LossWeights(0, 0, 0, 1), LossWeights(0.5, 2.0, 0.0, 1.5),
+]
+
+
 class TestLossAndGrad:
-    @pytest.mark.parametrize("weights", [
-        LossWeights(), LossWeights(1, 0, 0, 0), LossWeights(0, 1, 0, 0),
-        LossWeights(0, 0, 1, 0), LossWeights(0, 0, 0, 1), LossWeights(0.5, 2.0, 0.0, 1.5),
-    ])
+    @pytest.mark.parametrize("weights", ALL_WEIGHTINGS)
     def test_matches_per_sample_reference(self, toy_table, weights):
-        idx = build_neighbor_index(toy_table, 5)
-        rng = np.random.default_rng(7)
-        ids = rng.integers(toy_table.size, size=9)
-        ehat = rng.normal(size=(9, toy_table.dim))
-        ehat[0] = toy_table.row(ids[0])  # e_hat == e, where the L2 gradient is 0
-        totals, parts, grad = loss_and_grad(ids, ehat, toy_table, idx, weights)
-        assert set(parts) == {"cos", "ce", "l2", "nbr"}
-        for b, tid in enumerate(ids):
-            e = toy_table.row(tid)
-            total, ref_parts = reference.combined_loss(tid, e, ehat[b], toy_table, idx, weights)
-            assert abs(totals[b] - total) < 1e-12
-            for k, v in ref_parts.items():
-                assert abs(parts[k][b] - v) < 1e-12, k
-            ref_grad = reference.combined_loss_gradient(tid, e, ehat[b], toy_table, idx, weights)
-            np.testing.assert_allclose(grad[b], ref_grad, rtol=0, atol=1e-12)
+        assert_matches_per_sample_reference(toy_table, weights)
+
+    @pytest.mark.parametrize("weights", ALL_WEIGHTINGS)
+    def test_rows_of_unequal_norms_match_per_sample_reference(self, weights):
+        # toy_table's rows are unit vectors, so there a target's norm and a
+        # neighbor's are the same number; here row norms run from 0.1 to 10
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(30, 16))
+        m *= (rng.permutation(np.geomspace(0.1, 10.0, 30)) / np.linalg.norm(m, axis=1))[:, None]
+        assert_matches_per_sample_reference(EmbeddingTable(matrix=m), weights)
 
     def test_ce_blocks_match_one_block(self, toy_table, monkeypatch, tile_log):
         idx = build_neighbor_index(toy_table, 5)

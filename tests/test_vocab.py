@@ -94,6 +94,15 @@ class TestTokenizeWord:
         assert out[0] == best
 
 
+class TestBuildAlphabet:
+    def test_first_seen_order_marker_entries_extra(self):
+        # special tokens add no characters; a character keeps its first place
+        v = load_vocabulary(["b#a", "[UNK]", "ab", "##c"])
+        alphabet = build_alphabet(v, extra_chars="zb#")
+        assert alphabet.chars == ("#", "b", "a", "c", "z")
+        assert [alphabet.index(ch) for ch in alphabet.chars] == list(alphabet.ordinary_indices())
+
+
 class TestCharSequence:
     @pytest.fixture
     def alphabet(self):
