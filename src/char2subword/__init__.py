@@ -51,7 +51,6 @@ from .training import (
 )
 from .vocab import (
     CharAlphabet,
-    CharSequence,
     Vocabulary,
     build_alphabet,
     char_sequence,

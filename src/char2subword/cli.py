@@ -7,7 +7,8 @@ file is read. Required: --vocab (all but noise and params); --table
 (simulate, pretrain, eval, neighbors, embed); --checkpoint (pretrain, eval,
 neighbors, attn); --seed (simulate, pretrain, noise); and embed's sentence
 or --file, not both. embed needs --checkpoint unless --mode table_only, and
-params needs --vocab or --checkpoint.
+params needs --vocab or --checkpoint. simulate takes the noise flags
+(--p-noise, --min-length, --ops, --layouts) only with --noise.
 A JSON config file (--config, schema version 1) is an object whose keys are
 the command's own flags, spelled with `_` for `-`: `n` is -n, `noise: true`
 is --noise and `full_word: false` is --subword. Its values go through the
@@ -94,14 +95,16 @@ def _load_inputs(args):
 
 
 def _noise_config(args):
+    """The NoiseConfig of the noise flags; a flag not given takes NoiseConfig's default."""
     if args.layouts:
         with open(args.layouts, encoding="utf-8") as fh:
             layouts = load_layouts(fh)
     else:
         layouts = default_layouts()
-    ops = tuple(op for op in args.ops.split(",") if op)
-    return NoiseConfig(enabled_ops=ops, layouts=tuple(layouts),
-                       min_length=args.min_length, p_noise=args.p_noise)
+    ops = None if args.ops is None else tuple(op for op in args.ops.split(",") if op)
+    options = {"enabled_ops": ops, "min_length": args.min_length, "p_noise": args.p_noise}
+    return NoiseConfig(layouts=tuple(layouts),
+                       **{key: value for key, value in options.items() if value is not None})
 
 
 def _train_config(args, **options):
@@ -135,6 +138,10 @@ def _load_model(args, alphabet, table=None):
 
 
 def cmd_simulate(args):
+    unused = ["--" + dest.replace("_", "-") for dest in ("layouts", "p_noise", "min_length", "ops")
+              if getattr(args, dest) is not None]
+    if unused and not args.noise:
+        raise CliError(f"simulate takes {', '.join(unused)} only with --noise")
     vocab, alphabet, table = _load_inputs(args)
     noise_cfg = _noise_config(args) if args.noise else None
     config = _model_config(args, table.dim)
@@ -305,10 +312,9 @@ def build_parser():
 
     def noise_flags(p):
         p.add_argument("--layouts", help="keyboard layout JSON file")
-        p.add_argument("--p-noise", type=float, default=NoiseConfig.p_noise)
-        p.add_argument("--min-length", type=int, default=NoiseConfig.min_length)
-        p.add_argument("--ops", default=",".join(NoiseConfig.enabled_ops),
-                       help="comma-separated noise operations")
+        p.add_argument("--p-noise", type=float)
+        p.add_argument("--min-length", type=int)
+        p.add_argument("--ops", help="comma-separated noise operations")
 
     p = sub.add_parser("simulate", help="train the module to mimic the table")
     common(p, "vocab", "table", "seed")

@@ -112,7 +112,7 @@ def dump_attention(params, alphabet, query, is_full_word=True):
     """Serialize per-layer per-head attention maps with character-labeled rows."""
     seq = char_sequence(query, is_full_word, alphabet, max_chars=params.config.max_chars)
     _, maps, _ = model_mod.forward(params, seq)
-    labels = [alphabet.char(c) for c in seq.chars]
+    labels = [alphabet.char(c) for c in seq]
     out = io.StringIO()
     out.write(f"input {query}\nchars {' '.join(labels)}\n")
     for j, layer in enumerate(maps):

@@ -165,14 +165,14 @@ def _pe_table(max_chars, d_char):
 
 
 def forward_batch(params, seqs):
-    """Run the module on a list of CharSequences as one padded batch.
+    """Run the module on a list of alphabet-id tuples as one padded batch.
 
     Shorter sequences are padded to the longest. Every pass carries the
     padding mask: padded keys get -inf before every attention softmax and
     padded positions -inf before the max-pool, so each row depends on its own
     characters only (real positions get 0.0, which changes no bit). Returns
-    (embeddings (B, d_out), attention maps (one (B, heads, n, n) array per
-    layer), cache); the cache feeds backward_batch().
+    (embeddings (B, d_out), cache); the cache feeds backward_batch(), and
+    cache["layers"][j]["a"] is layer j's (B, heads, n, n) attention.
     """
     cfg = params.config
     t = params.tensors
@@ -186,7 +186,7 @@ def forward_batch(params, seqs):
     b, n = len(seqs), int(lengths.max())
     ids = np.zeros((b, n), dtype=np.intp)
     for row, s in enumerate(seqs):
-        ids[row, :len(s)] = s.chars
+        ids[row, :len(s)] = s
     real = np.arange(n) < lengths[:, None]
 
     x = t["char_emb"][ids] + _pe_table(cfg.max_chars, cfg.d_char)[:n]
@@ -195,7 +195,6 @@ def forward_batch(params, seqs):
     h, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
     layers = []
-    maps = []
     for j in range(cfg.n_layers):
         xin = x
         xb = layer_norm(xin, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
@@ -213,7 +212,6 @@ def forward_batch(params, seqs):
         xout = f + xbp
         layers.append({"xin": xin, "xb": xb, "q": q, "k": k, "v": v,
                        "a": a, "c": c, "xp": xp, "xbp": xbp, "u": u, "g": g})
-        maps.append(a)
         x = xout
 
     y = np.where(real[:, :, None], x @ t["We"] + t["be"], -np.inf)
@@ -223,7 +221,7 @@ def forward_batch(params, seqs):
 
     cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
              "arg": arg, "pooled": pooled}
-    return emb, maps, cache
+    return emb, cache
 
 
 def backward_batch(params, cache, upstream):
@@ -289,14 +287,14 @@ def backward_batch(params, cache, upstream):
 
 
 def forward(params, seq):
-    """Run the module on one CharSequence (a batch of one).
+    """Run the module on one character sequence (a batch of one).
 
     Returns (embedding, attention maps, cache): the maps are a tuple over
     layers of tuples over heads of n x n row-stochastic matrices; cache feeds
     backward().
     """
-    emb, maps, cache = forward_batch(params, [seq])
-    return emb[0], tuple(tuple(a[0]) for a in maps), cache
+    emb, cache = forward_batch(params, [seq])
+    return emb[0], tuple(tuple(layer["a"][0]) for layer in cache["layers"]), cache
 
 
 def backward(params, seq, cache, upstream):

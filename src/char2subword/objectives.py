@@ -6,6 +6,7 @@ vector only.
 
 import collections
 import concurrent.futures
+import ctypes
 import hashlib
 import math
 import os
@@ -13,6 +14,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from .numerics import cosine_similarity
 
@@ -28,6 +30,16 @@ CE_BLOCK = 2 ** 19
 # starts no thread until its first submit.
 _POOL = concurrent.futures.ThreadPoolExecutor(os.cpu_count() or 1)
 _IN_FLIGHT = 2 * (os.cpu_count() or 1)  # tiles submitted and not yet yielded
+
+# numpy's bundled OpenBLAS runs on one thread (set as threadpoolctl sets it), so the
+# pool is the only parallelism: no oversubscribed cores, and no product whose bits
+# depend on OPENBLAS_NUM_THREADS. A symbol looked up in numpy's own extension is
+# found in the libraries it links, so this is the BLAS that numpy's matmul calls.
+try:
+    ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)
+except (OSError, AttributeError) as exc:
+    raise RuntimeError("cannot pin numpy's BLAS to one thread: numpy's bundled OpenBLAS "
+                       f"setter scipy_openblas_set_num_threads64_ is missing ({exc})") from exc
 
 
 @dataclass(frozen=True)

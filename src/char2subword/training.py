@@ -18,7 +18,6 @@ from .vocab import (
     MASK_CHAR_INDEX,
     MAX_CHARS,
     UNK,
-    CharSequence,
     char_sequence,
     tokenize_word,
     whitespace_split,
@@ -92,7 +91,7 @@ def batch_loss(params, seqs, target_ids, e_table, index, weights, sample_weights
     e_hat = np.empty((len(seqs), params.config.d_out))
     caches = []  # every pass's cache stays live until its backward
     for rows in passes:
-        e_hat[rows], _, cache = model_mod.forward_batch(params, [seqs[i] for i in rows])
+        e_hat[rows], cache = model_mod.forward_batch(params, [seqs[i] for i in rows])
         caches.append(cache)
     totals, parts, d_ehat = loss_and_grad(target_ids, e_hat, e_table, index, weights)
     d_ehat *= np.asarray(sample_weights, dtype=np.float64)[:, None]
@@ -237,7 +236,7 @@ def make_masking_plan(token_ids, char_seqs, rng):
         if rng.random() >= SELECT_P:
             continue
         actions = []
-        for _ in seq.chars:
+        for _ in seq:
             u = rng.random()
             if u < MASK_P:
                 actions.append("mask")
@@ -255,8 +254,7 @@ def apply_masking(plan, char_seqs, alphabet, rng):
     ordinary = list(alphabet.ordinary_indices())
     masked = []
     for entry in plan.entries:
-        seq = char_seqs[entry.position]
-        chars = list(seq.chars)
+        chars = list(char_seqs[entry.position])
         for pos, action in enumerate(entry.actions):
             if action == "mask":
                 chars[pos] = MASK_CHAR_INDEX
@@ -264,8 +262,7 @@ def apply_masking(plan, char_seqs, alphabet, rng):
                 choices = [c for c in ordinary if c != chars[pos]]
                 if choices:
                     chars[pos] = rng.choice(choices)
-        masked.append(CharSequence(token=seq.token, chars=tuple(chars),
-                                   is_full_word=seq.is_full_word))
+        masked.append(tuple(chars))
     return masked
 
 
@@ -285,7 +282,7 @@ def mlm_step(params, masked_seqs, targets, e_table):
 
 
 def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):
-    """Tokenize corpus lines into aligned (token_id, CharSequence) sequences.
+    """Tokenize corpus lines into aligned (token ids, character sequences) pairs.
 
     Single-piece words are full words (they get the "##" marker); OOV words
     keep their surface characters with an [UNK] target.

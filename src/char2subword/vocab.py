@@ -1,4 +1,4 @@
-"""Vocabulary storage, WordPiece-style tokenization, and character sequences."""
+"""Vocabulary storage, WordPiece-style tokenization, and alphabet-id character sequences."""
 
 import os
 from dataclasses import dataclass, field
@@ -105,33 +105,21 @@ class CharAlphabet:
         return range(N_RESERVED_CHARS, len(self))
 
 
-def build_alphabet(vocab, extra_chars=""):
-    """Collect the distinct characters of the marker, of the non-special
-    vocabulary entries and of `extra_chars`, in first-seen order.
+def build_alphabet(vocab):
+    """Collect the distinct characters of the marker and of the non-special
+    vocabulary entries, in first-seen order.
 
     Marker characters are always included so marked sequences are
     representable even on vocabularies without continuation pieces.
     """
     entries = "".join(entry for entry in vocab.entries if entry not in SPECIAL_TOKENS)
-    seen = tuple(dict.fromkeys(MARKER + entries + extra_chars))  # first-seen order
+    seen = tuple(dict.fromkeys(MARKER + entries))  # first-seen order
     index_of = {ch: i + N_RESERVED_CHARS for i, ch in enumerate(seen)}
     return CharAlphabet(chars=seen, index_of=index_of)
 
 
-@dataclass(frozen=True)
-class CharSequence:
-    """A token rendered as alphabet indices, marker handling applied."""
-
-    token: str
-    chars: tuple
-    is_full_word: bool
-
-    def __len__(self):
-        return len(self.chars)
-
-
 def char_sequence(token, is_full_word, alphabet, max_chars=MAX_CHARS):
-    """Map a token to alphabet indices.
+    """Map a token to the tuple of its alphabet indices: what the module reads.
 
     The "##" marker is prepended to full words (subword pieces already carry
     theirs). Out-of-alphabet characters map to UNK_CHAR. The result is
@@ -142,8 +130,7 @@ def char_sequence(token, is_full_word, alphabet, max_chars=MAX_CHARS):
     text = token
     if is_full_word and not text.startswith(MARKER):
         text = MARKER + text
-    idxs = tuple(alphabet.index(ch) for ch in text[:max_chars])
-    return CharSequence(token=token, chars=idxs, is_full_word=is_full_word)
+    return tuple(alphabet.index(ch) for ch in text[:max_chars])
 
 
 def whitespace_split(sentence):

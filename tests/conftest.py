@@ -36,7 +36,8 @@ def toy_alphabet(toy_vocab):
     # representable even though no vocabulary entry contains them
     extra = "".join(sorted(set("".join(TOY_WORDS).upper())))
     extra += "".join(DEFAULT_PUNCTUATION)
-    return c2s.build_alphabet(toy_vocab, extra_chars=extra)
+    # one more entry holding them puts them after the vocabulary's own characters
+    return c2s.build_alphabet(c2s.load_vocabulary([*toy_vocab.entries, extra]))
 
 
 @pytest.fixture(scope="session")

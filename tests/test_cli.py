@@ -1,8 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import string
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import char2subword
 from char2subword import build_alphabet, load_checkpoint, load_vocabulary
 from char2subword.cli import main
 from char2subword.objectives import EmbeddingTable, load_table, save_table_binary, save_table_text
@@ -81,6 +88,36 @@ class TestSimulate:
         assert "numeric failure: non-finite vocabulary embeddings after epoch 0" \
             in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--layouts", "missing_layouts.json"],
+        ["--p-noise", "0.9"],
+        ["--min-length", "3"],
+        ["--ops", "drop"],
+        ["--p-noise", "0.9", "--layouts", "missing_layouts.json"],
+    ])
+    def test_noise_flags_without_noise_exit_2(self, tmp_path, capsys, flags):
+        # every input path is missing: the rule is checked before any file is read
+        rc = main(["simulate", "--vocab", str(tmp_path / "missing_vocab.txt"),
+                   "--table", str(tmp_path / "missing_table.txt"), "--seed", "0",
+                   "--out", str(tmp_path / "x.c2sw"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate takes --") and err.count("\n") == 1
+        assert err.rstrip().endswith("only with --noise")
+        assert all(flag in err for flag in flags if flag.startswith("--"))
+        assert not (tmp_path / "x.c2sw").exists()
+
+    def test_noise_keys_in_config_need_noise(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"p_noise": 0.9, "min_length": 3}))
+        rc, ckpt = simulate(workdir, extra=["--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: simulate takes --p-noise, --min-length only with --noise\n"
+        assert not ckpt.exists()
+        rc, ckpt = simulate(workdir, extra=["--config", str(cfg), "--noise"])
+        assert rc == 0 and ckpt.exists()
 
     def test_no_d_out_flag(self, workdir, capsys):
         # the output width is the table's
@@ -591,3 +628,48 @@ class TestInputContracts:
         (workdir / "nan_table.txt").write_text("\n".join(lines) + "\n")
         assert self.eval_rc(workdir, ckpt, table="nan_table.txt") == 2
         assert "non-finite row(s): [2]" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # CE products with a 600 x 768 table split their sums by OpenBLAS's thread
+        # count, so their bits match across counts only when the package pins one
+        rng = np.random.default_rng(3)
+        words = set()
+        while len(words) < 599:
+            words.add("".join(rng.choice(list(string.ascii_lowercase), rng.integers(3, 10))))
+        words = sorted(words)
+        (tmp_path / "vocab.txt").write_text("\n".join(words + ["[UNK]"]) + "\n")
+        save_table_binary(tmp_path / "table.embt",
+                          EmbeddingTable(matrix=rng.normal(size=(600, 768))))
+        (tmp_path / "corpus.txt").write_text(
+            "\n".join(" ".join(words[i:i + 8]) for i in range(0, 160, 8)) + "\n")
+        src = str(Path(char2subword.__file__).resolve().parent.parent)
+        inputs = ["--vocab", "vocab.txt", "--table", "table.embt"]
+        commands = [
+            ["simulate", *inputs, "--seed", "3", "--epochs", "2", "--noise",
+             "--out", "sim.c2sw", "--metrics", "sim.jsonl"],
+            ["pretrain", *inputs, "--checkpoint", "sim.c2sw", "--corpus", "corpus.txt",
+             "--seed", "3", "--epochs", "1", "--out", "mlm.c2sw", "--metrics", "mlm.jsonl"],
+            ["eval", *inputs, "--checkpoint", "mlm.c2sw", "--out", "eval.txt"],
+        ]
+        runs = {}
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            for name in ("vocab.txt", "table.embt", "corpus.txt"):
+                os.symlink(tmp_path / name, run_dir / name)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outputs = []
+            for argv in commands:
+                out = subprocess.run([sys.executable, "-m", "char2subword.cli", *argv],
+                                     cwd=run_dir, env=env, capture_output=True, text=True,
+                                     timeout=300)
+                assert out.returncode == 0, out.stderr
+                outputs.append(out.stdout)
+            digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                       for name in ("sim.c2sw", "sim.jsonl", "mlm.c2sw", "mlm.jsonl",
+                                    "eval.txt")}
+            runs[threads] = outputs, digests
+        assert runs["1"] == runs["2"]

@@ -8,7 +8,7 @@ import pytest
 import char2subword as c2s
 from char2subword import model as M
 from char2subword.numerics import layer_norm, softmax_rows, sinusoidal_pe, gelu
-from char2subword.vocab import char_sequence
+from char2subword.vocab import UNK_CHAR_INDEX, char_sequence
 from reference import finite_diff_gradient, save_checkpoint_v1
 
 
@@ -110,10 +110,8 @@ class TestForward:
 
     def test_empty_sequence_rejected(self, tiny_config, alphabet):
         p = M.init_params(tiny_config, len(alphabet), seed=0)
-        seq = char_sequence("a", False, alphabet)
-        object.__setattr__(seq, "chars", ())
         with pytest.raises(ValueError):
-            M.forward(p, seq)
+            M.forward(p, ())
 
     def test_matches_step_by_step_trace(self, alphabet):
         # independent re-derivation of the layer equations at hand size
@@ -121,8 +119,8 @@ class TestForward:
         p = M.init_params(cfg, len(alphabet), seed=5)
         seq = char_sequence("ab", False, alphabet)
         t = p.tensors
-        x = np.stack([t["char_emb"][seq.chars[0]] + sinusoidal_pe(0, 4),
-                      t["char_emb"][seq.chars[1]] + sinusoidal_pe(1, 4)])
+        x = np.stack([t["char_emb"][seq[0]] + sinusoidal_pe(0, 4),
+                      t["char_emb"][seq[1]] + sinusoidal_pe(1, 4)])
         xb = layer_norm(x, t["L0.ln1.g"], t["L0.ln1.b"], cfg.ln_eps)
         # Wqkv's 12 columns: Wq | Wk | Wv, each head 0's two columns, then head 1's
         w = t["L0.Wqkv"]
@@ -158,7 +156,7 @@ class TestBackward:
         seq = char_sequence("apple", False, alphabet)
         _, _, cache = M.forward(p, seq)
         grads = M.backward(p, seq, cache, np.ones(tiny_config.d_out))
-        used = set(seq.chars)
+        used = set(seq)
         for row in range(p.alphabet_size):
             if row not in used:
                 assert np.all(grads["char_emb"][row] == 0.0)
@@ -170,6 +168,22 @@ class TestBackward:
         _, _, cache = M.forward(p, seq)
         with pytest.raises(ValueError):
             M.backward(p, other, cache, np.zeros(tiny_config.d_out))
+
+    def test_cache_checked_against_id_tuple(self, tiny_config, alphabet):
+        # uppercase is outside the toy alphabet: both tokens read as (UNK_CHAR,) * 2
+        p = M.init_params(tiny_config, len(alphabet), seed=0)
+        seq = char_sequence("AB", False, alphabet)
+        _, _, cache = M.forward(p, seq)
+        u = np.ones(tiny_config.d_out)
+        with pytest.raises(ValueError, match="backward cache does not match the given sequence"):
+            M.backward(p, char_sequence("ab", False, alphabet), cache, u)
+        with pytest.raises(ValueError, match="backward cache does not match the given sequence"):
+            M.backward(p, seq[:1], cache, u)
+        same = char_sequence("CD", False, alphabet)
+        assert same == seq == (UNK_CHAR_INDEX,) * 2
+        grads = M.backward(p, same, cache, u)
+        for name, g in M.backward(p, seq, cache, u).items():
+            np.testing.assert_array_equal(grads[name], g)
 
     def test_matches_finite_differences(self, alphabet):
         cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2)
@@ -214,7 +228,8 @@ class TestForwardBatch:
         cfg = M.ModelConfig(d_char=8, d_out=6, n_layers=2, n_heads=2)
         p = M.init_params(cfg, len(alphabet), seed=21)
         seqs = mixed_batch(alphabet, cfg.max_chars)
-        emb, maps, _ = M.forward_batch(p, seqs)
+        emb, cache = M.forward_batch(p, seqs)
+        maps = [layer["a"] for layer in cache["layers"]]
         for b, seq in enumerate(seqs):
             e1, maps1, _ = M.forward(p, seq)
             np.testing.assert_allclose(emb[b], e1, rtol=0, atol=1e-12)
@@ -247,7 +262,7 @@ class TestBackwardBatch:
         p = M.init_params(cfg, len(alphabet), seed=23)
         seqs = mixed_batch(alphabet, cfg.max_chars)
         u = np.random.default_rng(24).normal(size=(len(seqs), cfg.d_out))
-        _, _, cache = M.forward_batch(p, seqs)
+        _, cache = M.forward_batch(p, seqs)
         grads = M.backward_batch(p, cache, u)
         assert_views_of_flat(grads)
         ref = summed_grads(p, seqs, u)
@@ -262,11 +277,11 @@ class TestBackwardBatch:
         seqs = [char_sequence(t, False, alphabet, max_chars=9)
                 for t in ("a", "badge", "blackberry")]
         u = np.random.default_rng(26).normal(size=(len(seqs), cfg.d_out))
-        _, _, cache = M.forward_batch(p, seqs)
+        _, cache = M.forward_batch(p, seqs)
         grads = M.backward_batch(p, cache, u).tensors
 
         def loss():
-            e, _, _ = M.forward_batch(p, seqs)
+            e, _ = M.forward_batch(p, seqs)
             return float((e * u).sum())
 
         for name in ("We", "be", "char_emb", "L0.Wo", "L1.W1", "L0.b1", "L1.W2", "L1.b2",
@@ -279,11 +294,11 @@ class TestBackwardBatch:
         p = M.init_params(tiny_config, len(alphabet), seed=27)
         seqs = [char_sequence(t, False, alphabet) for t in ("ab", "badge")]
         u = np.random.default_rng(28).normal(size=(2, tiny_config.d_out))
-        _, _, cache = M.forward_batch(p, seqs)
+        _, cache = M.forward_batch(p, seqs)
         grads = M.backward_batch(p, cache, u)
         # a longer sequence with zero upstream pads both others further
         longer = seqs + [char_sequence("blackberries", False, alphabet)]
-        _, _, cache = M.forward_batch(p, longer)
+        _, cache = M.forward_batch(p, longer)
         grads_padded = M.backward_batch(p, cache, np.vstack([u, np.zeros(tiny_config.d_out)]))
         np.testing.assert_allclose(grads_padded.flat, grads.flat, rtol=0, atol=1e-12)
 

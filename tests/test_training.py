@@ -295,7 +295,7 @@ class TestApplyMasking:
             MaskedToken(position=0, target_id=0,
                             actions=("mask",) * len(seq)),))
         (masked,) = apply_masking(plan, [seq], alphabet, random.Random(0))
-        assert all(c == MASK_CHAR_INDEX for c in masked.chars)
+        assert masked == (MASK_CHAR_INDEX,) * len(seq)
 
     def test_randomize_never_keeps_original(self, alphabet):
         seq = char_sequence("apple", False, alphabet)
@@ -305,7 +305,7 @@ class TestApplyMasking:
         rng = random.Random(3)
         for _ in range(100):
             (masked,) = apply_masking(plan, [seq], alphabet, rng)
-            for orig, new in zip(seq.chars, masked.chars):
+            for orig, new in zip(seq, masked, strict=True):
                 assert new != orig
                 assert new in alphabet.ordinary_indices()
 
@@ -315,7 +315,7 @@ class TestApplyMasking:
             MaskedToken(position=0, target_id=0,
                             actions=("keep",) * len(seq)),))
         (masked,) = apply_masking(plan, [seq], alphabet, random.Random(0))
-        assert masked.chars == seq.chars
+        assert masked == seq
 
 
 class TestMlmStep:
@@ -345,14 +345,15 @@ class TestCorpusSamples:
     def test_single_piece_full_word(self, toy_vocab, alphabet):
         ((ids, seqs),) = corpus_samples(toy_vocab, alphabet, ["apple badge"])
         assert ids == [toy_vocab.id_of["apple"], toy_vocab.id_of["badge"]]
-        assert all(s.is_full_word for s in seqs)
         # full words carry the prepended marker characters
-        assert alphabet.char(seqs[0].chars[0]) == "#"
+        assert seqs == [char_sequence("apple", True, alphabet),
+                        char_sequence("badge", True, alphabet)]
+        assert alphabet.char(seqs[0][0]) == "#"
 
     def test_oov_keeps_surface_with_unk_target(self, toy_vocab, alphabet):
         ((ids, seqs),) = corpus_samples(toy_vocab, alphabet, ["zzzzz"])
         assert ids == [toy_vocab.id_of[UNK]]
-        assert seqs[0].token == "zzzzz"
+        assert seqs == [char_sequence("zzzzz", True, alphabet)]
 
     def test_blank_lines_skipped(self, toy_vocab, alphabet):
         assert corpus_samples(toy_vocab, alphabet, ["", "   "]) == []
@@ -478,7 +479,7 @@ class TestBatchedSteps:
         assert calls == [len(seqs)]
         ref = np.zeros_like(params.flat)
         for rows in passes:  # forward, loss_and_grad and backward per pass
-            e_hat, _, cache = M.forward_batch(params, [seqs[i] for i in rows])
+            e_hat, cache = M.forward_batch(params, [seqs[i] for i in rows])
             t, _, d = real(np.asarray(targets)[rows], e_hat, toy_table, None,
                            training._CE_ONLY)
             np.testing.assert_allclose(totals[rows], t, rtol=0, atol=1e-12)

@@ -95,11 +95,11 @@ class TestTokenizeWord:
 
 
 class TestBuildAlphabet:
-    def test_first_seen_order_marker_entries_extra(self):
+    def test_first_seen_order_marker_then_entries(self):
         # special tokens add no characters; a character keeps its first place
         v = load_vocabulary(["b#a", "[UNK]", "ab", "##c"])
-        alphabet = build_alphabet(v, extra_chars="zb#")
-        assert alphabet.chars == ("#", "b", "a", "c", "z")
+        alphabet = build_alphabet(v)
+        assert alphabet.chars == ("#", "b", "a", "c")
         assert [alphabet.index(ch) for ch in alphabet.chars] == list(alphabet.ordinary_indices())
 
 
@@ -111,16 +111,17 @@ class TestCharSequence:
 
     def test_full_word_gets_marker(self, alphabet):
         seq = char_sequence("cat", True, alphabet)
-        assert [alphabet.char(i) for i in seq.chars] == ["#", "#", "c", "a", "t"]
+        assert type(seq) is tuple
+        assert [alphabet.char(i) for i in seq] == ["#", "#", "c", "a", "t"]
 
     def test_subword_piece_unchanged(self, alphabet):
         seq = char_sequence("##ing", False, alphabet)
-        assert [alphabet.char(i) for i in seq.chars] == ["#", "#", "i", "n", "g"]
+        assert [alphabet.char(i) for i in seq] == ["#", "#", "i", "n", "g"]
 
     def test_out_of_alphabet_maps_to_unk_char(self, alphabet):
         seq = char_sequence("cz", False, alphabet)
-        assert seq.chars[1] == UNK_CHAR_INDEX
-        assert seq.chars[0] != UNK_CHAR_INDEX
+        assert seq[1] == UNK_CHAR_INDEX
+        assert seq[0] != UNK_CHAR_INDEX
 
     def test_truncation(self, alphabet):
         seq = char_sequence("catcatcat", False, alphabet, max_chars=4)
@@ -132,7 +133,7 @@ class TestCharSequence:
 
     def test_injective_on_in_alphabet_tokens(self, alphabet):
         tokens = ("cat", "tac", "act", "ta", "at", "##cat", "ing", "##ing")
-        seqs = {char_sequence(t, False, alphabet).chars for t in tokens}
+        seqs = {char_sequence(t, False, alphabet) for t in tokens}
         assert len(seqs) == len(tokens)
 
 
