@@ -215,12 +215,11 @@ def forward_batch(params, seqs):
         x = xout
 
     y = np.where(real[:, :, None], x @ t["We"] + t["be"], -np.inf)
-    arg = y.argmax(axis=1)
-    pooled = np.take_along_axis(y, arg[:, None, :], axis=1)[:, 0, :]
+    pooled = y.max(axis=1)
     emb = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
 
     cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
-             "arg": arg, "pooled": pooled}
+             "y": y, "pooled": pooled}
     return emb, cache
 
 
@@ -243,8 +242,9 @@ def backward_batch(params, cache, upstream):
     d_pooled, g["ln_out.g"][...], g["ln_out.b"][...] = layer_norm_backward(
         cache["pooled"], t["ln_out.g"], cfg.ln_eps, upstream)
 
+    arg = cache["y"].argmax(axis=1)  # the max-pool's gradient goes to its first max
     dy = np.zeros((b, n, cfg.d_out))
-    np.put_along_axis(dy, cache["arg"][:, None, :], d_pooled[:, None, :], axis=1)
+    np.put_along_axis(dy, arg[:, None, :], d_pooled[:, None, :], axis=1)
 
     g["We"][...] = cache["x_final"].reshape(-1, d).T @ dy.reshape(-1, cfg.d_out)
     g["be"][...] = d_pooled.sum(axis=0)

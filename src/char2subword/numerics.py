@@ -21,15 +21,18 @@ __all__ = [
 def softmax_rows(m):
     """Row-wise softmax, stabilized by subtracting the row maximum."""
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     Uses population variance. Works on a single vector or row-wise on a matrix.
+    x is centered once; the sums and divisions are the ones ndarray.mean and
+    ndarray.var make, so the bits are theirs.
     """
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
@@ -40,10 +43,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be > 0")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return gain * xhat + bias
+    n = x.shape[-1]
+    d = x - np.add.reduce(x, -1, keepdims=True) / n
+    var = np.add.reduce(d * d, -1, keepdims=True) / n
+    return gain * (d / np.sqrt(var + eps)) + bias
 
 
 def layer_norm_backward(x, gain, eps, grad_out):
@@ -55,10 +58,9 @@ def layer_norm_backward(x, gain, eps, grad_out):
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     n = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    d = x - np.add.reduce(x, -1, keepdims=True) / n  # as in layer_norm
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / n + eps)
+    xhat = d * inv
 
     grad_gain = (grad_out * xhat).reshape(-1, n).sum(axis=0)
     grad_bias = grad_out.reshape(-1, n).sum(axis=0)
@@ -66,8 +68,8 @@ def layer_norm_backward(x, gain, eps, grad_out):
     g = grad_out * gain
     grad_x = inv * (
         g
-        - g.mean(axis=-1, keepdims=True)
-        - xhat * (g * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(g, -1, keepdims=True) / n
+        - xhat * (np.add.reduce(g * xhat, -1, keepdims=True) / n)
     )
     return grad_x, grad_gain, grad_bias
 
@@ -79,7 +81,10 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(x):
     """Exact GELU, x * Phi(x), elementwise."""
     x = np.asarray(x, dtype=np.float64)
-    return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    y = erf(x * _INV_SQRT2)
+    y += 1.0
+    y *= x * 0.5
+    return y
 
 
 def gelu_backward(x, grad_out):

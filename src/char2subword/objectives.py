@@ -22,8 +22,10 @@ TABLE_MAGIC = b"EMBT"
 # Most entries of a rows x |V| product held at once: 4 MB of float64. `tiles`
 # makes every such product, one per tile, for CE's logits and for scan_table's
 # top-n cosines and argmax; the pool holds at most _IN_FLIGHT tiles, so memory
-# stays bounded at any table size. At toy scale a batch is one tile. Loading a
-# table and its row norms also goes in row chunks of at most this many entries.
+# stays bounded at any table size. A product that fits in one tile runs inline
+# below 2 * CE_BLOCK multiply-adds (every toy product) and as two column tiles
+# on the pool from there (a query over a 30k x 768 table). Loading a table and
+# its row norms also goes in row chunks of at most this many entries.
 CE_BLOCK = 2 ** 19
 # Runs the tiles of a multi-tile product; numpy releases the GIL in matmul, exp,
 # partition and argmax. Made here, so no binding changes later: the executor
@@ -181,13 +183,19 @@ def tiles(rows, e_table, fn):
     above CE_BLOCK entries. `product` is rows[blk] @ E[cols].T, a fresh array that fn may
     overwrite. A row block takes up to max(sqrt(CE_BLOCK), CE_BLOCK // |V|) rows, so a
     batch of a few hundred rows streams the table once and many rows get square BLAS
-    tiles. A single tile runs inline. More run on the thread pool, at most _IN_FLIGHT
-    submitted and not yet yielded, so fn runs beside other tiles and the caller and must
-    write nothing they read. Results come back in tile order, so they do not depend on
-    the worker count. A tile that raises cancels the tiles not yet started, and its
-    error reaches the caller once the running ones have finished."""
+    tiles. A product that fits in one tile runs inline if it has fewer than 2 * CE_BLOCK
+    multiply-adds (rows x |V| x d); from there it is cut into two column tiles of
+    ceil(|V| / 2) columns, a fixed count, so the bits do not depend on the machine.
+    Several tiles run on the thread pool, at most _IN_FLIGHT submitted and not yet
+    yielded, so fn runs beside other tiles and the caller and must write nothing they
+    read. Results come back in tile order, so they do not depend on the worker count. A
+    tile that raises cancels the tiles not yet started, and its error reaches the caller
+    once the running ones have finished."""
     step = max(1, min(len(rows), max(math.isqrt(CE_BLOCK), CE_BLOCK // e_table.size)))
     width = min(e_table.size, max(1, CE_BLOCK // step))
+    inline = len(rows) <= step and e_table.size <= width  # one tile, or none
+    if inline and len(rows) * e_table.size * e_table.dim >= 2 * CE_BLOCK:
+        width, inline = -(-e_table.size // 2), False  # two column tiles, side by side
 
     def grid():
         for lo in range(0, len(rows), step):
@@ -198,7 +206,7 @@ def tiles(rows, e_table, fn):
     def tile(blk, cols, q):
         return fn(blk, cols, q @ e_table.matrix[cols].T)
 
-    if len(rows) <= step and e_table.size <= width:  # one tile, or none
+    if inline:
         for blk, cols, q in grid():
             yield blk, cols, tile(blk, cols, q)
         return

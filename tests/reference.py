@@ -6,12 +6,15 @@ no batching or tiling; `objectives.loss_and_grad` must agree with them to
 `evaluation.precision_at_k`. `finite_diff_gradient` checks hand-written
 gradients against central differences. `save_checkpoint_v1` is the writer of
 checkpoint version 1, which `model.load_checkpoint` still reads.
+`softmax_rows`, `layer_norm`, `layer_norm_backward` and `gelu` are the plain
+numpy expressions of the `numerics` functions, which must give the same bytes.
 """
 
 import json
 import struct
 
 import numpy as np
+from scipy.special import erf
 
 from char2subword.numerics import cosine_similarity
 from char2subword.objectives import loss_cos, loss_l2
@@ -100,6 +103,49 @@ def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights):
         grad += weights.l_nbr * acc / index.k
 
     return grad
+
+
+def softmax_rows(m):
+    """Row-wise softmax, stabilized by subtracting the row maximum."""
+    m = np.asarray(m, dtype=np.float64)
+    shifted = m - m.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize the last axis with its mean and population variance, then scale and shift."""
+    x = np.asarray(x, dtype=np.float64)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    xhat = (x - mu) / np.sqrt(var + eps)
+    return gain * xhat + bias
+
+
+def layer_norm_backward(x, gain, eps, grad_out):
+    """(grad_x, grad_gain, grad_bias) of layer_norm given upstream grad_out."""
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    n = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    grad_gain = (grad_out * xhat).reshape(-1, n).sum(axis=0)
+    grad_bias = grad_out.reshape(-1, n).sum(axis=0)
+    g = grad_out * gain
+    grad_x = inv * (
+        g
+        - g.mean(axis=-1, keepdims=True)
+        - xhat * (g * xhat).mean(axis=-1, keepdims=True)
+    )
+    return grad_x, grad_gain, grad_bias
+
+
+def gelu(x):
+    """Exact GELU, x * Phi(x), elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
 
 
 def precision_overlaps(truth_rows, pred_rows, k_max):

@@ -7,7 +7,13 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
-from char2subword.numerics import layer_norm, softmax_rows, sinusoidal_pe, gelu
+from char2subword.numerics import (
+    gelu,
+    layer_norm,
+    layer_norm_backward,
+    sinusoidal_pe,
+    softmax_rows,
+)
 from char2subword.vocab import UNK_CHAR_INDEX, char_sequence
 from reference import finite_diff_gradient, save_checkpoint_v1
 
@@ -245,6 +251,25 @@ class TestForwardBatch:
         long_seq = char_sequence("a" * 40, False, alphabet, max_chars=40)
         with pytest.raises(ValueError, match="max_chars"):
             M.forward_batch(p, [char_sequence("ab", False, alphabet), long_seq])
+
+    def test_max_pool_ties_pass_the_gradient_to_position_zero(self, tiny_config, alphabet):
+        # with We = 0 every position's pre-pool vector is be, so every position ties
+        cfg = tiny_config
+        p = M.init_params(cfg, len(alphabet), seed=27)
+        p.tensors["We"][...] = 0.0
+        p.tensors["be"][...] = np.random.default_rng(28).normal(size=cfg.d_out)
+        seqs = mixed_batch(alphabet, cfg.max_chars)
+        emb, cache = M.forward_batch(p, seqs)
+        want = layer_norm(p.tensors["be"], p.tensors["ln_out.g"], p.tensors["ln_out.b"],
+                          cfg.ln_eps)
+        for row in emb:
+            assert row.tobytes() == want.tobytes()
+        u = np.random.default_rng(29).normal(size=(len(seqs), cfg.d_out))
+        grads = M.backward_batch(p, cache, u).tensors
+        d_pooled = layer_norm_backward(cache["pooled"], p.tensors["ln_out.g"], cfg.ln_eps, u)[0]
+        first = cache["x_final"][:, 0, :]  # each sequence's position 0
+        np.testing.assert_allclose(grads["We"], first.T @ d_pooled, rtol=0, atol=1e-12)
+        assert not np.allclose(grads["We"], cache["x_final"][:, 1, :].T @ d_pooled)
 
     def test_encode_bit_identical_to_forward(self, tiny_config, alphabet):
         p = M.init_params(tiny_config, len(alphabet), seed=22)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from char2subword.numerics import (
@@ -11,6 +12,7 @@ from char2subword.numerics import (
     sinusoidal_pe,
     softmax_rows,
 )
+import reference
 from reference import finite_diff_gradient
 
 
@@ -86,6 +88,37 @@ class TestGelu:
         up = rng.normal(size=11)
         fd = finite_diff_gradient(lambda v: float(gelu(v) @ up), x)
         np.testing.assert_allclose(gelu_backward(x, up), fd, atol=1e-9)
+
+
+class TestSameBytesAsReference:
+    """softmax_rows, layer_norm, layer_norm_backward and gelu work in place and call
+    numpy's reductions directly, yet give the bytes of reference.py's plain expressions."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), max_size=2), width=st.integers(1, 768),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_byte_equal(self, lead, width, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = scale * rng.normal(size=(*lead, width)) + rng.normal()
+        gain, bias = rng.normal(size=width), rng.normal(size=width)
+        up = rng.normal(size=x.shape)
+        eps = float(rng.choice([1e-12, 1e-5, 1.0]))
+        pairs = [(softmax_rows(x), reference.softmax_rows(x)),
+                 (layer_norm(x, gain, bias, eps), reference.layer_norm(x, gain, bias, eps)),
+                 *zip(layer_norm_backward(x, gain, eps, up),
+                      reference.layer_norm_backward(x, gain, eps, up)),
+                 (gelu(x), reference.gelu(x))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_inputs_left_unchanged(self):
+        x = np.random.default_rng(4).normal(size=(3, 5))
+        before = x.copy()
+        for out in (softmax_rows(x), gelu(x), layer_norm(x, np.ones(5), np.zeros(5)),
+                    *layer_norm_backward(x, np.ones(5), 1e-5, np.ones((3, 5)))):
+            assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestCosineSimilarity:

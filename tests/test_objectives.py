@@ -511,6 +511,11 @@ def same_bits(a, b):
     return report_a == report_b and all(x.tobytes() == y.tobytes() for x, y in arrays)
 
 
+# a one-row toy product is 1 x 50 x 16 = 800 multiply-adds: at CE_BLOCK 400 it reaches
+# 2 * CE_BLOCK and is cut into two column tiles; at 401 it stays one inline tile
+SPLIT_BLOCK = 400
+
+
 class TestTilePool:
     def table_pass_outputs(self, toy_table, toy_vocab):
         """Every table pass: CE loss and gradient, precision@k with accuracy, the index."""
@@ -545,6 +550,28 @@ class TestTilePool:
         monkeypatch.setattr(objectives, "_POOL", inline)
         assert same_bits(pooled, self.table_pass_outputs(toy_table, toy_vocab))
         assert inline.submitted == 9 * 9 + 2 * 9 + 9 * 9 + 9 * 9
+
+    def test_two_column_tiles_give_identical_bits_on_any_pool(self, toy_table, monkeypatch,
+                                                              tile_log):
+        monkeypatch.setattr(objectives, "CE_BLOCK", SPLIT_BLOCK)
+        q = 3.0 * np.random.default_rng(18).normal(size=toy_table.dim)
+
+        def outputs():
+            ids, sims, argmax = objectives.scan_table(toy_table, q, 15)
+            totals, parts, grad = loss_and_grad([3], [q], toy_table, None,
+                                                LossWeights(0, 1, 0, 0))
+            return [a.tobytes() for a in (ids, sims, argmax, totals, parts["ce"], grad)]
+
+        pooled = outputs()
+        assert [grid(tiles) for tiles in tile_log] == [(1, 2), (1, 2)]
+        inline = InlineExecutor()
+        monkeypatch.setattr(objectives, "_POOL", inline)
+        assert outputs() == pooled
+        assert inline.submitted == 2 + 2
+        for workers in (1, 8):
+            with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(objectives, "_POOL", pool)
+                assert outputs() == pooled
 
     def test_one_tile_submits_nothing(self, toy_table, toy_vocab, monkeypatch):
         inline = InlineExecutor()
@@ -594,6 +621,77 @@ class TestTilePool:
         passes.close()
         assert all(f.done() for f in pool.futures)
         pool.shutdown()
+
+
+class TestTwoColumnTiles:
+    """A product that fits in one tile and holds at least 2 * CE_BLOCK multiply-adds
+    runs as two column tiles of ceil(|V| / 2) columns on the pool."""
+
+    def test_threshold(self, toy_table, monkeypatch):
+        q = np.ones((1, toy_table.dim))
+        monkeypatch.setattr(objectives, "CE_BLOCK", SPLIT_BLOCK + 1)
+        assert [p.shape for _, _, p in products(q, toy_table)] == [(1, 50)]
+        monkeypatch.setattr(objectives, "CE_BLOCK", SPLIT_BLOCK)
+        assert [p.shape for _, _, p in products(q, toy_table)] == [(1, 25), (1, 25)]
+        odd = EmbeddingTable(matrix=toy_table.matrix[:7])  # 8 x 7 x 16 = 896: 4 + 3 columns
+        assert [p.shape for _, _, p in products(np.ones((8, 16)), odd)] == [(8, 4), (8, 3)]
+
+    @pytest.mark.parametrize("n", [1, 15, 50])
+    def test_scan_table_matches_lexsort_oracle(self, toy_table, monkeypatch, tile_log, n):
+        monkeypatch.setattr(objectives, "CE_BLOCK", SPLIT_BLOCK)
+        m = toy_table.matrix
+        for seed in range(5):
+            q = np.random.default_rng(seed).normal(size=toy_table.dim)
+            ids, sims, argmax = objectives.scan_table(toy_table, q, n)
+            assert grid(tile_log[-1]) == (1, 2)
+            prod = m @ q
+            s = prod / (np.linalg.norm(m, axis=1) * np.linalg.norm(q))
+            order = np.lexsort((np.arange(len(s)), -s))
+            assert list(ids[0]) == list(order[:n])
+            np.testing.assert_allclose(sims[0], s[order[:n]], rtol=0, atol=1e-12)
+            assert argmax[0] == np.lexsort((np.arange(len(prod)), -prod))[0]
+
+    def test_loss_and_grad_matches_per_sample_reference(self, toy_table, monkeypatch,
+                                                        tile_log):
+        idx = build_neighbor_index(toy_table, 5)
+        monkeypatch.setattr(objectives, "CE_BLOCK", SPLIT_BLOCK)
+        rng = np.random.default_rng(16)
+        for tid in rng.integers(toy_table.size, size=4):
+            e, ehat = toy_table.row(tid), 3.0 * rng.normal(size=toy_table.dim)
+            totals, parts, grad = loss_and_grad([tid], [ehat], toy_table, idx, LossWeights())
+            assert grid(tile_log[-1]) == (1, 2)
+            total, ref_parts = reference.combined_loss(tid, e, ehat, toy_table, idx,
+                                                       LossWeights())
+            assert abs(totals[0] - total) < 1e-12
+            assert abs(parts["ce"][0] - ref_parts["ce"]) < 1e-12
+            ref_grad = reference.combined_loss_gradient(tid, e, ehat, toy_table, idx,
+                                                        LossWeights())
+            np.testing.assert_allclose(grad[0], ref_grad, rtol=0, atol=1e-12)
+
+    def test_geometry_ignores_core_count_and_pool_size(self, toy_table, monkeypatch):
+        monkeypatch.setattr(objectives, "CE_BLOCK", SPLIT_BLOCK)
+        batches = [np.ones((1, 16)), np.ones((7, 16)), toy_table.matrix]
+
+        def geometry():
+            return [[(blk, cols) for blk, cols, _ in products(rows, toy_table)]
+                    for rows in batches]
+
+        want = geometry()
+        assert want[0] == [(slice(0, 1), slice(0, 25)), (slice(0, 1), slice(25, 50))]
+        assert [grid(tiles) for tiles in want] == [(1, 2), (1, 2), (3, 3)]
+        for cores in (1, 16):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            with concurrent.futures.ThreadPoolExecutor(cores) as pool:
+                monkeypatch.setattr(objectives, "_POOL", pool)
+                monkeypatch.setattr(objectives, "_IN_FLIGHT", 2 * cores)
+                assert geometry() == want
+
+    @pytest.mark.parametrize("v, n_cols", [(3000, 2), (1024, 1)])
+    def test_one_row_at_mbert_width(self, v, n_cols):
+        # 1 x 3,000 x 768 multiply-adds reach 2 * CE_BLOCK; 1 x 1,024 x 768 do not
+        m = np.random.default_rng(17).normal(size=(v, 768))
+        table = EmbeddingTable(matrix=m)
+        assert [p.shape[1] for _, _, p in products(m[:1], table)] == [v // n_cols] * n_cols
 
 
 class TestChecksum:
