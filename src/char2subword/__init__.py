@@ -3,7 +3,7 @@ embedding table, with noise-robust training, character-level MLM
 pre-training, full/hybrid embedding modes, and a neighbor-precision
 evaluation suite."""
 
-from .embedder import EmbedMode, coverage_report, embed_sequence
+from .embedder import EmbedMode, embed_sequence
 from .evaluation import (
     PrecisionReport,
     accuracy,

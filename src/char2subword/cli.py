@@ -9,6 +9,7 @@ neighbors, attn); --seed (simulate, pretrain, noise); and embed's sentence
 or --file, not both. embed needs --checkpoint unless --mode table_only, and
 params needs --vocab or --checkpoint. simulate takes the noise flags
 (--p-noise, --min-length, --ops, --layouts) only with --noise.
+A given --checkpoint is always read and checked, even by embed --mode table_only.
 A JSON config file (--config, schema version 1) is an object whose keys are
 the command's own flags, spelled with `_` for `-`: `n` is -n, `noise: true`
 is --noise and `full_word: false` is --subword. Its values go through the
@@ -84,14 +85,26 @@ def _parse_args(argv):
 
 
 def _load_inputs(args):
-    """--vocab, its alphabet and, for a command with a --table flag, the table."""
-    vocab = load_vocabulary(args.vocab)
-    alphabet = build_alphabet(vocab)
-    table = None
-    if "table" in args:
+    """(vocab, alphabet, table, params) from --vocab, --table and --checkpoint,
+    each None when the command has no such flag or it was not given. The table
+    must have a row per vocabulary entry, and the checkpoint the vocabulary's
+    alphabet (or character ids would mean other characters) and table width."""
+    vocab = alphabet = table = params = None
+    if getattr(args, "vocab", None) is not None:
+        vocab = load_vocabulary(args.vocab)
+        alphabet = build_alphabet(vocab)
+    if getattr(args, "table", None) is not None:
         table = load_table(args.table)
         check_vocab_size(table, vocab)  # before eval spends time on the index
-    return vocab, alphabet, table
+    if getattr(args, "checkpoint", None) is not None:
+        params, alphabet_chars, _ = model_mod.load_checkpoint(args.checkpoint)
+        if alphabet is not None and list(alphabet.chars) != alphabet_chars:
+            raise CliError(f"--vocab {args.vocab} gives a character alphabet that differs "
+                           f"from the one checkpoint {args.checkpoint} was trained with")
+        if table is not None and table.dim != params.config.d_out:
+            raise CliError(f"table {args.table} has width {table.dim} but checkpoint "
+                           f"{args.checkpoint} has output width {params.config.d_out}")
+    return vocab, alphabet, table, params
 
 
 def _noise_config(args):
@@ -123,26 +136,12 @@ def _write_metrics(path, metrics):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _load_model(args, alphabet, table=None):
-    """Load --checkpoint; `alphabet` (from --vocab, or None) must be the one
-    the checkpoint was trained with, or character ids would mean other chars,
-    and `table` (or None) must be as wide as the checkpoint's output."""
-    params, alphabet_chars, _ = model_mod.load_checkpoint(args.checkpoint)
-    if alphabet is not None and list(alphabet.chars) != alphabet_chars:
-        raise CliError(f"--vocab {args.vocab} gives a character alphabet that differs "
-                       f"from the one checkpoint {args.checkpoint} was trained with")
-    if table is not None and table.dim != params.config.d_out:
-        raise CliError(f"table {args.table} has width {table.dim} but checkpoint "
-                       f"{args.checkpoint} has output width {params.config.d_out}")
-    return params
-
-
 def cmd_simulate(args):
     unused = ["--" + dest.replace("_", "-") for dest in ("layouts", "p_noise", "min_length", "ops")
               if getattr(args, dest) is not None]
     if unused and not args.noise:
         raise CliError(f"simulate takes {', '.join(unused)} only with --noise")
-    vocab, alphabet, table = _load_inputs(args)
+    vocab, alphabet, table, _ = _load_inputs(args)
     noise_cfg = _noise_config(args) if args.noise else None
     config = _model_config(args, table.dim)
     weights = LossWeights(l_cos=args.w_cos, l_ce=args.w_ce, l_l2=args.w_l2, l_nbr=args.w_nbr)
@@ -161,8 +160,7 @@ def cmd_simulate(args):
 
 
 def cmd_pretrain(args):
-    vocab, alphabet, table = _load_inputs(args)
-    params = _load_model(args, alphabet, table)
+    vocab, alphabet, table, params = _load_inputs(args)
     with open(args.corpus, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     sequences = training.corpus_samples(vocab, alphabet, lines,
@@ -183,8 +181,7 @@ def cmd_pretrain(args):
 
 
 def cmd_eval(args):
-    vocab, alphabet, table = _load_inputs(args)
-    params = _load_model(args, alphabet, table)
+    vocab, alphabet, table, params = _load_inputs(args)
     index = build_neighbor_index(table, args.k)
     text = evaluation.precision_at_k(params, vocab, table, index, alphabet,
                                      k_max=args.k).to_text()
@@ -196,8 +193,7 @@ def cmd_eval(args):
 
 
 def cmd_neighbors(args):
-    vocab, alphabet, table = _load_inputs(args)
-    params = _load_model(args, alphabet, table)
+    vocab, alphabet, table, params = _load_inputs(args)
     results = evaluation.neighbor_query(params, table, vocab, alphabet, args.query,
                                         is_full_word=args.full_word, n=args.n)
     for token, sim in results:
@@ -221,7 +217,7 @@ def cmd_noise(args):
 
 
 def cmd_stats(args):
-    vocab, _, _ = _load_inputs(args)
+    vocab = _load_inputs(args)[0]
     with open(args.corpus, encoding="utf-8") as fh:
         sentences = [ln.rstrip("\n") for ln in fh]
     stats = evaluation.seq_length_stats(sentences, vocab)
@@ -233,8 +229,7 @@ def cmd_embed(args):
     mode = EmbedMode(args.mode)
     if mode != EmbedMode.TABLE_ONLY and not args.checkpoint:
         raise CliError(f"embed --mode {mode.value} requires --checkpoint")
-    vocab, alphabet, table = _load_inputs(args)
-    params = _load_model(args, alphabet, table) if mode != EmbedMode.TABLE_ONLY else None
+    vocab, alphabet, table, params = _load_inputs(args)
     if args.file is None:
         sentences = [args.sentence]
     else:
@@ -249,8 +244,7 @@ def cmd_embed(args):
 
 
 def cmd_attn(args):
-    _, alphabet, _ = _load_inputs(args)
-    params = _load_model(args, alphabet)
+    _, alphabet, _, params = _load_inputs(args)
     text = evaluation.dump_attention(params, alphabet, args.query,
                                      is_full_word=args.full_word)
     if args.out:
@@ -264,13 +258,11 @@ def cmd_attn(args):
 def cmd_params(args):
     if not (args.vocab or args.checkpoint):
         raise CliError("params requires --vocab or --checkpoint")
-    alphabet = _load_inputs(args)[1] if args.vocab else None
-    if args.checkpoint:
-        params = _load_model(args, alphabet)
+    _, alphabet, _, params = _load_inputs(args)
+    if params is not None:
         config, alphabet_size = params.config, params.alphabet_size
     else:
-        alphabet_size = len(alphabet)
-        config = _model_config(args, args.d_out)
+        config, alphabet_size = _model_config(args, args.d_out), len(alphabet)
     module = model_mod.param_count(config, alphabet_size)
     table = model_mod.table_param_count(args.table_v, args.table_d)
     print(f"char2subword parameters: {module}")

@@ -51,19 +51,6 @@ def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None):
     return EmbeddedSequence(vectors=vectors, provenance=provenance, pieces=words)
 
 
-def coverage_report(sentences, vocab):
-    """Fraction of corpus words that are whole-vocabulary hits vs backoff."""
-    hits, total = 0, 0
-    for sentence in sentences:
-        for word in whitespace_split(sentence):
-            total += 1
-            if word in vocab.id_of:
-                hits += 1
-    if total == 0:
-        return 0.0, 0.0
-    return hits / total, (total - hits) / total
-
-
 def write_embeddings(fh, embedded, mode):
     """Batch output: header "n d mode", then token, provenance, values."""
     d = len(embedded.vectors[0]) if embedded.vectors else 0

@@ -54,9 +54,9 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedd
     # in the leading k x k block: a 2-D prefix sum, read on its diagonal
     matches = (pred[:, None, :] == truth[:, :, None]).cumsum(axis=1).cumsum(axis=2)
     per_row = matches.diagonal(axis1=1, axis2=2) / np.arange(1, k_max + 1)
-    overlaps = np.zeros(k_max)
-    for row in per_row:  # in id order: the float sums do not depend on numpy's reduction
-        overlaps += row
+    # numpy pairwise-sums only along the contiguous axis, so down axis 0 it adds
+    # the rows in id order (one column, at k_max 1, is pairwise: exact 0s and 1s)
+    overlaps = per_row.sum(axis=0)
     per_k = {k: overlaps[k - 1] / len(ids) for k in range(1, k_max + 1)}
     return PrecisionReport(
         accuracy=float(np.mean(argmax == np.asarray(ids))),

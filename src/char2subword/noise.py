@@ -93,23 +93,19 @@ def _split_marker(token):
 
 
 def _mistype(body, rng, config):
-    all_keys = sorted({k for lay in config.layouts for k in lay.neighbors})
-    for _ in range(_MAX_RETRIES):
-        pos = rng.randrange(len(body))
-        ch = body[pos]
-        covering = [lay for lay in config.layouts if ch in lay.neighbors]
-        if covering:
-            lay = rng.choice(covering)
-            repl = rng.choice(lay.neighbors[ch])
-        else:
-            # key absent from every layout: any non-identical layout key
-            candidates = [k for k in all_keys if k != ch]
-            if not candidates:
-                raise NoiseError("mistype: no layout characters available")
-            repl = rng.choice(candidates)
-        if repl != ch:
-            return body[:pos] + repl + body[pos + 1:]
-    raise NoiseError("mistype: retries exhausted without a change")
+    # one draw always changes the character: a layout key never lists itself
+    pos = rng.randrange(len(body))
+    ch = body[pos]
+    covering = [lay for lay in config.layouts if ch in lay.neighbors]
+    if covering:
+        repl = rng.choice(rng.choice(covering).neighbors[ch])
+    else:
+        # key absent from every layout: any layout key
+        candidates = sorted({k for lay in config.layouts for k in lay.neighbors})
+        if not candidates:
+            raise NoiseError("mistype: no layout characters available")
+        repl = rng.choice(candidates)
+    return body[:pos] + repl + body[pos + 1:]
 
 
 def _repeat(body, rng, config):

@@ -113,10 +113,10 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     """The loop both trainers share: Adam over batch_loss, the table frozen.
 
     `epoch_batches(rng)` yields an epoch's Adam batches as (seqs,
-    target_ids, sample_weights, steps), where steps[i] is the step that
-    sample i belongs to. `epoch_record(params, epoch, sums, count)` turns the
-    loss sums of the epoch's `count` samples into its metrics record.
-    Returns (trained copy of params, per-epoch metrics).
+    target_ids, sample_weights); a non-finite loss names its epoch, Adam step
+    (from 0 in each epoch) and token. `epoch_record(params, epoch, sums,
+    count)` turns the loss sums of the epoch's `count` samples into its
+    metrics record. Returns (trained copy of params, per-epoch metrics).
     """
     check_vocab_size(e_table, vocab)
     if e_table.dim != params.config.d_out:
@@ -132,13 +132,13 @@ def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
     for epoch in range(config.epochs):
         sums = dict.fromkeys(("total", "cos", "ce", "l2", "nbr"), 0.0)
         count = 0
-        for seqs, target_ids, sample_weights, steps in epoch_batches(rng):
+        for step, (seqs, target_ids, sample_weights) in enumerate(epoch_batches(rng)):
             totals, parts, grads = batch_loss(params, seqs, target_ids, e_table, index,
                                               loss_weights, sample_weights)
             bad = np.flatnonzero(~np.isfinite(totals))
             if bad.size:
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {steps[bad[0]]}, "
+                    f"non-finite loss at epoch {epoch}, step {step}, "
                     f"token {vocab.token(target_ids[bad[0]])!r}"
                 )
             sums["total"] += float(totals.sum())
@@ -191,8 +191,7 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
                 noised = token if config.noise is None else sample_noisy(token, rng,
                                                                           config.noise)
                 seqs.append(clean_seqs[i] if noised == token else chars_of(noised))
-            yield (seqs, batch, np.full(len(batch), 1.0 / len(batch)),
-                   range(start, start + len(batch)))
+            yield seqs, batch, np.full(len(batch), 1.0 / len(batch))
 
     def epoch_record(trained, epoch, sums, count):
         record = {"epoch": epoch, **{k: v / count for k, v in sums.items()}}
@@ -319,21 +318,20 @@ def pretrain_mlm(params, sequences, vocab, e_table, alphabet, config):
         order = list(range(len(sequences)))
         rng.shuffle(order)
         # one Adam batch: the masked tokens of `batch_size` lines that selected any
-        seqs, targets, steps, sizes = [], [], [], []
-        for step, si in enumerate(order):
+        seqs, targets, sizes = [], [], []
+        for line, si in enumerate(order):
             ids, line_seqs = sequences[si]
             plan = make_masking_plan(ids, line_seqs, rng)
             if plan.entries:
                 seqs += apply_masking(plan, line_seqs, alphabet, rng)
                 targets += [entry.target_id for entry in plan.entries]
-                steps.append(step)
                 sizes.append(len(plan))
-            if steps and (len(steps) == config.batch_size or step == len(order) - 1):
+            if sizes and (len(sizes) == config.batch_size or line == len(order) - 1):
                 # each line's mean CE, averaged over the lines in the batch
-                weights = np.repeat(1.0 / (np.asarray(sizes, dtype=np.float64) * len(steps)),
+                weights = np.repeat(1.0 / (np.asarray(sizes, dtype=np.float64) * len(sizes)),
                                     sizes)
-                yield seqs, targets, weights, np.repeat(steps, sizes)
-                seqs, targets, steps, sizes = [], [], [], []
+                yield seqs, targets, weights
+                seqs, targets, sizes = [], [], []
 
     def epoch_record(trained, epoch, sums, count):
         return {"epoch": epoch, "mlm_loss": sums["total"] / max(count, 1), "selected": count}

@@ -11,6 +11,7 @@ import pytest
 
 import char2subword
 from char2subword import build_alphabet, load_checkpoint, load_vocabulary
+from char2subword import cli
 from char2subword.cli import main
 from char2subword.objectives import EmbeddingTable, load_table, save_table_binary, save_table_text
 
@@ -360,6 +361,37 @@ class TestEmbed:
         first = out.read_text().splitlines()[0]
         assert first == "3 8 full"
 
+    @pytest.mark.parametrize("other", ["alphabet", "width"])
+    def test_table_only_checks_a_given_checkpoint(self, workdir, capsys, other):
+        # table_only never runs the module, but a checkpoint it is given must still fit
+        words = ["zebra", "[UNK]"] if other == "alphabet" else workdir / "vocab.txt"
+        alphabet = build_alphabet(load_vocabulary(words))
+        d_out = 4 if other == "width" else 8
+        ckpt = workdir / "other.c2sw"
+        config = char2subword.ModelConfig(d_char=8, d_out=d_out, n_layers=1, n_heads=1)
+        char2subword.save_checkpoint(ckpt, char2subword.init_params(config, len(alphabet), 0),
+                                     alphabet)
+        rc = main(["embed", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"), "--checkpoint", str(ckpt),
+                   "--mode", "table_only", "apple about"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = {"alphabet": f"differs from the one checkpoint {ckpt} was trained with",
+                    "width": f"has width 8 but checkpoint {ckpt} has output width 4"}
+        assert expected[other] in captured.err
+
+    def test_table_only_output_is_the_same_with_a_matching_checkpoint(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        capsys.readouterr()  # discard training progress line
+        outs = []
+        for extra in ([], ["--checkpoint", str(ckpt)]):
+            assert main(["embed", "--vocab", str(workdir / "vocab.txt"),
+                         "--table", str(workdir / "table.txt"), *extra,
+                         "--mode", "table_only", "apple zzqx about"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("3 8 table_only\n") and outs[0] == outs[1]
+
 
 class TestAttn:
     def test_dump(self, workdir, capsys):
@@ -406,11 +438,13 @@ class TestParams:
 
     def test_checkpoint_path(self, workdir, capsys):
         _, ckpt = simulate(workdir)
-        rc = main(["params", "--vocab", str(workdir / "vocab.txt"),
-                   "--checkpoint", str(ckpt), "--table-v", "21", "--table-d", "8"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "(21 x 8): 168" in out
+        capsys.readouterr()  # discard training progress line
+        outs = []
+        for extra in (["--vocab", str(workdir / "vocab.txt")], []):  # --vocab is optional
+            assert main(["params", "--checkpoint", str(ckpt), *extra,
+                         "--table-v", "21", "--table-d", "8"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "(21 x 8): 168" in outs[0] and outs[0] == outs[1]
 
 
     def test_odd_d_char_exit_2(self, workdir, capsys):
@@ -499,6 +533,31 @@ class TestTableWidth:
         assert f"table {narrow} has width 4 but checkpoint {ckpt} has output width 8" \
             in captured.err
         assert not (workdir / "pre.c2sw").exists() and not (workdir / "emb.txt").exists()
+
+
+class TestLoadInputs:
+    @pytest.mark.parametrize("argv, reads", [
+        (["stats", "--vocab", "vocab.txt", "--corpus", "corpus.txt"], ["vocab"]),
+        (["attn", "--vocab", "vocab.txt", "--checkpoint", "model.c2sw", "apple"],
+         ["vocab", "checkpoint"]),
+        (["embed", "--vocab", "vocab.txt", "--table", "table.txt", "--mode", "table_only",
+          "apple"], ["vocab", "table"]),
+        (["params", "--checkpoint", "model.c2sw"], ["checkpoint"]),
+    ], ids=["stats", "attn", "embed-table_only", "params-checkpoint"])
+    def test_reads_only_the_inputs_it_names(self, workdir, capsys, monkeypatch, argv, reads):
+        simulate(workdir)
+        read = []
+
+        def recording(name, load):
+            return lambda path: read.append(name) or load(path)
+
+        monkeypatch.setattr(cli, "load_vocabulary", recording("vocab", cli.load_vocabulary))
+        monkeypatch.setattr(cli, "load_table", recording("table", cli.load_table))
+        monkeypatch.setattr(cli.model_mod, "load_checkpoint",
+                            recording("checkpoint", cli.model_mod.load_checkpoint))
+        argv = [str(workdir / a) if a.endswith((".txt", ".c2sw")) else a for a in argv]
+        assert main(argv) == 0
+        assert read == reads
 
 
 class TestUsageErrors:

@@ -5,12 +5,7 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
-from char2subword.embedder import (
-    EmbedMode,
-    coverage_report,
-    embed_sequence,
-    write_embeddings,
-)
+from char2subword.embedder import EmbedMode, embed_sequence, write_embeddings
 from char2subword.vocab import UNK, char_sequence
 
 
@@ -102,17 +97,6 @@ class TestHybrid:
             if tag == "char2subword":
                 expected, _, _ = M.forward(params, char_sequence(piece, True, alphabet))
                 np.testing.assert_array_equal(vec, expected)
-
-
-class TestCoverageReport:
-    def test_fractions_sum_to_one(self, toy_vocab):
-        hit, backoff = coverage_report(["apple zzz badge qqq"], toy_vocab)
-        assert hit == pytest.approx(0.5)
-        assert backoff == pytest.approx(0.5)
-        assert hit + backoff == pytest.approx(1.0)
-
-    def test_empty(self, toy_vocab):
-        assert coverage_report([], toy_vocab) == (0.0, 0.0)
 
 
 class TestWriteEmbeddings:

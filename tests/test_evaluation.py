@@ -143,7 +143,7 @@ class TestPrecisionAtK:
             corners = {(blk.start, cols.start) for blk, cols in tile_log[0]}
             assert len(corners) == len(tile_log[0]) == 5 * 5  # each tile once
 
-    @pytest.mark.parametrize("source", ["model", "half_negated"])
+    @pytest.mark.parametrize("source", ["model", "half_negated", "repeated"])
     @pytest.mark.parametrize("k_max, depth", [(1, 1), (5, 15), (15, 15)])
     def test_matches_set_loop_oracle(self, params, toy_vocab, toy_table, alphabet,
                                      source, k_max, depth):
@@ -151,6 +151,10 @@ class TestPrecisionAtK:
         if source == "half_negated":  # the even rows share no neighbor with their truth
             signs = np.where(np.arange(len(ids)) % 2, 1.0, -1.0)
             vecs = toy_table.matrix[np.asarray(ids)] * signs[:, None]
+        if source == "repeated":  # 2,000 rows, each id about 40 times, its row jittered
+            ids = [ids[i % len(ids)] for i in range(2000)]
+            jitter = np.random.default_rng(0).normal(scale=0.3, size=(2000, toy_table.dim))
+            vecs = toy_table.matrix[np.asarray(ids)] + jitter
         idx = build_neighbor_index(toy_table, depth)
         pred = rank_neighbors(toy_table, vecs, k_max)[0]
         truth = [idx.neighbors(i) for i in ids]

@@ -150,6 +150,30 @@ class TestSharedLoop:
             pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
                          TrainConfig(epochs=1, seed=0))
 
+    def test_non_finite_loss_names_the_adam_step(self, params, toy_vocab, toy_table,
+                                                 alphabet, monkeypatch):
+        # the epoch's third batch is Adam step 2, not a sample's or a line's position
+        monkeypatch.setattr(training, "SELECT_P", 1.0)
+        real_batch_loss, calls = training.batch_loss, []
+
+        def nan_on_third_call(*args):
+            calls.append(None)
+            totals, parts, grads = real_batch_loss(*args)
+            if len(calls) == 3:
+                totals = np.full_like(totals, np.nan)
+            return totals, parts, grads
+
+        monkeypatch.setattr(training, "batch_loss", nan_on_third_call)
+        sequences = corpus_samples(toy_vocab, alphabet, ["apple badge alarm"] * 6)
+        cfg = TrainConfig(epochs=1, seed=0, batch_size=2)
+        for run in (lambda: train_simulation(params, toy_vocab, toy_table, alphabet, cfg,
+                                             eval_every=0),
+                    lambda: pretrain_mlm(params, sequences, toy_vocab, toy_table, alphabet,
+                                         cfg)):
+            calls.clear()
+            with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, step 2, "):
+                run()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_parameters_name_the_epoch(self, params, toy_vocab, toy_table,
                                                   alphabet, monkeypatch):
