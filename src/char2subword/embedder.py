@@ -26,8 +26,8 @@ def embed_sequence(mode, sentence, vocab, e_table, params=None, alphabet=None):
 
     table_only splits into WordPiece pieces and looks each up; full runs
     every word through the module; hybrid looks whole words up and backs
-    off to the module for out-of-vocabulary words. The module runs once per
-    sentence, over all the words it embeds.
+    off to the module for out-of-vocabulary words. One model.encode call runs
+    them all, of any length, in shared padded passes (one for a typical sentence).
     """
     check_vocab_size(e_table, vocab)
     if mode != EmbedMode.TABLE_ONLY and params is None:

@@ -157,9 +157,9 @@ def table_param_count(v, d):
 
 
 @functools.lru_cache(maxsize=None)
-def _pe_table(max_chars, d_char):
-    """Sinusoidal encodings of positions 0..max_chars-1, built once per shape."""
-    table = np.stack([sinusoidal_pe(p, d_char) for p in range(max_chars)])
+def _pe_table(n, d_char):
+    """Sinusoidal encodings of positions 0..n-1, built once per shape."""
+    table = np.stack([sinusoidal_pe(p, d_char) for p in range(n)])
     table.setflags(write=False)
     return table
 
@@ -167,12 +167,15 @@ def _pe_table(max_chars, d_char):
 def forward_batch(params, seqs):
     """Run the module on a list of alphabet-id tuples as one padded batch.
 
-    Shorter sequences are padded to the longest. Every pass carries the
-    padding mask: padded keys get -inf before every attention softmax and
-    padded positions -inf before the max-pool, so each row depends on its own
-    characters only (real positions get 0.0, which changes no bit). Returns
-    (embeddings (B, d_out), cache); the cache feeds backward_batch(), and
-    cache["layers"][j]["a"] is layer j's (B, heads, n, n) attention.
+    Sequences are padded to n = max(2, longest) positions: a one-row matmul
+    would go to BLAS gemv, which sums in another order. Padded keys get -inf
+    before every attention softmax and padded positions -inf before the
+    max-pool. Scores are laid out keys by queries, so the softmax sums down a
+    non-contiguous axis, which numpy adds in order: a padded key adds an
+    exact 0 after the real ones. So each row is bit-identical to its
+    sequence's one-word forward(), in any batch. Returns (embeddings
+    (B, d_out), cache); the cache feeds backward_batch(), and
+    cache["layers"][j]["a"] is layer j's (B, heads, n, n) query-by-key view.
     """
     cfg = params.config
     t = params.tensors
@@ -183,14 +186,14 @@ def forward_batch(params, seqs):
         raise ValueError("forward requires a nonempty character sequence")
     if lengths.max() > cfg.max_chars:
         raise ValueError(f"sequence length {lengths.max()} exceeds max_chars {cfg.max_chars}")
-    b, n = len(seqs), int(lengths.max())
+    b, n = len(seqs), max(2, int(lengths.max()))
     ids = np.zeros((b, n), dtype=np.intp)
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s
     real = np.arange(n) < lengths[:, None]
 
-    x = t["char_emb"][ids] + _pe_table(cfg.max_chars, cfg.d_char)[:n]
-    key_bias = np.where(real, 0.0, -np.inf)[:, None, None, :]
+    x = t["char_emb"][ids] + _pe_table(n, cfg.d_char)
+    key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None]
 
     h, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
@@ -200,8 +203,8 @@ def forward_batch(params, seqs):
         xb = layer_norm(xin, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
         q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        scores = (q @ k.swapaxes(-1, -2)) * scale + key_bias
-        a = softmax_rows(scores)
+        scores = (k @ q.swapaxes(-1, -2)) * scale + key_bias  # (b, heads, keys, queries)
+        a = softmax_rows(scores, axis=-2).swapaxes(-1, -2)
         c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
         m = c @ t[f"L{j}.Wo"]
         xp = m + xb
@@ -290,11 +293,12 @@ def forward(params, seq):
     """Run the module on one character sequence (a batch of one).
 
     Returns (embedding, attention maps, cache): the maps are a tuple over
-    layers of tuples over heads of n x n row-stochastic matrices; cache feeds
-    backward().
+    layers of tuples over heads of len(seq) x len(seq) row-stochastic
+    matrices; cache feeds backward().
     """
     emb, cache = forward_batch(params, [seq])
-    return emb[0], tuple(tuple(layer["a"][0]) for layer in cache["layers"]), cache
+    n = len(seq)
+    return emb[0], tuple(tuple(layer["a"][0, :, :n, :n]) for layer in cache["layers"]), cache
 
 
 def backward(params, seq, cache, upstream):
@@ -309,13 +313,15 @@ def split_passes(seqs):
 
     Each pass holds at most PASS_POSITIONS padded positions (or a single
     sequence), so the activations of a pass are bounded and padding stays
-    small. Training keeps every pass's cache until backward, so one batch
-    holds the activations of all its samples, but only one loss call.
+    small. Sequences of any length share a pass, since padding changes no
+    bit of a row. Training keeps every pass's cache until backward, so one
+    batch holds the activations of all its samples, but only one loss call;
+    encode runs the same passes.
     """
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     passes = [[]]
-    for i in order:
-        if passes[-1] and (len(passes[-1]) + 1) * len(seqs[i]) > PASS_POSITIONS:
+    for i in order:  # a pass is at least two positions wide, as in forward_batch
+        if passes[-1] and (len(passes[-1]) + 1) * max(2, len(seqs[i])) > PASS_POSITIONS:
             passes.append([])
         passes[-1].append(i)
     return passes if passes[0] else []
@@ -323,20 +329,14 @@ def split_passes(seqs):
 
 def encode(params, words, alphabet, is_full_word=True):
     """Run the module on surface forms; row i of the (len(words), d_out) result is
-    words[i]'s. Words are batched by character length, so no batch is padded
+    words[i]'s. Words of any length share the padded passes of split_passes,
     and every row equals forward() on that word alone, bit for bit.
     """
     seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars)
             for w in words]
     vectors = np.empty((len(seqs), params.config.d_out))
-    by_length = {}
-    for i, seq in enumerate(seqs):
-        by_length.setdefault(len(seq), []).append(i)
-    for length, rows in by_length.items():
-        step = max(1, PASS_POSITIONS // length)
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            vectors[chunk] = forward_batch(params, [seqs[i] for i in chunk])[0]
+    for rows in split_passes(seqs):
+        vectors[rows] = forward_batch(params, [seqs[i] for i in rows])[0]
     return vectors
 
 

@@ -18,12 +18,12 @@ __all__ = [
 ]
 
 
-def softmax_rows(m):
-    """Row-wise softmax, stabilized by subtracting the row maximum."""
+def softmax_rows(m, axis=-1):
+    """Softmax along `axis` (rows by default), stabilized by subtracting the maximum."""
     m = np.asarray(m, dtype=np.float64)
-    e = m - m.max(axis=-1, keepdims=True)
+    e = m - m.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 

@@ -108,6 +108,8 @@ def simulation_sample_loss(params, seq, target_id, e_table, index, weights):
     return float(totals[0]), {k: float(v[0]) for k, v in parts.items()}, grads.tensors
 
 
+# _train checks finiteness itself and raises TrainingError, so overflow need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def _train(params, vocab, e_table, index, loss_weights, config, epoch_batches,
            epoch_record):
     """The loop both trainers share: Adam over batch_loss, the table frozen.

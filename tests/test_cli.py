@@ -34,6 +34,15 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def run_cli(argv, cwd, **env):
+    """The CLI as its own process, importing this package, with `env` added."""
+    src = str(Path(char2subword.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "char2subword.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 def simulate(workdir, extra=(), seed="0", epochs="2"):
     ckpt = workdir / "model.c2sw"
     rc = main(["simulate", "--vocab", str(workdir / "vocab.txt"),
@@ -79,7 +88,16 @@ class TestSimulate:
         rc, _ = simulate(workdir, extra=["--noise", "--p-noise", "0.9"])
         assert rc == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_failure_is_one_stderr_line(self, workdir):
+        # a huge step overflows the forward passes; numpy's overflow and invalid-value
+        # warnings would print their own lines before the message
+        out = run_cli(["simulate", "--vocab", "vocab.txt", "--table", "table.txt",
+                       "--seed", "3", "--lr", "1e300", "--out", "model.c2sw"], workdir)
+        assert out.returncode == 3
+        assert out.stderr.startswith("numeric failure: non-finite ")
+        assert len(out.stderr.splitlines()) == 1
+        assert not (workdir / "model.c2sw").exists()
+
     def test_overflowing_eval_exit_3(self, workdir, capsys):
         # Adam's first step moves every parameter by about lr: finite, but the
         # end-of-epoch eval's forward pass overflows
@@ -455,7 +473,6 @@ class TestParams:
 
 
 class TestPretrain:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_parameters_exit_3(self, workdir, capsys):
         _, ckpt = simulate(workdir)
         out = workdir / "pre.c2sw"
@@ -476,7 +493,6 @@ class TestPretrain:
         assert "non-finite parameters after the last step of epoch 0" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_but_huge_parameters_exit_3(self, workdir, capsys):
         # unit rows keep every gradient entry below 1.8, so Adam's one step leaves the
         # parameters finite at about 1e308; the forward pass after training overflows
@@ -703,7 +719,6 @@ class TestBlasThreads:
                           EmbeddingTable(matrix=rng.normal(size=(600, 768))))
         (tmp_path / "corpus.txt").write_text(
             "\n".join(" ".join(words[i:i + 8]) for i in range(0, 160, 8)) + "\n")
-        src = str(Path(char2subword.__file__).resolve().parent.parent)
         inputs = ["--vocab", "vocab.txt", "--table", "table.embt"]
         commands = [
             ["simulate", *inputs, "--seed", "3", "--epochs", "2", "--noise",
@@ -718,13 +733,9 @@ class TestBlasThreads:
             run_dir.mkdir()
             for name in ("vocab.txt", "table.embt", "corpus.txt"):
                 os.symlink(tmp_path / name, run_dir / name)
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             outputs = []
             for argv in commands:
-                out = subprocess.run([sys.executable, "-m", "char2subword.cli", *argv],
-                                     cwd=run_dir, env=env, capture_output=True, text=True,
-                                     timeout=300)
+                out = run_cli(argv, run_dir, OPENBLAS_NUM_THREADS=threads)
                 assert out.returncode == 0, out.stderr
                 outputs.append(out.stdout)
             digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import struct
 
@@ -238,11 +239,24 @@ class TestForwardBatch:
         maps = [layer["a"] for layer in cache["layers"]]
         for b, seq in enumerate(seqs):
             e1, maps1, _ = M.forward(p, seq)
-            np.testing.assert_allclose(emb[b], e1, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(emb[b], e1)
             n = len(seq)
             for layer, layer1 in zip(maps, maps1):
                 for h, a1 in enumerate(layer1):
-                    np.testing.assert_allclose(layer[b, h, :n, :n], a1, rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(layer[b, h, :n, :n], a1)
+
+    def test_lone_single_char_matches_its_padded_row(self, tiny_config, alphabet):
+        # a pass is at least two positions wide, so a lone 1-char sequence runs
+        # the matmuls it runs inside a batch
+        p = M.init_params(tiny_config, len(alphabet), seed=30)
+        seq = char_sequence("a", False, alphabet)
+        alone, alone_cache = M.forward_batch(p, [seq])
+        assert alone_cache["ids"].shape == (1, 2)
+        batch, _ = M.forward_batch(p, [char_sequence("badge", False, alphabet), seq])
+        np.testing.assert_array_equal(alone[0], batch[1])
+        e1, maps, _ = M.forward(p, seq)
+        np.testing.assert_array_equal(e1, batch[1])
+        assert {a.shape for layer in maps for a in layer} == {(1, 1)}
 
     def test_empty_batch_and_overlong_rejected(self, tiny_config, alphabet):
         p = M.init_params(tiny_config, len(alphabet), seed=0)
@@ -271,14 +285,28 @@ class TestForwardBatch:
         np.testing.assert_allclose(grads["We"], first.T @ d_pooled, rtol=0, atol=1e-12)
         assert not np.allclose(grads["We"], cache["x_final"][:, 1, :].T @ d_pooled)
 
-    def test_encode_bit_identical_to_forward(self, tiny_config, alphabet):
-        p = M.init_params(tiny_config, len(alphabet), seed=22)
-        words = ["apple", "a", "badge", "zz", "blackberry", "apple", "alarm"]
-        vecs = M.encode(p, words, alphabet, is_full_word=False)
-        assert vecs.shape == (len(words), tiny_config.d_out)
-        for word, vec in zip(words, vecs):
-            e1, _, _ = M.forward(p, char_sequence(word, False, alphabet))
-            np.testing.assert_array_equal(vec, e1)
+    def test_encode_bit_identical_to_forward(self, alphabet, monkeypatch):
+        # words of every length 1..max_chars, shuffled, share padded passes; with
+        # a small PASS_POSITIONS they spread over more of them
+        rng = np.random.default_rng(23)
+        letters = list("abcdeglmnoprty")
+        for d_out, is_full_word, pass_positions in itertools.product(
+                (16, 768), (False, True), (M.PASS_POSITIONS, 40)):
+            monkeypatch.setattr(M, "PASS_POSITIONS", pass_positions)
+            cfg = M.ModelConfig(d_char=8, d_out=d_out, n_layers=2, n_heads=2, max_chars=12)
+            p = M.init_params(cfg, len(alphabet), seed=22)
+            words = ["".join(rng.choice(letters, size=n))
+                     for n in rng.permutation(np.repeat(np.arange(1, cfg.max_chars + 1), 3))]
+            seqs = [char_sequence(w, is_full_word, alphabet, max_chars=cfg.max_chars)
+                    for w in words]
+            passes = M.split_passes(seqs)
+            assert len(passes) > 1
+            assert any(len({len(seqs[i]) for i in rows}) > 1 for rows in passes)
+            vecs = M.encode(p, words, alphabet, is_full_word=is_full_word)
+            assert vecs.shape == (len(words), d_out)
+            for seq, vec in zip(seqs, vecs):
+                e1, _, _ = M.forward(p, seq)
+                np.testing.assert_array_equal(vec, e1)
 
 
 class TestBackwardBatch:

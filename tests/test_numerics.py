@@ -36,6 +36,35 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
+class TestSoftmaxDownKeys:
+    """softmax_rows(x, axis=-2) on (..., keys, queries) sums keys in order, so
+    padded keys at -inf change no bit of the real ones."""
+
+    @staticmethod
+    def in_order(x):
+        keys = [x[..., i, :] for i in range(x.shape[-2])]
+        top = keys[0]
+        for key in keys[1:]:
+            top = np.maximum(top, key)
+        e = [np.exp(key - top) for key in keys]
+        total = e[0]
+        for term in e[1:]:
+            total = total + term
+        return np.stack([term / total for term in e], axis=-2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 2, 9, 4), (2, 3, 29, 17), (64, 3)])
+    def test_equals_in_order_loop_and_ignores_padded_keys(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = 3.0 * rng.normal(size=shape)
+        got = softmax_rows(x, axis=-2)
+        assert got.tobytes() == self.in_order(x).tobytes()
+        for extra in (1, 7, 40):
+            pad = np.full((*shape[:-2], extra, shape[-1]), -np.inf)
+            padded = softmax_rows(np.concatenate([x, pad], axis=-2), axis=-2)
+            assert padded[..., :shape[-2], :].tobytes() == got.tobytes()
+            assert not padded[..., shape[-2]:, :].any()
+
+
 class TestLayerNorm:
     def test_constant_vector_is_zeroed(self):
         out = layer_norm(np.full(5, 3.0), np.ones(5), np.zeros(5), eps=1e-5)
