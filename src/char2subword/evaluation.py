@@ -7,7 +7,7 @@ import numpy as np
 
 from . import model as model_mod
 from .objectives import check_vocab_size, rank_neighbors, scan_table
-from .vocab import char_sequence, tokenize_word, whitespace_split
+from .vocab import char_sequence, check_word, tokenize_word, whitespace_split
 
 # Default neighbor depth of precision@k, and of train_simulation's per-epoch evaluation.
 EVAL_K = 15
@@ -66,7 +66,8 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedd
 
 
 def neighbor_query(params, e_table, vocab, alphabet, query, is_full_word=True, n=5):
-    """Top-n vocabulary entries by cosine to f_theta(chars(query)); n in 1..|V|."""
+    """Top-n vocabulary entries by cosine to f_theta(chars(query)), for one word; n in 1..|V|."""
+    check_word(query)
     check_vocab_size(e_table, vocab)
     vecs = model_mod.encode(params, [query], alphabet, is_full_word=is_full_word)
     order, sims = rank_neighbors(e_table, vecs[0], n)
@@ -109,7 +110,8 @@ def seq_length_stats(sentences, vocab):
 
 
 def dump_attention(params, alphabet, query, is_full_word=True):
-    """Serialize per-layer per-head attention maps with character-labeled rows."""
+    """Serialize one word's per-layer per-head attention maps, rows labeled by character."""
+    check_word(query)
     seq = char_sequence(query, is_full_word, alphabet, max_chars=params.config.max_chars)
     _, maps, _ = model_mod.forward(params, seq)
     labels = [alphabet.char(c) for c in seq]

@@ -167,15 +167,18 @@ def _pe_table(n, d_char):
 def forward_batch(params, seqs):
     """Run the module on a list of alphabet-id tuples as one padded batch.
 
-    Sequences are padded to n = max(2, longest) positions: a one-row matmul
-    would go to BLAS gemv, which sums in another order. Padded keys get -inf
-    before every attention softmax and padded positions -inf before the
-    max-pool. Scores are laid out keys by queries, so the softmax sums down a
-    non-contiguous axis, which numpy adds in order: a padded key adds an
-    exact 0 after the real ones. So each row is bit-identical to its
-    sequence's one-word forward(), in any batch. Returns (embeddings
-    (B, d_out), cache); the cache feeds backward_batch(), and
-    cache["layers"][j]["a"] is layer j's (B, heads, n, n) query-by-key view.
+    Sequences are padded to n = max(2, longest) positions (a one-row matmul
+    would go to BLAS gemv, which sums in another order). Padded keys get -inf
+    before every softmax, which sums keys in order down a non-contiguous axis,
+    so a padded key adds an exact 0 after the real ones; padded positions get
+    -inf before the max-pool. So each row is bit-identical to its sequence's
+    one-word forward(), in any batch. be is added after the pool over
+    z = x @ We: fl(z + be) is monotone in z, so the bits are those of pooling
+    z + be. Returns (embeddings (B, d_out), cache). The cache, for
+    backward_batch(), holds "seqs", "ids", "x_final", "z" (-inf at padded
+    positions), "pooled", "ln_out" and "layers"; layers[j] holds layer_norm's
+    terms "ln1" and "ln2", and "xb", "q", "k", "v", "a" (the (B, heads, n, n)
+    query-by-key map), "c", "xbp", "u", gelu's "cdf" and "g".
     """
     cfg = params.config
     t = params.tensors
@@ -199,30 +202,34 @@ def forward_batch(params, seqs):
     scale = 1.0 / np.sqrt(cfg.d_char)
     layers = []
     for j in range(cfg.n_layers):
-        xin = x
-        xb = layer_norm(xin, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
+        xb, *ln1 = layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
         q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        scores = (k @ q.swapaxes(-1, -2)) * scale + key_bias  # (b, heads, keys, queries)
+        scores = k @ q.swapaxes(-1, -2)  # (b, heads, keys, queries)
+        scores *= scale
+        scores += key_bias
         a = softmax_rows(scores, axis=-2).swapaxes(-1, -2)
         c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
-        m = c @ t[f"L{j}.Wo"]
-        xp = m + xb
-        xbp = layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
-        u = xbp @ t[f"L{j}.W1"] + t[f"L{j}.b1"]
-        g = gelu(u)
-        f = g @ t[f"L{j}.W2"] + t[f"L{j}.b2"]
-        xout = f + xbp
-        layers.append({"xin": xin, "xb": xb, "q": q, "k": k, "v": v,
-                       "a": a, "c": c, "xp": xp, "xbp": xbp, "u": u, "g": g})
-        x = xout
+        xp = c @ t[f"L{j}.Wo"]
+        xp += xb
+        xbp, *ln2 = layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
+        u = xbp @ t[f"L{j}.W1"]
+        u += t[f"L{j}.b1"]
+        g, cdf = gelu(u)
+        x = g @ t[f"L{j}.W2"]
+        x += t[f"L{j}.b2"]
+        x += xbp
+        layers.append({"ln1": ln1, "xb": xb, "q": q, "k": k, "v": v, "a": a, "c": c,
+                       "ln2": ln2, "xbp": xbp, "u": u, "cdf": cdf, "g": g})
 
-    y = np.where(real[:, :, None], x @ t["We"] + t["be"], -np.inf)
-    pooled = y.max(axis=1)
-    emb = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+    z = x @ t["We"]
+    z[~real] = -np.inf
+    pooled = z.max(axis=1)
+    pooled += t["be"]
+    emb, *ln_out = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
 
     cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
-             "y": y, "pooled": pooled}
+             "z": z, "pooled": pooled, "ln_out": ln_out}
     return emb, cache
 
 
@@ -243,9 +250,10 @@ def backward_batch(params, cache, upstream):
 
     upstream = np.asarray(upstream, dtype=np.float64)
     d_pooled, g["ln_out.g"][...], g["ln_out.b"][...] = layer_norm_backward(
-        cache["pooled"], t["ln_out.g"], cfg.ln_eps, upstream)
+        *cache["ln_out"], t["ln_out.g"], upstream)
 
-    arg = cache["y"].argmax(axis=1)  # the max-pool's gradient goes to its first max
+    # the pool's gradient goes to the first max of z + be (distinct z may round alike)
+    arg = (cache["z"] + t["be"] == cache["pooled"][:, None, :]).argmax(axis=1)
     dy = np.zeros((b, n, cfg.d_out))
     np.put_along_axis(dy, arg[:, None, :], d_pooled[:, None, :], axis=1)
 
@@ -258,14 +266,14 @@ def backward_batch(params, cache, upstream):
         # dx reaches both the FFN output and the residual around it
         g[f"L{j}.W2"][...] = layer["g"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
         g[f"L{j}.b2"][...] = dx.reshape(-1, d).sum(axis=0)
-        du = gelu_backward(layer["u"], dx @ t[f"L{j}.W2"].T)
+        du = gelu_backward(layer["u"], layer["cdf"], dx @ t[f"L{j}.W2"].T)
         g[f"L{j}.W1"][...] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
         g[f"L{j}.b1"][...] = du.reshape(-1, 4 * d).sum(axis=0)
         dxbp_ffn = du @ t[f"L{j}.W1"].T
 
         # dxp reaches both the attention output and the residual around it
         dxp, g[f"L{j}.ln2.g"][...], g[f"L{j}.ln2.b"][...] = layer_norm_backward(
-            layer["xp"], t[f"L{j}.ln2.g"], cfg.ln_eps, dxbp_ffn + dx)
+            *layer["ln2"], t[f"L{j}.ln2.g"], dxbp_ffn + dx)
         g[f"L{j}.Wo"][...] = layer["c"].reshape(-1, d).T @ dxp.reshape(-1, d)
         dhead = (dxp @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
 
@@ -274,7 +282,7 @@ def backward_batch(params, cache, upstream):
         dv = a.swapaxes(-1, -2) @ dhead
         # softmax backward, row-wise; padded keys have a == 0, so ds == 0 there
         ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
-        ds = ds * scale
+        ds *= scale
         dq = ds @ layer["k"]
         dk = ds.swapaxes(-1, -2) @ layer["q"]
         # back to (b * n, 3d), columns laid out as in Wqkv
@@ -283,7 +291,7 @@ def backward_batch(params, cache, upstream):
         dxb_attn = (dqkv @ t[f"L{j}.Wqkv"].T).reshape(b, n, d)
 
         dx, g[f"L{j}.ln1.g"][...], g[f"L{j}.ln1.b"][...] = layer_norm_backward(
-            layer["xin"], t[f"L{j}.ln1.g"], cfg.ln_eps, dxb_attn + dxp)
+            *layer["ln1"], t[f"L{j}.ln1.g"], dxb_attn + dxp)
 
     np.add.at(g["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
     return grads

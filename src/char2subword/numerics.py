@@ -32,7 +32,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
     Uses population variance. Works on a single vector or row-wise on a matrix.
     x is centered once; the sums and divisions are the ones ndarray.mean and
-    ndarray.var make, so the bits are theirs.
+    ndarray.var make, so the bits are theirs. Returns (out, d, sigma): d is x
+    centered and sigma = sqrt(var + eps), the terms layer_norm_backward takes.
     """
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
@@ -45,33 +46,32 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ValueError("layer_norm eps must be > 0")
     n = x.shape[-1]
     d = x - np.add.reduce(x, -1, keepdims=True) / n
-    var = np.add.reduce(d * d, -1, keepdims=True) / n
-    return gain * (d / np.sqrt(var + eps)) + bias
+    sigma = np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / n + eps)
+    out = d / sigma
+    out *= gain
+    out += bias
+    return out, d, sigma
 
 
-def layer_norm_backward(x, gain, eps, grad_out):
-    """Gradients of layer_norm w.r.t. x, gain, and bias given upstream grad_out.
+def layer_norm_backward(d, sigma, gain, grad_out):
+    """Gradients of layer_norm w.r.t. x, gain, and bias, given its d and sigma and grad_out.
 
     Returns (grad_x, grad_gain, grad_bias); the vector grads are summed over
     leading axes so they match the parameter shapes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    n = x.shape[-1]
-    d = x - np.add.reduce(x, -1, keepdims=True) / n  # as in layer_norm
-    inv = 1.0 / np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / n + eps)
+    n = d.shape[-1]
+    inv = 1.0 / sigma
     xhat = d * inv
 
     grad_gain = (grad_out * xhat).reshape(-1, n).sum(axis=0)
     grad_bias = grad_out.reshape(-1, n).sum(axis=0)
 
-    g = grad_out * gain
-    grad_x = inv * (
-        g
-        - np.add.reduce(g, -1, keepdims=True) / n
-        - xhat * (np.add.reduce(g * xhat, -1, keepdims=True) / n)
-    )
-    return grad_x, grad_gain, grad_bias
+    g = grad_out * gain  # grad_x = inv * (g - mean(g) - xhat * mean(g * xhat))
+    mean_gx = np.add.reduce(g * xhat, -1, keepdims=True) / n
+    g -= np.add.reduce(g, -1, keepdims=True) / n
+    g -= xhat * mean_gx
+    g *= inv
+    return g, grad_gain, grad_bias
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -79,20 +79,20 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    """Exact GELU, x * Phi(x), elementwise."""
+    """Exact GELU, x * Phi(x), elementwise. Returns (out, cdf) with
+    cdf = 1 + erf(x / sqrt(2)) = 2 Phi(x), the term gelu_backward takes."""
     x = np.asarray(x, dtype=np.float64)
-    y = erf(x * _INV_SQRT2)
-    y += 1.0
-    y *= x * 0.5
-    return y
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    out = x * 0.5
+    out *= cdf
+    return out, cdf
 
 
-def gelu_backward(x, grad_out):
-    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), times upstream gradient."""
-    x = np.asarray(x, dtype=np.float64)
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return grad_out * (phi + x * pdf)
+def gelu_backward(x, cdf, grad_out):
+    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), times upstream gradient, given
+    the cdf that gelu returned with its output."""
+    return grad_out * (0.5 * cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x)))
 
 
 def cosine_similarity(a, b):

@@ -138,14 +138,19 @@ def whitespace_split(sentence):
     return sentence.split()
 
 
+def check_word(word):
+    """Raise ValueError unless `word` is one nonempty word: it holds no whitespace."""
+    if not word or any(ch.isspace() for ch in word):
+        raise ValueError(f"expected one nonempty word with no whitespace, got {word!r}")
+
+
 def tokenize_word(vocab, word):
     """Greedy longest-prefix (WordPiece-style) segmentation of a single word.
 
     Pieces after the first are looked up with the "##" prefix. If no prefix
     matches at any point the whole word falls back to [UNK].
     """
-    if not word or any(ch.isspace() for ch in word):
-        raise ValueError(f"tokenize_word expects a single nonempty word, got {word!r}")
+    check_word(word)
     pieces = []
     start = 0
     while start < len(word):

@@ -6,8 +6,10 @@ no batching or tiling; `objectives.loss_and_grad` must agree with them to
 `evaluation.precision_at_k`. `finite_diff_gradient` checks hand-written
 gradients against central differences. `save_checkpoint_v1` is the writer of
 checkpoint version 1, which `model.load_checkpoint` still reads.
-`softmax_rows`, `layer_norm`, `layer_norm_backward` and `gelu` are the plain
-numpy expressions of the `numerics` functions, which must give the same bytes.
+`softmax_rows`, `layer_norm`, `layer_norm_backward`, `gelu` and `gelu_backward`
+are the plain numpy expressions of the `numerics` functions, which must give
+the same bytes. `pool_output` and its backward pass are the dense output layer
+that `model.forward_batch` pools before the bias to match, bit for bit.
 """
 
 import json
@@ -146,6 +148,30 @@ def gelu(x):
     """Exact GELU, x * Phi(x), elementwise."""
     x = np.asarray(x, dtype=np.float64)
     return x * 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+
+
+def gelu_backward(x, grad_out):
+    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), times upstream gradient."""
+    x = np.asarray(x, dtype=np.float64)
+    phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return grad_out * (phi + x * pdf)
+
+
+def pool_output(x, real, we, be):
+    """The dense output layer: y = x @ We + be at real positions and -inf at
+    padded ones, max-pooled over positions. Returns (pooled, y)."""
+    y = np.where(real[:, :, None], x @ we + be, -np.inf)
+    return y.max(axis=1), y
+
+
+def pool_output_backward(x, y, we, d_pooled):
+    """(dx, dWe, dbe) of pool_output: each column's d_pooled goes to the
+    position the float argmax of y picks, its first maximum."""
+    dy = np.zeros(y.shape)
+    np.put_along_axis(dy, y.argmax(axis=1)[:, None, :], d_pooled[:, None, :], axis=1)
+    d, d_out = we.shape
+    return dy @ we.T, x.reshape(-1, d).T @ dy.reshape(-1, d_out), d_pooled.sum(axis=0)
 
 
 def precision_overlaps(truth_rows, pred_rows, k_max):

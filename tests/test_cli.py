@@ -304,6 +304,18 @@ class TestNeighbors:
         assert captured.out == ""
         assert "need n >= 1 and n <= 21" in captured.err
 
+    @pytest.mark.parametrize("query", ["mash potato", " ", "", "ab\tc", "apple\n"])
+    def test_query_not_one_word_exit_2(self, workdir, capsys, query):
+        _, ckpt = simulate(workdir)
+        capsys.readouterr()  # discard training progress line
+        rc = main(["neighbors", "--vocab", str(workdir / "vocab.txt"),
+                   "--table", str(workdir / "table.txt"), "--checkpoint", str(ckpt), query])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: expected one nonempty word with no whitespace, "
+                                f"got {query!r}\n")
+
     def test_missing_checkpoint_exit_2(self, workdir):
         rc = main(["neighbors", "--vocab", str(workdir / "vocab.txt"),
                    "--table", str(workdir / "table.txt"),
@@ -421,6 +433,20 @@ class TestAttn:
         out = capsys.readouterr().out
         assert out.startswith("input apple\n")
         assert "layer 0 head 0" in out
+
+    @pytest.mark.parametrize("query", ["mash potato", " ", "", "ab\tc"])
+    def test_query_not_one_word_exit_2(self, workdir, capsys, query):
+        _, ckpt = simulate(workdir)
+        out = workdir / "attn.txt"
+        capsys.readouterr()  # discard training progress line
+        rc = main(["attn", "--vocab", str(workdir / "vocab.txt"), "--checkpoint", str(ckpt),
+                   "--out", str(out), query])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: expected one nonempty word with no whitespace, "
+                                f"got {query!r}\n")
+        assert not out.exists()
 
 
 class TestCheckpointVersions:

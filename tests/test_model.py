@@ -8,15 +8,10 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
-from char2subword.numerics import (
-    gelu,
-    layer_norm,
-    layer_norm_backward,
-    sinusoidal_pe,
-    softmax_rows,
-)
+from char2subword.numerics import sinusoidal_pe, softmax_rows
 from char2subword.vocab import UNK_CHAR_INDEX, char_sequence
-from reference import finite_diff_gradient, save_checkpoint_v1
+import reference
+from reference import finite_diff_gradient, gelu, layer_norm, save_checkpoint_v1
 
 
 @pytest.fixture
@@ -280,10 +275,46 @@ class TestForwardBatch:
             assert row.tobytes() == want.tobytes()
         u = np.random.default_rng(29).normal(size=(len(seqs), cfg.d_out))
         grads = M.backward_batch(p, cache, u).tensors
-        d_pooled = layer_norm_backward(cache["pooled"], p.tensors["ln_out.g"], cfg.ln_eps, u)[0]
+        d_pooled = reference.layer_norm_backward(cache["pooled"], p.tensors["ln_out.g"],
+                                                 cfg.ln_eps, u)[0]
         first = cache["x_final"][:, 0, :]  # each sequence's position 0
         np.testing.assert_allclose(grads["We"], first.T @ d_pooled, rtol=0, atol=1e-12)
         assert not np.allclose(grads["We"], cache["x_final"][:, 1, :].T @ d_pooled)
+
+    def test_pool_before_bias_matches_dense_output_layer_at_a_rounding_tie(self):
+        # with no blocks, char_emb and We set z directly: z[:, :, 0] = x[:, :, 0] * 2**-60
+        # (pe(0)[0] = 0), and + be = 1 rounds every z in (-2**-54, 2**-53) to 1.0
+        cfg = M.ModelConfig(d_char=2, d_out=3, n_layers=0, n_heads=1)
+        p = M.init_params(cfg, 5, seed=40)
+        t = p.tensors
+        t["char_emb"][2:, 0] = [-100.0, 1.0, 0.25]
+        t["We"][...] = [[2.0 ** -60, 1.0, 0.3], [0.0, 0.5, -0.7]]
+        t["be"][...] = [1.0, 0.0, 0.1]
+        seqs = [(2, 3, 3), (3, 3), (4, 2, 3, 3)]
+        emb, cache = M.forward_batch(p, seqs)
+        z, x = cache["z"], cache["x_final"]
+        # in sequence 0, position 0 rounds below the max and positions 1 < 2 tie at it
+        assert z[0, 0, 0] + 1.0 < z[0, 1, 0] + 1.0 == z[0, 2, 0] + 1.0 == 1.0
+        assert z[0, 1, 0] < z[0, 2, 0]
+
+        real = np.arange(x.shape[1]) < np.array([len(s) for s in seqs])[:, None]
+        pooled, y = reference.pool_output(x, real, t["We"], t["be"])
+        want = reference.layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+        assert cache["pooled"].tobytes() == pooled.tobytes()
+        assert emb.tobytes() == want.tobytes()
+
+        u = np.random.default_rng(41).normal(size=emb.shape)
+        grads = M.backward_batch(p, cache, u).tensors
+        d_pooled, d_gain, d_bias = reference.layer_norm_backward(pooled, t["ln_out.g"],
+                                                                 cfg.ln_eps, u)
+        dx, d_we, d_be = reference.pool_output_backward(x, y, t["We"], d_pooled)
+        d_emb = np.zeros_like(t["char_emb"])
+        np.add.at(d_emb, cache["ids"].ravel(), dx.reshape(-1, cfg.d_char))
+        want = {"char_emb": d_emb, "We": d_we, "be": d_be, "ln_out.g": d_gain,
+                "ln_out.b": d_bias}
+        assert grads.keys() == want.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == want[name].tobytes(), name
 
     def test_encode_bit_identical_to_forward(self, alphabet, monkeypatch):
         # words of every length 1..max_chars, shuffled, share padded passes; with

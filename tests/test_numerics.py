@@ -67,17 +67,17 @@ class TestSoftmaxDownKeys:
 
 class TestLayerNorm:
     def test_constant_vector_is_zeroed(self):
-        out = layer_norm(np.full(5, 3.0), np.ones(5), np.zeros(5), eps=1e-5)
+        out = layer_norm(np.full(5, 3.0), np.ones(5), np.zeros(5), eps=1e-5)[0]
         np.testing.assert_allclose(out, 0.0, atol=1e-6)
 
     def test_unit_variance_pair(self):
-        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=1e-15)
+        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2), eps=1e-15)[0]
         np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-6)
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=64) * 5 + 2
-        out = layer_norm(x, np.ones(64), np.zeros(64), eps=1e-12)
+        out = layer_norm(x, np.ones(64), np.zeros(64), eps=1e-12)[0]
         assert abs(out.mean()) < 1e-9
         assert abs(out.var() - 1.0) < 1e-9
 
@@ -91,10 +91,11 @@ class TestLayerNorm:
         gain = rng.normal(size=6)
         bias = rng.normal(size=6)
         up = rng.normal(size=6)
-        gx, gg, gb = layer_norm_backward(x, gain, 1e-5, up)
-        fd_x = finite_diff_gradient(lambda v: float(layer_norm(v, gain, bias, 1e-5) @ up), x)
-        fd_g = finite_diff_gradient(lambda v: float(layer_norm(x, v, bias, 1e-5) @ up), gain)
-        fd_b = finite_diff_gradient(lambda v: float(layer_norm(x, gain, v, 1e-5) @ up), bias)
+        _, d, sigma = layer_norm(x, gain, bias, 1e-5)
+        gx, gg, gb = layer_norm_backward(d, sigma, gain, up)
+        fd_x = finite_diff_gradient(lambda v: float(layer_norm(v, gain, bias, 1e-5)[0] @ up), x)
+        fd_g = finite_diff_gradient(lambda v: float(layer_norm(x, v, bias, 1e-5)[0] @ up), gain)
+        fd_b = finite_diff_gradient(lambda v: float(layer_norm(x, gain, v, 1e-5)[0] @ up), bias)
         np.testing.assert_allclose(gx, fd_x, atol=1e-8)
         np.testing.assert_allclose(gg, fd_g, atol=1e-8)
         np.testing.assert_allclose(gb, fd_b, atol=1e-8)
@@ -102,26 +103,28 @@ class TestLayerNorm:
 
 class TestGelu:
     def test_zero(self):
-        assert gelu(0.0) == 0.0
+        assert gelu(0.0)[0] == 0.0
 
     def test_symmetry_identity(self):
         xs = np.linspace(-4, 4, 23)
-        np.testing.assert_allclose(gelu(xs) - gelu(-xs), xs, atol=1e-14)
+        np.testing.assert_allclose(gelu(xs)[0] - gelu(-xs)[0], xs, atol=1e-14)
 
     def test_against_normal_cdf_oracle(self):
-        assert float(gelu(2.0)) == pytest.approx(2.0 * norm.cdf(2.0), abs=1e-14)
+        assert float(gelu(2.0)[0]) == pytest.approx(2.0 * norm.cdf(2.0), abs=1e-14)
 
     def test_backward_matches_finite_diff(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=11)
         up = rng.normal(size=11)
-        fd = finite_diff_gradient(lambda v: float(gelu(v) @ up), x)
-        np.testing.assert_allclose(gelu_backward(x, up), fd, atol=1e-9)
+        fd = finite_diff_gradient(lambda v: float(gelu(v)[0] @ up), x)
+        np.testing.assert_allclose(gelu_backward(x, gelu(x)[1], up), fd, atol=1e-9)
 
 
 class TestSameBytesAsReference:
-    """softmax_rows, layer_norm, layer_norm_backward and gelu work in place and call
-    numpy's reductions directly, yet give the bytes of reference.py's plain expressions."""
+    """softmax_rows, layer_norm, gelu and their backward passes work in place and
+    call numpy's reductions directly, yet give the bytes of reference.py's plain
+    expressions; the backward passes, fed the terms their forward handed back,
+    give the reference's bytes computed from x."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(lead=st.lists(st.integers(1, 4), max_size=2), width=st.integers(1, 768),
@@ -132,11 +135,14 @@ class TestSameBytesAsReference:
         gain, bias = rng.normal(size=width), rng.normal(size=width)
         up = rng.normal(size=x.shape)
         eps = float(rng.choice([1e-12, 1e-5, 1.0]))
+        out, d, sigma = layer_norm(x, gain, bias, eps)
+        g, cdf = gelu(x)
         pairs = [(softmax_rows(x), reference.softmax_rows(x)),
-                 (layer_norm(x, gain, bias, eps), reference.layer_norm(x, gain, bias, eps)),
-                 *zip(layer_norm_backward(x, gain, eps, up),
+                 (out, reference.layer_norm(x, gain, bias, eps)),
+                 *zip(layer_norm_backward(d, sigma, gain, up),
                       reference.layer_norm_backward(x, gain, eps, up)),
-                 (gelu(x), reference.gelu(x))]
+                 (g, reference.gelu(x)),
+                 (gelu_backward(x, cdf, up), reference.gelu_backward(x, up))]
         for got, want in pairs:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -144,10 +150,19 @@ class TestSameBytesAsReference:
     def test_inputs_left_unchanged(self):
         x = np.random.default_rng(4).normal(size=(3, 5))
         before = x.copy()
-        for out in (softmax_rows(x), gelu(x), layer_norm(x, np.ones(5), np.zeros(5)),
-                    *layer_norm_backward(x, np.ones(5), 1e-5, np.ones((3, 5)))):
+        ln = layer_norm(x, np.ones(5), np.zeros(5))
+        gl = gelu(x)
+        outs = [softmax_rows(x), *gl, *ln, gelu_backward(x, gl[1], np.ones((3, 5))),
+                *layer_norm_backward(ln[1], ln[2], np.ones(5), np.ones((3, 5)))]
+        # no output, saved term included, shares memory with x or with another output
+        for i, out in enumerate(outs):
             assert not np.shares_memory(out, x)
+            assert not any(np.shares_memory(out, other) for other in outs[i + 1:])
         np.testing.assert_array_equal(x, before)
+        # the backward passes leave the saved terms as they were
+        np.testing.assert_array_equal(gl[1], gelu(x)[1])
+        for got, want in zip(ln[1:], layer_norm(x, np.ones(5), np.zeros(5))[1:]):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCosineSimilarity:

@@ -73,8 +73,9 @@ class TestTokenizeWord:
         assert tokenize_word(greedy_vocab, "unq") == [UNK]
 
     def test_rejects_whitespace(self, greedy_vocab):
-        with pytest.raises(ValueError):
-            tokenize_word(greedy_vocab, "two words")
+        for word in ("two words", "", " ", "tab\tbed", "line\n"):
+            with pytest.raises(ValueError, match="expected one nonempty word with no whitespace"):
+                tokenize_word(greedy_vocab, word)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
