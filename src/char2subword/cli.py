@@ -28,7 +28,7 @@ from .embedder import EmbedMode, embed_sequence, write_embeddings
 from .noise import NoiseConfig, default_layouts, load_layouts, sample_noisy
 from .objectives import LossWeights, build_neighbor_index, check_vocab_size, load_table
 from .training import TrainConfig, TrainingError
-from .vocab import build_alphabet, load_vocabulary
+from .vocab import build_alphabet, check_word, load_vocabulary
 
 CONFIG_VERSION = 1
 _SWITCHES = {"noise": (True, "--noise"), "full_word": (False, "--subword")}
@@ -193,6 +193,7 @@ def cmd_eval(args):
 
 
 def cmd_neighbors(args):
+    check_word(args.query)
     vocab, alphabet, table, params = _load_inputs(args)
     results = evaluation.neighbor_query(params, table, vocab, alphabet, args.query,
                                         is_full_word=args.full_word, n=args.n)
@@ -244,6 +245,7 @@ def cmd_embed(args):
 
 
 def cmd_attn(args):
+    check_word(args.query)
     _, alphabet, _, params = _load_inputs(args)
     text = evaluation.dump_attention(params, alphabet, args.query,
                                      is_full_word=args.full_word)

@@ -25,7 +25,8 @@ TABLE_MAGIC = b"EMBT"
 # stays bounded at any table size. A product that fits in one tile runs inline
 # below 2 * CE_BLOCK multiply-adds (every toy product) and as two column tiles
 # on the pool from there (a query over a 30k x 768 table). Loading a table and
-# its row norms also goes in row chunks of at most this many entries.
+# its row norms also goes in row chunks of at most this many entries, on the pool
+# when there are several.
 CE_BLOCK = 2 ** 19
 # Runs the tiles of a multi-tile product; numpy releases the GIL in matmul, exp,
 # partition and argmax. Made here, so no binding changes later: the executor
@@ -92,12 +93,35 @@ def _row_chunks(v, d):
     return [slice(lo, lo + step) for lo in range(0, v, step)]
 
 
+def _over_row_chunks(v, d, fn):
+    """Call fn(rows) for each slice of _row_chunks(v, d): inline if there is one, else
+    all on the pool, where each worker runs one chunk at a time. fn must not submit
+    to the pool (a one-worker pool would wait on itself), so this never runs inside a
+    tile. A chunk that raises cancels the chunks not yet started, and its error reaches
+    the caller once the running ones have finished."""
+    chunks = _row_chunks(v, d)
+    if len(chunks) == 1:
+        fn(chunks[0])
+        return
+    futures = [_POOL.submit(fn, rows) for rows in chunks]
+    try:
+        for future in futures:
+            future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        concurrent.futures.wait(futures)
+
+
 def _row_norms(m):
     """np.linalg.norm(m, axis=1) of a 2-D array, row chunk by row chunk, so no
     temporary as large as m is made."""
     norms = np.empty(len(m))
-    for rows in _row_chunks(*m.shape):
+
+    def norm(rows):
         norms[rows] = np.linalg.norm(m[rows], axis=1)
+
+    _over_row_chunks(*m.shape, norm)
     return norms
 
 
@@ -133,9 +157,13 @@ def load_table(path):
                 raise ValueError(f"EMBT payload is {size} bytes, "
                                  f"expected {4 * v * d} for a {v}x{d} float32 table")
             m = np.empty((v, d))  # filled chunk by chunk: no float32 copy of the whole file
-            for rows in _row_chunks(v, d):
+
+            def fill(rows):  # each chunk reads at its own offset: no shared file position
                 chunk = m[rows].reshape(-1)  # a view: m is C-contiguous
-                chunk[:] = np.frombuffer(fh.read(4 * chunk.size), dtype="<f4")
+                data = os.pread(fh.fileno(), 4 * chunk.size, 12 + 4 * d * rows.start)
+                chunk[:] = np.frombuffer(data, dtype="<f4")
+
+            _over_row_chunks(v, d, fill)
             return EmbeddingTable(matrix=m)
     with open(path, encoding="utf-8") as fh:
         v, d = (int(x) for x in fh.readline().split())
@@ -226,13 +254,16 @@ def tiles(rows, e_table, fn):
         concurrent.futures.wait([future for _, _, future in pending])
 
 
-def scan_table(e_table, vecs, n):
+def scan_table(e_table, vecs, n, argmax=True):
     """One exact pass over the tiles of `tiles` for query rows (Q, d): the top-n table
     rows by cosine, ascending-id ties, as (ids, sims) shaped (Q, n), and each row's
-    argmax of the raw product, lowest id on ties, shaped (Q,). Each tile finds its own
-    argmax and keeps every column at or above its rows' n-th largest cosine, so ties at
-    the cut survive; the running argmax and top-n are merged in column order, and only
-    the candidates and the running top-n are sorted. n must be in 1..|V|."""
+    argmax of the raw product, lowest id on ties, shaped (Q,), or None if not `argmax`.
+    Each tile keeps every column at or above its rows' n-th largest cosine, so ties at
+    the cut survive, and returns its rows' top-n cosines and, if `argmax`, its own
+    argmax, merged in column order. Across a row block's tiles the caller keeps each
+    row's top-n cosines so far: their least is a floor that cannot exceed the row's
+    final n-th, so candidates below it are dropped. The survivors are sorted once per
+    row block. n must be in 1..|V|."""
     if not 1 <= n <= e_table.size:
         raise ValueError(f"cannot rank the top {n} neighbors of {e_table.size} table rows; "
                          f"need n >= 1 and n <= {e_table.size}")
@@ -244,35 +275,49 @@ def scan_table(e_table, vecs, n):
         raise ValueError("cannot rank neighbors of a non-finite vector")
 
     def scan(blk, cols, prod):
-        j = prod.argmax(axis=1)  # the first max in the tile: its lowest id
-        peak = prod[np.arange(len(j)), j]
+        j = peak = None
+        if argmax:
+            j = prod.argmax(axis=1)  # the first max in the tile: its lowest id
+            peak = prod[np.arange(len(j)), j]
         s = np.divide(prod, qnorm[blk, None] * e_table.norms[cols], out=prod)
         cut = s.shape[1] - min(n, s.shape[1])
-        r, c = np.nonzero(s >= np.partition(s, cut, axis=1)[:, cut, None])
-        return j, peak, (r, c + cols.start, s[r, c])
+        top = np.partition(s, cut, axis=1)[:, cut:]  # all columns if fewer than n
+        flat = np.flatnonzero(s >= top[:, :1])  # faster than a 2-D np.nonzero
+        r, c = np.divmod(flat, s.shape[1])
+        return j, peak, top.copy(), (r, c + cols.start, s.ravel()[flat])  # copied: frees s
 
     ids = np.empty((len(rows), n), dtype=np.int64)
     sims = np.empty(ids.shape)
-    argmax, best = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), -np.inf)
-    for blk, cols, (j, peak, (r, c, v)) in tiles(rows, e_table, scan):
-        win = peak > best[blk]  # columns ascend, so a tie keeps the lower id
-        argmax[blk] = np.where(win, j + cols.start, argmax[blk])
-        best[blk] = np.where(win, peak, best[blk])
-        if cols.start:  # merge with the row block's running top-n
-            r, c, v = (np.concatenate(pair) for pair in zip(cand, (r, c, v)))
-        order = np.lexsort((c, -v, r))
+    top1, best = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), -np.inf)
+    for blk, cols, (j, peak, top, (r, c, v)) in tiles(rows, e_table, scan):
+        if argmax:
+            win = peak > best[blk]  # columns ascend, so a tie keeps the lower id
+            top1[blk] = np.where(win, j + cols.start, top1[blk])
+            best[blk] = np.where(win, peak, best[blk])
+        if cols.start or cols.stop < e_table.size:  # one of a row block's several tiles
+            if not cols.start:
+                running, cand = np.full((len(ids[blk]), n), -np.inf), []
+            running = np.concatenate([running, top], axis=1)
+            running = np.partition(running, running.shape[1] - n, axis=1)[:, -n:]
+            floor = running[:, 0]  # the row's n-th largest cosine so far
+            keep = v >= floor[r]
+            cand.append((r[keep], c[keep], v[keep]))
+            if cols.stop < e_table.size:
+                continue
+            r, c, v = (np.concatenate(part) for part in zip(*cand))
+            keep = v >= floor[r]  # the floor may have risen since a candidate was kept
+            r, c, v = r[keep], c[keep], v[keep]
+        order = np.lexsort((c, -v, r))  # the row block's last tile: one sort
         r, c, v = r[order], c[order], v[order]
-        top = np.arange(len(r)) - np.searchsorted(r, r) < n  # the first n of each row
-        cand = r[top], c[top], v[top]
-        if cols.stop >= e_table.size:
-            ids[blk] = cand[1].reshape(-1, n)
-            sims[blk] = cand[2].reshape(-1, n)
-    return ids, sims, argmax
+        first = np.arange(len(r)) - np.searchsorted(r, r) < n  # the first n of each row
+        ids[blk] = c[first].reshape(-1, n)
+        sims[blk] = v[first].reshape(-1, n)
+    return ids, sims, top1 if argmax else None
 
 
 def rank_neighbors(e_table, vecs, n):
     """scan_table's top-n for a vector (d,) or rows (Q, d): (ids, sims), (n,) or (Q, n)."""
-    ids, sims, _ = scan_table(e_table, vecs, n)
+    ids, sims, _ = scan_table(e_table, vecs, n, argmax=False)
     return (ids[0], sims[0]) if np.ndim(vecs) == 1 else (ids, sims)
 
 

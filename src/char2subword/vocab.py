@@ -48,29 +48,21 @@ def load_vocabulary(source):
     """Build a Vocabulary from one-token-per-line text.
 
     `source` is a path (a str or an os.PathLike) or any other iterable of
-    lines. Line number (0-based) becomes the token id. Duplicates and a
-    missing [UNK] are errors.
+    lines. Blank lines are skipped, and the other lines' tokens take ids
+    0, 1, ... in order. Duplicates and a missing [UNK] are errors.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-
-    entries = []
-    id_of = {}
-    for lineno, tok in enumerate(lines):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok in id_of:
-            raise VocabularyError(
-                f"duplicate token {tok!r} at lines {id_of[tok]} and {lineno}"
-            )
-        id_of[tok] = lineno
-        entries.append(tok)
-    # re-number densely in case blank lines were skipped
-    id_of = {tok: i for i, tok in enumerate(entries)}
+            source = fh.read().splitlines()
+    lines = [line.strip() for line in source]
+    entries = [tok for tok in lines if tok]
+    id_of = dict(zip(entries, range(len(entries))))  # dense ids: blank lines take none
+    if len(id_of) < len(entries):
+        first = {}  # token -> its first 0-based line
+        for lineno, tok in enumerate(lines):
+            if tok and first.setdefault(tok, lineno) != lineno:
+                raise VocabularyError(
+                    f"duplicate token {tok!r} at lines {first[tok]} and {lineno}")
     if UNK not in id_of:
         raise VocabularyError(f"vocabulary is missing the {UNK} token")
     return Vocabulary(entries=tuple(entries), id_of=id_of)

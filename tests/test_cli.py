@@ -316,6 +316,18 @@ class TestNeighbors:
         assert captured.err == ("error: expected one nonempty word with no whitespace, "
                                 f"got {query!r}\n")
 
+    @pytest.mark.parametrize("command", ["neighbors", "attn"])
+    def test_query_checked_before_any_input_is_read(self, workdir, capsys, command):
+        missing = workdir / "missing.embt"
+        table = ["--table", str(missing)] if command == "neighbors" else []
+        rc = main([command, "--vocab", str(workdir / "vocab.txt"), *table,
+                   "--checkpoint", str(missing), "mash potato"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: expected one nonempty word with no whitespace, "
+                                "got 'mash potato'\n")
+
     def test_missing_checkpoint_exit_2(self, workdir):
         rc = main(["neighbors", "--vocab", str(workdir / "vocab.txt"),
                    "--table", str(workdir / "table.txt"),

@@ -140,6 +140,46 @@ class TestEmbeddingTable:
         assert loaded.matrix.tobytes() == whole.tobytes()
         assert loaded.norms.tobytes() == np.linalg.norm(whole, axis=1).tobytes()
 
+    @pytest.mark.parametrize("pool", ["default", "one worker", "inline"])
+    def test_binary_chunks_give_the_same_bits_on_any_pool(self, tmp_path, monkeypatch, pool):
+        rng = np.random.default_rng(19)
+        path = tmp_path / "table.embt"
+        save_table_binary(path, EmbeddingTable(matrix=rng.normal(size=(23, 200))))
+        payload = path.read_bytes()[12:]
+        # chunks of 5, 5, 5, 5 and 3 rows, each read at its own offset
+        monkeypatch.setattr(objectives, "CE_BLOCK", 1000)
+        assert [len(range(23)[rows]) for rows in objectives._row_chunks(23, 200)] == \
+            [5, 5, 5, 5, 3]
+        with concurrent.futures.ThreadPoolExecutor(1) as one:
+            executor = {"default": objectives._POOL, "one worker": one,
+                        "inline": InlineExecutor()}[pool]
+            monkeypatch.setattr(objectives, "_POOL", executor)
+            loaded = load_table(path)
+        whole = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(23, 200)
+        assert loaded.matrix.tobytes() == whole.tobytes()
+        assert loaded.norms.tobytes() == np.linalg.norm(whole, axis=1).tobytes()
+        if pool == "inline":
+            assert executor.submitted == 5 + 5  # the reads, then the norms
+
+    def test_chunk_error_reaches_caller_after_running_chunks(self, monkeypatch):
+        monkeypatch.setattr(objectives, "CE_BLOCK", 1000)
+        pool = SpyPool()
+        monkeypatch.setattr(objectives, "_POOL", pool)
+        done = []
+
+        def fail_at_second(rows):  # chunks start at rows 0, 5, 10, 15 and 20
+            if rows.start == 5:
+                raise ArithmeticError("chunk 5.. failed")
+            time.sleep(0.05)  # later chunks are still queued at the error
+            done.append(rows.start)
+
+        with pytest.raises(ArithmeticError, match=r"chunk 5\.\. failed"):
+            objectives._over_row_chunks(23, 200, fail_at_second)
+        assert all(f.done() for f in pool.futures)
+        assert any(f.cancelled() for f in pool.futures)
+        assert done[0] == 0 and len(done) < 4
+        pool.shutdown()
+
 
 class TestNeighborIndex:
     def test_hand_case(self):
@@ -549,7 +589,11 @@ class TestTilePool:
         inline = InlineExecutor()
         monkeypatch.setattr(objectives, "_POOL", inline)
         assert same_bits(pooled, self.table_pass_outputs(toy_table, toy_vocab))
-        assert inline.submitted == 9 * 9 + 2 * 9 + 9 * 9 + 9 * 9
+        # the tiles of the index, CE, eval and ranking passes, then the query-norm chunks
+        # of the three scans over 50 x 16 rows
+        chunks = len(objectives._row_chunks(50, 16))
+        assert chunks == 25
+        assert inline.submitted == 9 * 9 + 2 * 9 + 9 * 9 + 9 * 9 + 3 * chunks
 
     def test_two_column_tiles_give_identical_bits_on_any_pool(self, toy_table, monkeypatch,
                                                               tile_log):
@@ -760,6 +804,33 @@ class TestRankNeighbors:
             tied = np.flatnonzero(s == s[order[6]])
             spans_tiles |= len(set(tied // width)) > 1
         assert spans_tiles == (ce_block is not None)
+
+    @pytest.mark.parametrize("n", [1, 7, 10, 12])
+    def test_floor_keeps_ties_from_earlier_column_tiles(self, monkeypatch, tile_log, n):
+        # three directions whose cosines to q[0] tie exactly at any power-of-two scale:
+        # A (6 rows, in tile 1) > B (17 rows, in every tile) > C. Tile 1's 7th is B's
+        # cosine, so from there a row's floor is the 7th place itself, and B's lowest
+        # id, 3, is the 7th neighbor although tile 0 was scanned before the floor rose
+        a, b, c = [4.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 2.0, 0.0]
+        dirs = [c, c, c, b, c, c, c, c, c, c] + [a] * 6 + [b] * 16 + [c] * 8
+        scale = 2.0 ** np.random.default_rng(20).integers(0, 3, size=(40, 1))
+        t = EmbeddingTable(matrix=np.array(dirs) * scale)
+        queries = np.array([[1.0, 0.0, 0.0, 0.0], c])
+        monkeypatch.setattr(objectives, "CE_BLOCK", 20)  # 2 rows by 10-column tiles
+        ids, sims, argmax = objectives.scan_table(t, queries, n)
+        assert grid(tile_log[-1]) == (1, 4)
+        for q, row_ids, row_sims, row_argmax in zip(queries, ids, sims, argmax):
+            prod = t.matrix @ q  # small integers: exact, as in any tile
+            s = prod / (np.linalg.norm(q) * np.linalg.norm(t.matrix, axis=1))
+            order = np.lexsort((np.arange(40), -s))
+            assert list(row_ids) == list(order[:n])
+            assert row_sims.tobytes() == s[order[:n]].tobytes()
+            assert row_argmax == np.lexsort((np.arange(40), -prod))[0]
+        if n == 7:
+            assert list(ids[0]) == [10, 11, 12, 13, 14, 15, 3]
+        skipped = objectives.scan_table(t, queries, n, argmax=False)
+        assert skipped[2] is None
+        assert skipped[0].tobytes() == ids.tobytes() and skipped[1].tobytes() == sims.tobytes()
 
     def test_non_finite_query_rejected(self, toy_table):
         with pytest.raises(ValueError, match="non-finite"):

@@ -26,6 +26,16 @@ class TestLoadVocabulary:
         with pytest.raises(VocabularyError, match=r"lines 0 and 2"):
             load_vocabulary(["a", "[UNK]", "a"])
 
+    def test_blank_lines_take_no_id_but_count_in_duplicate_lines(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\n\n  \n[UNK]\n ##b \n", encoding="utf-8")
+        v = load_vocabulary(path)
+        assert v == load_vocabulary(["a", "[UNK]", "##b"])
+        assert v.id_of == {"a": 0, "[UNK]": 1, "##b": 2}
+        path.write_text("a\n\n  \n[UNK]\n a \n", encoding="utf-8")
+        with pytest.raises(VocabularyError, match=r"duplicate token 'a' at lines 0 and 4"):
+            load_vocabulary(path)
+
     def test_missing_unk_rejected(self):
         with pytest.raises(VocabularyError, match=r"\[UNK\]"):
             load_vocabulary(["a", "b"])
