@@ -25,7 +25,7 @@ from contextlib import nullcontext
 
 from . import evaluation, model as model_mod, training
 from .embedder import EmbedMode, embed_sequence, write_embeddings
-from .noise import NoiseConfig, default_layouts, load_layouts, sample_noisy
+from .noise import NoiseConfig, default_layouts, load_layouts, noise_line
 from .objectives import LossWeights, build_neighbor_index, check_vocab_size, load_table
 from .training import TrainConfig, TrainingError
 from .vocab import build_alphabet, check_word, load_vocabulary
@@ -209,10 +209,9 @@ def cmd_noise(args):
     with open(args.in_corpus, encoding="utf-8") as src, \
             open(args.out, "w", encoding="utf-8") as dst:
         for line in src:
-            words = line.rstrip("\n").split(" ")
-            noised = [sample_noisy(word, rng, noise_cfg) if word else word for word in words]
-            changed += sum(out != word for out, word in zip(noised, words))
-            dst.write(" ".join(noised) + "\n")
+            noised, n_changed = noise_line(line.rstrip("\n"), rng, noise_cfg)
+            changed += n_changed
+            dst.write(noised + "\n")
     print(f"changed {changed} tokens")
     return 0
 

@@ -6,12 +6,15 @@ five editable characters and special tokens are left alone, and a leading
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .vocab import MARKER, SPECIAL_TOKENS
 
 DEFAULT_PUNCTUATION = ("(", ")", "-", ".", ",", "'", ":", ";")
 _MAX_RETRIES = 16
+# a run of str.isspace characters: re's \s and str.isspace agree on every code point
+_WHITESPACE_RUN = re.compile(r"(\s+)")
 
 
 class NoiseError(ValueError):
@@ -207,3 +210,15 @@ def sample_noisy(token, rng, config):
         return apply_op(token, op, rng, config)
     except NoiseError:
         return token
+
+
+def noise_line(line, rng, config):
+    """Noise each whitespace-free run of `line` with sample_noisy, left to
+    right, and copy each whitespace run as it is.
+
+    Returns (noised line, number of runs changed).
+    """
+    parts = _WHITESPACE_RUN.split(line)  # whitespace-free runs at even indices
+    words = parts[::2]
+    parts[::2] = [sample_noisy(word, rng, config) if word else word for word in words]
+    return "".join(parts), sum(out != word for out, word in zip(parts[::2], words))

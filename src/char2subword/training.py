@@ -286,22 +286,27 @@ def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):
     """Tokenize corpus lines into aligned (token ids, character sequences) pairs.
 
     Single-piece words are full words (they get the "##" marker); OOV words
-    keep their surface characters with an [UNK] target.
+    keep their surface characters with an [UNK] target. Each distinct word is
+    tokenized once per call.
     """
-    unk_id = vocab.id_of[UNK]
+    def word_samples(word):
+        pieces = tokenize_word(vocab, word)
+        if pieces == [UNK]:
+            return [vocab.id_of[UNK]], [char_sequence(word, True, alphabet, max_chars=max_chars)]
+        full = len(pieces) == 1
+        return ([vocab.id_of[piece] for piece in pieces],
+                [char_sequence(piece, full, alphabet, max_chars=max_chars) for piece in pieces])
+
+    known = {}  # word -> (ids, char sequences)
     sequences = []
     for line in lines:
         ids, seqs = [], []
         for word in whitespace_split(line):
-            pieces = tokenize_word(vocab, word)
-            if pieces == [UNK]:
-                ids.append(unk_id)
-                seqs.append(char_sequence(word, True, alphabet, max_chars=max_chars))
-                continue
-            full = len(pieces) == 1
-            for piece in pieces:
-                ids.append(vocab.id_of[piece])
-                seqs.append(char_sequence(piece, full, alphabet, max_chars=max_chars))
+            if word not in known:
+                known[word] = word_samples(word)
+            word_ids, word_seqs = known[word]
+            ids += word_ids
+            seqs += word_seqs
         if ids:
             sequences.append((ids, seqs))
     return sequences

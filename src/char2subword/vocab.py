@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 MARKER = "##"
 UNK = "[UNK]"
@@ -122,7 +123,7 @@ def char_sequence(token, is_full_word, alphabet, max_chars=MAX_CHARS):
     text = token
     if is_full_word and not text.startswith(MARKER):
         text = MARKER + text
-    return tuple(alphabet.index(ch) for ch in text[:max_chars])
+    return tuple(map(alphabet.index_of.get, text[:max_chars], repeat(UNK_CHAR_INDEX)))
 
 
 def whitespace_split(sentence):
@@ -131,8 +132,11 @@ def whitespace_split(sentence):
 
 
 def check_word(word):
-    """Raise ValueError unless `word` is one nonempty word: it holds no whitespace."""
-    if not word or any(ch.isspace() for ch in word):
+    """Raise ValueError unless `word` is one nonempty word: it holds no whitespace.
+
+    The whitespace rule is str.split's, the one whitespace_split applies.
+    """
+    if word.split() != [word]:
         raise ValueError(f"expected one nonempty word with no whitespace, got {word!r}")
 
 

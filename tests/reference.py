@@ -10,6 +10,10 @@ checkpoint version 1, which `model.load_checkpoint` still reads.
 are the plain numpy expressions of the `numerics` functions, which must give
 the same bytes. `pool_output` and its backward pass are the dense output layer
 that `model.forward_batch` pools before the bias to match, bit for bit.
+`char_sequence`, `check_word` and `corpus_samples` are the text front end one
+character and one word occurrence at a time, and `noise_line_spaces` is the
+`noise` command's line loop for lines split on single spaces; the package's
+versions must give equal results.
 """
 
 import json
@@ -18,8 +22,10 @@ import struct
 import numpy as np
 from scipy.special import erf
 
+from char2subword.noise import sample_noisy
 from char2subword.numerics import cosine_similarity
 from char2subword.objectives import loss_cos, loss_l2
+from char2subword.vocab import MARKER, MAX_CHARS, UNK, tokenize_word
 
 
 def loss_ce(target_id, e_hat, e_table):
@@ -248,3 +254,47 @@ def save_checkpoint_v1(path, params, alphabet):
         fh.write(b"C2SW" + struct.pack("<II", 1, len(blob)) + blob)
         for _, tensor in tensors:
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+
+
+def char_sequence(token, is_full_word, alphabet, max_chars=MAX_CHARS):
+    """The alphabet index of each character, one `alphabet.index` call each."""
+    if not token:
+        raise ValueError("char_sequence requires a nonempty token")
+    text = token
+    if is_full_word and not text.startswith(MARKER):
+        text = MARKER + text
+    return tuple(alphabet.index(ch) for ch in text[:max_chars])
+
+
+def check_word(word):
+    """Raise ValueError if `word` is empty or any character of it is whitespace."""
+    if not word or any(ch.isspace() for ch in word):
+        raise ValueError(f"expected one nonempty word with no whitespace, got {word!r}")
+
+
+def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):
+    """Tokenize every word occurrence of every line on its own."""
+    unk_id = vocab.id_of[UNK]
+    sequences = []
+    for line in lines:
+        ids, seqs = [], []
+        for word in line.split():
+            pieces = tokenize_word(vocab, word)
+            if pieces == [UNK]:
+                ids.append(unk_id)
+                seqs.append(char_sequence(word, True, alphabet, max_chars=max_chars))
+                continue
+            full = len(pieces) == 1
+            for piece in pieces:
+                ids.append(vocab.id_of[piece])
+                seqs.append(char_sequence(piece, full, alphabet, max_chars=max_chars))
+        if ids:
+            sequences.append((ids, seqs))
+    return sequences
+
+
+def noise_line_spaces(line, rng, config):
+    """Noise the words between single spaces; returns (noised line, words changed)."""
+    words = line.split(" ")
+    noised = [sample_noisy(word, rng, config) if word else word for word in words]
+    return " ".join(noised), sum(out != word for out, word in zip(noised, words))

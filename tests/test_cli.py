@@ -345,6 +345,15 @@ class TestNoise:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text() != (workdir / "corpus.txt").read_text()
 
+    def test_whitespace_runs_are_copied(self, workdir, capsys):
+        src, out = workdir / "tabs.txt", workdir / "n.txt"
+        src.write_text("foo\tbar\tbaz qux\n", encoding="utf-8")
+        assert main(["noise", "--seed", "1", "--p-noise", "1.0", str(src),
+                     "--out", str(out)]) == 0
+        # every word is shorter than --min-length, so nothing changes
+        assert out.read_bytes() == src.read_bytes()
+        assert capsys.readouterr().out == "changed 0 tokens\n"
+
     def test_seed_required(self, workdir):
         rc = main(["noise", str(workdir / "corpus.txt"),
                    "--out", str(workdir / "n.txt")])

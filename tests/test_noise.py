@@ -1,8 +1,13 @@
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
+
+import reference
 
 from char2subword.noise import (
     DEFAULT_PUNCTUATION,
@@ -14,6 +19,7 @@ from char2subword.noise import (
     apply_op,
     default_layouts,
     load_layouts,
+    noise_line,
     sample_noisy,
 )
 
@@ -201,6 +207,29 @@ class TestSampleNoisy:
         total = sum(counts.values())
         for op in ("punctuation", "repeat", "drop"):
             assert abs(counts[op] / total - 1 / 6) < 0.03
+
+
+class TestNoiseLine:
+    CONFIG = NoiseConfig(p_noise=1.0, min_length=2, layouts=tuple(default_layouts()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(alphabet="abcdefgh \t\u3000\x0b\x1f", max_size=60),
+           seed=st.integers(0, 2**32))
+    def test_keeps_every_whitespace_run(self, line, seed):
+        out, changed = noise_line(line, random.Random(seed), self.CONFIG)
+        parts, in_parts = re.split(r"(\s+)", out), re.split(r"(\s+)", line)
+        assert parts[1::2] == in_parts[1::2]
+        assert changed == sum(a != b for a, b in zip(parts[::2], in_parts[::2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(st.text(alphabet="abcdefgh", max_size=9), max_size=10),
+           seed=st.integers(0, 2**32))
+    def test_space_separated_line_matches_split_on_space(self, words, seed):
+        line = " ".join(words)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert noise_line(line, rng, self.CONFIG) == reference.noise_line_spaces(
+            line, ref_rng, self.CONFIG)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestLaws:

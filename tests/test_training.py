@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import char2subword as c2s
+import reference
 from char2subword import evaluation, model as M, training
 from char2subword.noise import NoiseConfig, default_layouts, sample_noisy
 from char2subword.objectives import LossWeights, build_neighbor_index
@@ -381,6 +384,35 @@ class TestCorpusSamples:
 
     def test_blank_lines_skipped(self, toy_vocab, alphabet):
         assert corpus_samples(toy_vocab, alphabet, ["", "   "]) == []
+
+    def test_each_distinct_word_tokenized_once(self, toy_vocab, alphabet, monkeypatch):
+        words = []
+        tokenize = training.tokenize_word
+        monkeypatch.setattr(training, "tokenize_word",
+                            lambda vocab, word: words.append(word) or tokenize(vocab, word))
+        lines = ["apple badge apple", "zzzzz apple\tzzzzz"]
+        first, second = corpus_samples(toy_vocab, alphabet, lines)
+        assert words == ["apple", "badge", "zzzzz"]
+        assert [first, second] == reference.corpus_samples(toy_vocab, alphabet, lines)
+        # each line has lists of its own
+        assert first[0] is not second[0] and first[1] is not second[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_occurrence_reference(self, data):
+        pieces = data.draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
+                                    min_size=1, max_size=6, unique=True))
+        vocab = c2s.load_vocabulary(dict.fromkeys([UNK, *pieces, *("##" + p for p in pieces)]))
+        alphabet = c2s.build_alphabet(vocab)
+        # "x" and "é" are out of the alphabet, so words holding them are OOV
+        words = data.draw(st.lists(st.text(alphabet="abcxé#", min_size=1, max_size=12),
+                                   min_size=1, max_size=5))
+        line = st.tuples(st.lists(st.sampled_from(words), max_size=8),
+                         st.sampled_from([" ", "  ", "\t", "\u3000"]))
+        lines = [sep.join(ws) for ws, sep in data.draw(st.lists(line, max_size=6))]
+        max_chars = data.draw(st.integers(1, 8))
+        assert (corpus_samples(vocab, alphabet, lines, max_chars=max_chars)
+                == reference.corpus_samples(vocab, alphabet, lines, max_chars=max_chars))
 
 
 class TestPretrainMlm:

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from char2subword.vocab import (
     MASK_CHAR_INDEX,
     UNK,
@@ -9,6 +12,7 @@ from char2subword.vocab import (
     VocabularyError,
     build_alphabet,
     char_sequence,
+    check_word,
     load_vocabulary,
     tokenize_word,
     whitespace_split,
@@ -146,6 +150,44 @@ class TestCharSequence:
         tokens = ("cat", "tac", "act", "ta", "at", "##cat", "ing", "##ing")
         seqs = {char_sequence(t, False, alphabet) for t in tokens}
         assert len(seqs) == len(tokens)
+
+
+class TestFastPathsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.text(alphabet="abc#", min_size=1, max_size=4), max_size=6,
+                            unique=True),
+           # "x", "é" and whitespace are outside every alphabet drawn here
+           body=st.text(alphabet="abcxé# \t", min_size=1, max_size=40),
+           marked=st.booleans(), full=st.booleans(),
+           max_chars=st.one_of(st.just(32), st.integers(1, 40)))
+    def test_char_sequence(self, entries, body, marked, full, max_chars):
+        alphabet = build_alphabet(load_vocabulary([UNK, *entries]))
+        token = "##" + body if marked else body
+        seq = char_sequence(token, full, alphabet, max_chars=max_chars)
+        assert type(seq) is tuple and all(type(i) is int for i in seq)
+        assert seq == reference.char_sequence(token, full, alphabet, max_chars=max_chars)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(max_size=8))
+    def test_check_word(self, word):
+        try:
+            reference.check_word(word)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as fast:
+                check_word(word)
+            assert str(fast.value) == str(exc)
+        else:
+            check_word(word)
+
+    def test_check_word_rejects_exactly_the_whitespace_code_points(self):
+        raised = set()
+        for c in range(sys.maxunicode + 1):
+            try:
+                check_word("a" + chr(c) + "b")
+            except ValueError:
+                raised.add(c)
+        assert raised == {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert len(raised) == 29
 
 
 class TestWhitespaceSplit:
