@@ -89,14 +89,19 @@ class SeqLengthStats:
 
 
 def seq_length_stats(sentences, vocab):
-    """Whitespace-token vs WordPiece-piece counts over a corpus."""
+    """Whitespace-token vs WordPiece-piece counts over a corpus; each distinct
+    word is tokenized once per call."""
     tok_counts, sub_counts = [], []
+    n_pieces = {}  # word -> its WordPiece count
     for sentence in sentences:
         words = whitespace_split(sentence)
         if not words:
             continue
+        for w in words:
+            if w not in n_pieces:
+                n_pieces[w] = len(tokenize_word(vocab, w))
         tok_counts.append(len(words))
-        sub_counts.append(sum(len(tokenize_word(vocab, w)) for w in words))
+        sub_counts.append(sum(n_pieces[w] for w in words))
     if not tok_counts:
         return SeqLengthStats(0.0, 0, 0.0, 0, 0.0)
     total_tok, total_sub = sum(tok_counts), sum(sub_counts)

@@ -28,9 +28,16 @@ from .vocab import MAX_CHARS, N_RESERVED_CHARS, char_sequence
 
 CHECKPOINT_MAGIC = b"C2SW"
 CHECKPOINT_VERSION = 2
-# Padded character positions per forward pass: bounds the activations a pass
-# holds for backward (about 5 KB per position at d_char 16, 2 layers).
+# Padded character slots per forward pass: bounds the activations a pass
+# holds for backward (about 5 KB per slot at d_char 16, 2 layers, or less
+# where the position-wise arrays hold only the real positions).
 PASS_POSITIONS = 256
+# Padded slots from which a pass runs its position-wise steps on its real
+# positions only. Below it the scatters and gathers cost more than the padded
+# rows save (at d_char 16, passes of 30-250 slots with 2-8 of them padded
+# ran up to 7% slower packed), so the pass runs every slot as a row. Being
+# at least 2, it also keeps a lone one-character sequence off a one-row matmul.
+PACK_MIN_PADDING = 16
 
 
 @dataclass(frozen=True)
@@ -164,39 +171,74 @@ def _pe_table(n, d_char):
     return table
 
 
-def forward_batch(params, seqs):
-    """Run the module on a list of alphabet-id tuples as one padded batch.
+def _rows(slots, rows):
+    """The slots `rows` (flat indices) of a (b, n, width) or (b * n, width)
+    array as a (len(rows), width) matrix; all b * n slots, as a view, when
+    rows is None."""
+    flat = slots.reshape(-1, slots.shape[-1])
+    return flat if rows is None else flat.take(rows, axis=0)
 
-    Sequences are padded to n = max(2, longest) positions (a one-row matmul
-    would go to BLAS gemv, which sums in another order). Padded keys get -inf
-    before every softmax, which sums keys in order down a non-contiguous axis,
-    so a padded key adds an exact 0 after the real ones; padded positions get
-    -inf before the max-pool. So each row is bit-identical to its sequence's
-    one-word forward(), in any batch. be is added after the pool over
-    z = x @ We: fl(z + be) is monotone in z, so the bits are those of pooling
-    z + be. Returns (embeddings (B, d_out), cache). The cache, for
-    backward_batch(), holds "seqs", "ids", "x_final", "z" (-inf at padded
-    positions), "pooled", "ln_out" and "layers"; layers[j] holds layer_norm's
-    terms "ln1" and "ln2", and "xb", "q", "k", "v", "a" (the (B, heads, n, n)
-    query-by-key map), "c", "xbp", "u", gelu's "cdf" and "g".
+
+def _padded(matrix, rows, b, n):
+    """The (b, n, width) padded array whose slots `rows` (flat indices) hold
+    the rows of `matrix`, with zeros elsewhere; a view when rows is None."""
+    if rows is None:
+        return matrix.reshape(b, n, -1)
+    out = np.zeros((b * n, matrix.shape[-1]))
+    out[rows] = matrix
+    return out.reshape(b, n, -1)
+
+
+def forward_batch(params, seqs):
+    """Run the module on a list of alphabet-id tuples as one pass.
+
+    Sequences are padded to n = max(2, longest) slots. The position-wise
+    steps (LayerNorm, the QKV, Wo, W1 and W2 products, GELU and the residual
+    adds) run on one (R, d_char) matrix of rows. In a pass with at least
+    PACK_MIN_PADDING padded slots the rows are its R real positions, word by
+    word, and attention and the output layer, which run on padded (B, n, .)
+    arrays, reach them through one flat index of the real slots. Any other
+    pass, one with no padding included, runs all R = B * n slots as rows and
+    scatters and gathers nothing; so a lone one-character sequence never
+    meets a one-row matmul, which BLAS would run as gemv, summing in another
+    order. The rows' products take each weight in its own layout, so a
+    row's bits do not depend on how many rows there are. Padded keys get
+    -inf before every softmax, which sums keys in order down a
+    non-contiguous axis, so a padded key adds an exact 0 after the real
+    ones; padded slots get -inf before the max-pool (a pass with no padding
+    skips both masks: adding 0.0 changes no bit). So each embedding is
+    bit-identical to its sequence's one-word forward(), in any batch. be is
+    added after the pool over z = x @ We: fl(z + be) is monotone in z, so
+    the bits are those of pooling z + be.
+
+    Returns (embeddings (B, d_out), cache). The cache, for backward_batch(),
+    holds "seqs"; "ids" (B, n); "rows", the flat indices of the real slots,
+    or None when the rows are all B * n slots; "x_final" (B, n, d_char) and
+    "z" (B, n, d_out; -inf at padded slots); "pooled", "ln_out" and
+    "layers". layers[j] holds the (B, heads, n, d_head) "q", "k", "v" and
+    "a" (the (B, heads, n, n) query-by-key map); layer_norm's terms "ln1"
+    and "ln2"; and the (R, .) rows "xb", "c", "xbp", "u", gelu's "cdf" and
+    "g".
     """
     cfg = params.config
     t = params.tensors
     if not seqs:
         raise ValueError("forward_batch requires at least one sequence")
-    lengths = np.array([len(s) for s in seqs])
-    if lengths.min() == 0:
+    lengths = [len(s) for s in seqs]
+    if min(lengths) == 0:
         raise ValueError("forward requires a nonempty character sequence")
-    if lengths.max() > cfg.max_chars:
-        raise ValueError(f"sequence length {lengths.max()} exceeds max_chars {cfg.max_chars}")
-    b, n = len(seqs), max(2, int(lengths.max()))
+    if max(lengths) > cfg.max_chars:
+        raise ValueError(f"sequence length {max(lengths)} exceeds max_chars {cfg.max_chars}")
+    b, n, positions = len(seqs), max(2, max(lengths)), sum(lengths)
     ids = np.zeros((b, n), dtype=np.intp)
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s
-    real = np.arange(n) < lengths[:, None]
+    real = np.arange(n) < np.array(lengths)[:, None]
+    has_padding = positions < b * n
+    rows = np.flatnonzero(real) if b * n - positions >= PACK_MIN_PADDING else None
 
-    x = t["char_emb"][ids] + _pe_table(n, cfg.d_char)
-    key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None]
+    x = _rows(t["char_emb"][ids] + _pe_table(n, cfg.d_char), rows)
+    key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None] if has_padding else None
 
     h, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
@@ -204,12 +246,14 @@ def forward_batch(params, seqs):
     for j in range(cfg.n_layers):
         xb, *ln1 = layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
-        q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        qkv = _padded(xb @ t[f"L{j}.Wqkv"], rows, b, n)
+        q, k, v = qkv.reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
         scores = k @ q.swapaxes(-1, -2)  # (b, heads, keys, queries)
         scores *= scale
-        scores += key_bias
+        if has_padding:
+            scores += key_bias
         a = softmax_rows(scores, axis=-2).swapaxes(-1, -2)
-        c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
+        c = _rows((a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char), rows)
         xp = c @ t[f"L{j}.Wo"]
         xp += xb
         xbp, *ln2 = layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
@@ -222,13 +266,15 @@ def forward_batch(params, seqs):
         layers.append({"ln1": ln1, "xb": xb, "q": q, "k": k, "v": v, "a": a, "c": c,
                        "ln2": ln2, "xbp": xbp, "u": u, "cdf": cdf, "g": g})
 
+    x = _padded(x, rows, b, n)
     z = x @ t["We"]
-    z[~real] = -np.inf
+    if has_padding:
+        z[~real] = -np.inf
     pooled = z.max(axis=1)
     pooled += t["be"]
     emb, *ln_out = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
 
-    cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
+    cache = {"seqs": list(seqs), "ids": ids, "rows": rows, "layers": layers, "x_final": x,
              "z": z, "pooled": pooled, "ln_out": ln_out}
     return emb, cache
 
@@ -237,12 +283,20 @@ def backward_batch(params, cache, upstream):
     """Exact gradients of sum_b <upstream[b], forward_batch(params, seqs)[0][b]>,
     as a Char2SubwordParams whose vector is the gradient.
 
-    Padded positions receive exactly zero gradient, so they add nothing to
-    any tensor's gradient.
+    The rows of forward_batch carry the gradient; padded slots get exactly
+    zero. A product against a transposed weight with K >= 32 can sum in an
+    order that depends on its row count, so the three whose K is d_out,
+    4 d_char or 3 d_char run padded, and only their results are gathered:
+    dy @ We^T and du @ W1^T word by word, dqkv @ Wqkv^T over all B * n
+    slots. dx @ W2^T and dxp @ Wo^T, whose K is d_char, run on the rows, as
+    do the weight gradients. So every gradient has the bits of the same pass
+    run padded throughout only when d_char < 32; from d_char 32 up, some
+    move in the last bits (about 5e-14 at d_char 32, 48 and 64).
     """
     cfg = params.config
     t = params.tensors
     b, n = cache["ids"].shape
+    rows = cache["rows"]
     d, h, dh = cfg.d_char, cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
     grads = Char2SubwordParams.zeros(cfg, params.alphabet_size)
@@ -259,23 +313,24 @@ def backward_batch(params, cache, upstream):
 
     g["We"][...] = cache["x_final"].reshape(-1, d).T @ dy.reshape(-1, cfg.d_out)
     g["be"][...] = d_pooled.sum(axis=0)
-    dx = dy @ t["We"].T
+    dx = _rows(dy @ t["We"].T, rows)
 
     for j in reversed(range(cfg.n_layers)):
         layer = cache["layers"][j]
         # dx reaches both the FFN output and the residual around it
-        g[f"L{j}.W2"][...] = layer["g"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
-        g[f"L{j}.b2"][...] = dx.reshape(-1, d).sum(axis=0)
+        g[f"L{j}.W2"][...] = layer["g"].T @ dx
+        g[f"L{j}.b2"][...] = dx.sum(axis=0)
         du = gelu_backward(layer["u"], layer["cdf"], dx @ t[f"L{j}.W2"].T)
-        g[f"L{j}.W1"][...] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
-        g[f"L{j}.b1"][...] = du.reshape(-1, 4 * d).sum(axis=0)
-        dxbp_ffn = du @ t[f"L{j}.W1"].T
+        g[f"L{j}.W1"][...] = layer["xbp"].T @ du
+        g[f"L{j}.b1"][...] = du.sum(axis=0)
+        dxbp_ffn = _rows(_padded(du, rows, b, n) @ t[f"L{j}.W1"].T, rows)
 
         # dxp reaches both the attention output and the residual around it
         dxp, g[f"L{j}.ln2.g"][...], g[f"L{j}.ln2.b"][...] = layer_norm_backward(
             *layer["ln2"], t[f"L{j}.ln2.g"], dxbp_ffn + dx)
-        g[f"L{j}.Wo"][...] = layer["c"].reshape(-1, d).T @ dxp.reshape(-1, d)
-        dhead = (dxp @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+        g[f"L{j}.Wo"][...] = layer["c"].T @ dxp
+        dhead = _padded(dxp @ t[f"L{j}.Wo"].T, rows, b, n).reshape(b, n, h, dh)
+        dhead = dhead.transpose(0, 2, 1, 3)
 
         a = layer["a"]
         da = dhead @ layer["v"].swapaxes(-1, -2)
@@ -287,13 +342,14 @@ def backward_batch(params, cache, upstream):
         dk = ds.swapaxes(-1, -2) @ layer["q"]
         # back to (b * n, 3d), columns laid out as in Wqkv
         dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
-        g[f"L{j}.Wqkv"][...] = layer["xb"].reshape(-1, d).T @ dqkv
-        dxb_attn = (dqkv @ t[f"L{j}.Wqkv"].T).reshape(b, n, d)
+        g[f"L{j}.Wqkv"][...] = layer["xb"].T @ _rows(dqkv, rows)
+        dxb_attn = _rows(dqkv @ t[f"L{j}.Wqkv"].T, rows)
 
         dx, g[f"L{j}.ln1.g"][...], g[f"L{j}.ln1.b"][...] = layer_norm_backward(
             *layer["ln1"], t[f"L{j}.ln1.g"], dxb_attn + dxp)
 
-    np.add.at(g["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
+    ids = cache["ids"].ravel() if rows is None else cache["ids"].take(rows)
+    np.add.at(g["char_emb"], ids, dx)
     return grads
 
 
@@ -319,12 +375,12 @@ def backward(params, seq, cache, upstream):
 def split_passes(seqs):
     """Indices of `seqs` grouped into forward passes, shortest first.
 
-    Each pass holds at most PASS_POSITIONS padded positions (or a single
-    sequence), so the activations of a pass are bounded and padding stays
-    small. Sequences of any length share a pass, since padding changes no
-    bit of a row. Training keeps every pass's cache until backward, so one
-    batch holds the activations of all its samples, but only one loss call;
-    encode runs the same passes.
+    Each pass holds at most PASS_POSITIONS padded slots (or a single
+    sequence), which bounds its activations; its position-wise arrays may
+    hold only the real positions among them. Sequences of any length share
+    a pass, since padding changes no bit of a row. Training keeps every
+    pass's cache until backward, so one batch holds the activations of all
+    its samples, but only one loss call; encode runs the same passes.
     """
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     passes = [[]]
@@ -337,8 +393,8 @@ def split_passes(seqs):
 
 def encode(params, words, alphabet, is_full_word=True):
     """Run the module on surface forms; row i of the (len(words), d_out) result is
-    words[i]'s. Words of any length share the padded passes of split_passes,
-    and every row equals forward() on that word alone, bit for bit.
+    words[i]'s. Words of any length share the passes of split_passes, and
+    every row equals forward() on that word alone, bit for bit.
     """
     seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars)
             for w in words]

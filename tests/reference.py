@@ -10,10 +10,12 @@ checkpoint version 1, which `model.load_checkpoint` still reads.
 are the plain numpy expressions of the `numerics` functions, which must give
 the same bytes. `pool_output` and its backward pass are the dense output layer
 that `model.forward_batch` pools before the bias to match, bit for bit.
-`char_sequence`, `check_word` and `corpus_samples` are the text front end one
-character and one word occurrence at a time, and `noise_line_spaces` is the
-`noise` command's line loop for lines split on single spaces; the package's
-versions must give equal results.
+`forward_batch` and `backward_batch` are the encoder with every layer on
+padded (b, n, .) arrays, which the packed `model` versions must match byte
+for byte. `char_sequence`, `check_word`, `corpus_samples` and `seq_length_stats` are
+the text front end one character and one word occurrence at a time, and
+`noise_line_spaces` is the `noise` command's line loop for lines split on
+single spaces; the package's versions must give equal results.
 """
 
 import json
@@ -22,10 +24,12 @@ import struct
 import numpy as np
 from scipy.special import erf
 
+from char2subword import model, numerics
 from char2subword.noise import sample_noisy
 from char2subword.numerics import cosine_similarity
 from char2subword.objectives import loss_cos, loss_l2
-from char2subword.vocab import MARKER, MAX_CHARS, UNK, tokenize_word
+from char2subword.evaluation import SeqLengthStats
+from char2subword.vocab import MARKER, MAX_CHARS, UNK, tokenize_word, whitespace_split
 
 
 def loss_ce(target_id, e_hat, e_table):
@@ -293,8 +297,142 @@ def corpus_samples(vocab, alphabet, lines, max_chars=MAX_CHARS):
     return sequences
 
 
+def seq_length_stats(sentences, vocab):
+    """Whitespace-token and WordPiece-piece counts, tokenizing every word
+    occurrence on its own."""
+    tok_counts, sub_counts = [], []
+    for sentence in sentences:
+        words = whitespace_split(sentence)
+        if words:
+            tok_counts.append(len(words))
+            sub_counts.append(sum(len(tokenize_word(vocab, w)) for w in words))
+    if not tok_counts:
+        return SeqLengthStats(0.0, 0, 0.0, 0, 0.0)
+    total_tok, total_sub = sum(tok_counts), sum(sub_counts)
+    return SeqLengthStats(total_tok / len(tok_counts), max(tok_counts),
+                          total_sub / len(sub_counts), max(sub_counts), total_sub / total_tok)
+
+
 def noise_line_spaces(line, rng, config):
     """Noise the words between single spaces; returns (noised line, words changed)."""
     words = line.split(" ")
     noised = [sample_noisy(word, rng, config) if word else word for word in words]
     return " ".join(noised), sum(out != word for out, word in zip(noised, words))
+
+
+def forward_batch(params, seqs):
+    """`model.forward_batch` with every layer on the padded (b, n, .) arrays:
+    each padded slot runs the position-wise layers too, and the cache holds
+    (b, n, .) arrays throughout."""
+    cfg = params.config
+    t = params.tensors
+    if not seqs:
+        raise ValueError("forward_batch requires at least one sequence")
+    lengths = np.array([len(s) for s in seqs])
+    if lengths.min() == 0:
+        raise ValueError("forward requires a nonempty character sequence")
+    if lengths.max() > cfg.max_chars:
+        raise ValueError(f"sequence length {lengths.max()} exceeds max_chars {cfg.max_chars}")
+    b, n = len(seqs), max(2, int(lengths.max()))
+    ids = np.zeros((b, n), dtype=np.intp)
+    for row, s in enumerate(seqs):
+        ids[row, :len(s)] = s
+    real = np.arange(n) < lengths[:, None]
+
+    x = t["char_emb"][ids] + model._pe_table(n, cfg.d_char)
+    key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None]
+
+    h, dh = cfg.n_heads, cfg.d_head
+    scale = 1.0 / np.sqrt(cfg.d_char)
+    layers = []
+    for j in range(cfg.n_layers):
+        xb, *ln1 = numerics.layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
+        # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
+        q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
+        scores = k @ q.swapaxes(-1, -2)  # (b, heads, keys, queries)
+        scores *= scale
+        scores += key_bias
+        a = numerics.softmax_rows(scores, axis=-2).swapaxes(-1, -2)
+        c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
+        xp = c @ t[f"L{j}.Wo"]
+        xp += xb
+        xbp, *ln2 = numerics.layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
+        u = xbp @ t[f"L{j}.W1"]
+        u += t[f"L{j}.b1"]
+        g, cdf = numerics.gelu(u)
+        x = g @ t[f"L{j}.W2"]
+        x += t[f"L{j}.b2"]
+        x += xbp
+        layers.append({"ln1": ln1, "xb": xb, "q": q, "k": k, "v": v, "a": a, "c": c,
+                       "ln2": ln2, "xbp": xbp, "u": u, "cdf": cdf, "g": g})
+
+    z = x @ t["We"]
+    z[~real] = -np.inf
+    pooled = z.max(axis=1)
+    pooled += t["be"]
+    emb, *ln_out = numerics.layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+
+    cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
+             "z": z, "pooled": pooled, "ln_out": ln_out}
+    return emb, cache
+
+
+def backward_batch(params, cache, upstream):
+    """`model.backward_batch` for a cache of `forward_batch` above: every
+    product and sum runs over all b * n slots, and padded slots carry an
+    exact zero gradient."""
+    cfg = params.config
+    t = params.tensors
+    b, n = cache["ids"].shape
+    d, h, dh = cfg.d_char, cfg.n_heads, cfg.d_head
+    scale = 1.0 / np.sqrt(cfg.d_char)
+    grads = model.Char2SubwordParams.zeros(cfg, params.alphabet_size)
+    g = grads.tensors  # each gradient is written into its view
+
+    upstream = np.asarray(upstream, dtype=np.float64)
+    d_pooled, g["ln_out.g"][...], g["ln_out.b"][...] = numerics.layer_norm_backward(
+        *cache["ln_out"], t["ln_out.g"], upstream)
+
+    # the pool's gradient goes to the first max of z + be (distinct z may round alike)
+    arg = (cache["z"] + t["be"] == cache["pooled"][:, None, :]).argmax(axis=1)
+    dy = np.zeros((b, n, cfg.d_out))
+    np.put_along_axis(dy, arg[:, None, :], d_pooled[:, None, :], axis=1)
+
+    g["We"][...] = cache["x_final"].reshape(-1, d).T @ dy.reshape(-1, cfg.d_out)
+    g["be"][...] = d_pooled.sum(axis=0)
+    dx = dy @ t["We"].T
+
+    for j in reversed(range(cfg.n_layers)):
+        layer = cache["layers"][j]
+        # dx reaches both the FFN output and the residual around it
+        g[f"L{j}.W2"][...] = layer["g"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
+        g[f"L{j}.b2"][...] = dx.reshape(-1, d).sum(axis=0)
+        du = numerics.gelu_backward(layer["u"], layer["cdf"], dx @ t[f"L{j}.W2"].T)
+        g[f"L{j}.W1"][...] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
+        g[f"L{j}.b1"][...] = du.reshape(-1, 4 * d).sum(axis=0)
+        dxbp_ffn = du @ t[f"L{j}.W1"].T
+
+        # dxp reaches both the attention output and the residual around it
+        dxp, g[f"L{j}.ln2.g"][...], g[f"L{j}.ln2.b"][...] = numerics.layer_norm_backward(
+            *layer["ln2"], t[f"L{j}.ln2.g"], dxbp_ffn + dx)
+        g[f"L{j}.Wo"][...] = layer["c"].reshape(-1, d).T @ dxp.reshape(-1, d)
+        dhead = (dxp @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+
+        a = layer["a"]
+        da = dhead @ layer["v"].swapaxes(-1, -2)
+        dv = a.swapaxes(-1, -2) @ dhead
+        # softmax backward, row-wise; padded keys have a == 0, so ds == 0 there
+        ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        ds *= scale
+        dq = ds @ layer["k"]
+        dk = ds.swapaxes(-1, -2) @ layer["q"]
+        # back to (b * n, 3d), columns laid out as in Wqkv
+        dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
+        g[f"L{j}.Wqkv"][...] = layer["xb"].reshape(-1, d).T @ dqkv
+        dxb_attn = (dqkv @ t[f"L{j}.Wqkv"].T).reshape(b, n, d)
+
+        dx, g[f"L{j}.ln1.g"][...], g[f"L{j}.ln1.b"][...] = numerics.layer_norm_backward(
+            *layer["ln1"], t[f"L{j}.ln1.g"], dxb_attn + dxp)
+
+    np.add.at(g["char_emb"], cache["ids"].ravel(), dx.reshape(-1, d))
+    return grads

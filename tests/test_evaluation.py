@@ -3,7 +3,7 @@ import pytest
 
 import char2subword as c2s
 from char2subword import model as M
-from char2subword import objectives
+from char2subword import evaluation, objectives
 from char2subword.evaluation import (
     accuracy,
     dump_attention,
@@ -15,6 +15,7 @@ from char2subword.evaluation import (
 from char2subword.objectives import EmbeddingTable, build_neighbor_index, rank_neighbors
 from char2subword.vocab import char_sequence
 from conftest import grid, products
+import reference
 from reference import precision_overlaps
 
 
@@ -246,6 +247,17 @@ class TestSeqLengthStats:
         stats = seq_length_stats(sentences, toy_vocab)
         assert stats.ratio == pytest.approx(stats.mean_subwords * 2 /
                                             (stats.mean_tokens * 2))
+
+    def test_each_distinct_word_tokenized_once(self, monkeypatch):
+        vocab = c2s.load_vocabulary(["[UNK]", "ap", "##ple", "apple", "bad", "##ge"])
+        words = []
+        tokenize = evaluation.tokenize_word
+        monkeypatch.setattr(evaluation, "tokenize_word",
+                            lambda vocab, word: words.append(word) or tokenize(vocab, word))
+        sentences = ["apple badge apple", "", "zzzzz apple\tzzzzz", "badge appl"]
+        stats = seq_length_stats(sentences, vocab)
+        assert words == ["apple", "badge", "zzzzz", "appl"]
+        assert stats == reference.seq_length_stats(sentences, vocab)
 
 
 class TestDumpAttention:

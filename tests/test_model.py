@@ -387,6 +387,88 @@ class TestBackwardBatch:
         np.testing.assert_allclose(grads_padded.flat, grads.flat, rtol=0, atol=1e-12)
 
 
+def packed_cases():
+    """Batches for the packed-against-padded checks: mixed lengths 1..max_chars
+    (66 padded slots, so its rows are the real positions), a lone 1-char word
+    (one real position), equal lengths (no padding) and lengths one short of
+    equal (fewer than PACK_MIN_PADDING padded slots)."""
+    rng = np.random.default_rng(50)
+    max_chars = 12
+    mixed = [tuple(rng.integers(2, 20, size=n))
+             for n in rng.permutation(np.arange(1, max_chars + 1))]
+    equal = [tuple(rng.integers(2, 20, size=7)) for _ in range(4)]
+    slight = [tuple(rng.integers(2, 20, size=n)) for n in (7, 6, 7, 6, 6)]
+    return max_chars, {"mixed": mixed, "lone": [(5,)], "equal": equal, "slight": slight}
+
+
+# The backward products dx @ W2^T and dxp @ Wo^T run on the rows. Against a
+# transposed weight with K = d_char >= 32, OpenBLAS sums in an order that
+# depends on the row count, so from d_char 32 up gradients may move in the
+# last bits (about 5e-14 here); narrower widths must give the padded pass's
+# bytes.
+PACKED_GRAD_ATOL = {8: 0.0, 16: 0.0, 32: 1e-12, 64: 1e-12}
+
+
+class TestPackedMatchesPadded:
+    """model.forward_batch/backward_batch against the padded reference, which
+    runs every layer on all b * n slots."""
+
+    @pytest.mark.parametrize("d_char", [8, 16, 32, 64])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d_out", [5, 16, 768])
+    def test_same_bytes(self, d_char, n_layers, d_out):
+        max_chars, cases = packed_cases()
+        cfg = M.ModelConfig(d_char=d_char, d_out=d_out, n_layers=n_layers, n_heads=2,
+                            max_chars=max_chars)
+        p = M.init_params(cfg, 20, seed=d_char + 10 * n_layers + d_out)
+        for kind, seqs in cases.items():
+            emb, cache = M.forward_batch(p, seqs)
+            ref_emb, ref_cache = reference.forward_batch(p, seqs)
+            assert emb.tobytes() == ref_emb.tobytes(), kind
+            for layer, ref_layer in zip(cache["layers"], ref_cache["layers"]):
+                for row, seq in enumerate(seqs):
+                    n = len(seq)
+                    assert (layer["a"][row, :, :n, :n].tobytes()
+                            == ref_layer["a"][row, :, :n, :n].tobytes()), kind
+            u = np.random.default_rng(51).normal(size=emb.shape)
+            grads = M.backward_batch(p, cache, u).tensors
+            ref_grads = reference.backward_batch(p, ref_cache, u).tensors
+            for name, grad in grads.items():
+                if PACKED_GRAD_ATOL[d_char] == 0.0:
+                    assert grad.tobytes() == ref_grads[name].tobytes(), (kind, name)
+                else:
+                    np.testing.assert_allclose(grad, ref_grads[name], rtol=0,
+                                               atol=PACKED_GRAD_ATOL[d_char],
+                                               err_msg=f"{kind} {name}")
+
+    def test_rows_are_the_real_positions(self, tiny_config):
+        p = M.init_params(tiny_config, 20, seed=52)
+        _, cases = packed_cases()
+        seqs = cases["mixed"]
+        _, cache = M.forward_batch(p, seqs)
+        b, n = cache["ids"].shape
+        real = np.arange(n) < np.array([len(s) for s in seqs])[:, None]
+        np.testing.assert_array_equal(cache["rows"], np.flatnonzero(real))
+        assert cache["x_final"].shape == (b, n, tiny_config.d_char)
+        assert cache["z"].shape == (b, n, tiny_config.d_out)
+        for layer in cache["layers"]:
+            for key in ("xb", "c", "xbp", "u", "cdf", "g"):
+                assert layer[key].shape[0] == real.sum(), key
+            assert layer["a"].shape == (b, tiny_config.n_heads, n, n)
+
+    @pytest.mark.parametrize("kind", ["lone", "equal", "slight"])
+    def test_all_slots_run_as_rows_without_a_copy(self, tiny_config, kind):
+        # fewer than PACK_MIN_PADDING padded slots: the rows are all the slots
+        p = M.init_params(tiny_config, 20, seed=53)
+        _, cases = packed_cases()
+        _, cache = M.forward_batch(p, cases[kind])
+        assert cache["rows"] is None
+        b, n = cache["ids"].shape
+        for layer in cache["layers"]:
+            assert layer["xb"].shape == (b * n, tiny_config.d_char)
+        assert cache["x_final"].base is not None  # a view of the last layer's rows
+
+
 class TestParamCount:
     def test_paper_scale_table(self):
         assert M.table_param_count(119547, 768) == 91_812_096
