@@ -259,6 +259,9 @@ def cmd_attn(args):
 def cmd_params(args):
     if not (args.vocab or args.checkpoint):
         raise CliError("params requires --vocab or --checkpoint")
+    for flag, value in (("--table-v", args.table_v), ("--table-d", args.table_d)):
+        if value < 1:
+            raise CliError(f"params {flag} must be >= 1, got {value}")
     _, alphabet, _, params = _load_inputs(args)
     if params is not None:
         config, alphabet_size = params.config, params.alphabet_size
@@ -268,8 +271,7 @@ def cmd_params(args):
     table = model_mod.table_param_count(args.table_v, args.table_d)
     print(f"char2subword parameters: {module}")
     print(f"embedding table parameters ({args.table_v} x {args.table_d}): {table}")
-    if table:
-        print(f"module/table ratio: {module / table:.4f}")
+    print(f"module/table ratio: {module / table:.4f}")
     return 0
 
 

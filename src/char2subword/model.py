@@ -494,8 +494,8 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint header of {hlen} bytes runs past the end of the file")
         header = json.loads(fh.read(hlen).decode("utf-8"))
         payload = fh.read()
-    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
-        raise ValueError(f"checkpoint header must be a JSON object with keys "
+    if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
+        raise ValueError(f"checkpoint header must be a JSON object with exactly the keys "
                          f"{sorted(_HEADER_KEYS)}")
     alphabet, marker = header["alphabet"], header["marker_on_full_words"]
     if not (isinstance(alphabet, list) and all(isinstance(c, str) for c in alphabet)):

@@ -89,10 +89,19 @@ def load_layouts(source):
     return layouts
 
 
-def _split_marker(token):
-    if token.startswith(MARKER):
-        return MARKER, token[len(MARKER):]
-    return "", token
+def _editable(token, config):
+    """(marker, body) of a token noise may edit: the body follows any "##" marker.
+    Raises NoiseError for a special token or a body of fewer than min_length
+    characters."""
+    if token in SPECIAL_TOKENS:
+        raise NoiseError(f"refusing to noise special token {token!r}")
+    marker = MARKER if token.startswith(MARKER) else ""
+    body = token[len(marker):]
+    if len(body) < config.min_length:
+        raise NoiseError(
+            f"token {token!r} has {len(body)} editable characters; need >= {config.min_length}"
+        )
+    return marker, body
 
 
 def _mistype(body, rng, config):
@@ -178,15 +187,9 @@ def apply_op(token, op, rng, config):
     A "##" prefix is excluded from the editable region. Raises NoiseError for
     special tokens, too-short tokens, or ops that cannot change the token.
     """
-    if token in SPECIAL_TOKENS:
-        raise NoiseError(f"refusing to noise special token {token!r}")
     if op not in _EDITS:
         raise ValueError(f"unknown operation {op!r}")
-    marker, body = _split_marker(token)
-    if len(body) < config.min_length:
-        raise NoiseError(
-            f"token {token!r} has {len(body)} editable characters; need >= {config.min_length}"
-        )
+    marker, body = _editable(token, config)
     return marker + _EDITS[op](body, rng, config)
 
 
@@ -194,20 +197,16 @@ def sample_noisy(token, rng, config):
     """With probability p_noise, apply one uniformly chosen enabled op.
 
     Short tokens, special tokens, and op-level failures fall through to the
-    unchanged token.
+    unchanged token; the first two take no random draw.
     """
     if config.p_noise <= 0.0:  # NoiseConfig enables an op whenever p_noise > 0
         return token
-    if token in SPECIAL_TOKENS:
-        return token
-    _, body = _split_marker(token)
-    if len(body) < config.min_length:
-        return token
-    if rng.random() >= config.p_noise:
-        return token
-    op = config.enabled_ops[rng.randrange(len(config.enabled_ops))]
     try:
-        return apply_op(token, op, rng, config)
+        marker, body = _editable(token, config)
+        if rng.random() >= config.p_noise:
+            return token
+        op = config.enabled_ops[rng.randrange(len(config.enabled_ops))]
+        return marker + _EDITS[op](body, rng, config)
     except NoiseError:
         return token
 

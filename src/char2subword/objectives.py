@@ -21,18 +21,18 @@ from .numerics import cosine_similarity
 TABLE_MAGIC = b"EMBT"
 # Most entries of a rows x |V| product held at once: 4 MB of float64. `tiles`
 # makes every such product, one per tile, for CE's logits and for scan_table's
-# top-n cosines and argmax; the pool holds at most _IN_FLIGHT tiles, so memory
+# top-n cosines and argmax; at most _IN_FLIGHT tiles are held at once, so memory
 # stays bounded at any table size. A product that fits in one tile runs inline
 # below 2 * CE_BLOCK multiply-adds (every toy product) and as two column tiles
 # on the pool from there (a query over a 30k x 768 table). Loading a table and
 # its row norms also goes in row chunks of at most this many entries, on the pool
 # when there are several.
 CE_BLOCK = 2 ** 19
-# Runs the tiles of a multi-tile product; numpy releases the GIL in matmul, exp,
-# partition and argmax. Made here, so no binding changes later: the executor
+# Runs _in_order's jobs (tiles, table row chunks); numpy releases the GIL in matmul,
+# exp, partition and argmax. Made here, so no binding changes later: the executor
 # starts no thread until its first submit.
 _POOL = concurrent.futures.ThreadPoolExecutor(os.cpu_count() or 1)
-_IN_FLIGHT = 2 * (os.cpu_count() or 1)  # tiles submitted and not yet yielded
+_IN_FLIGHT = 2 * (os.cpu_count() or 1)  # jobs submitted and not yet yielded
 
 # numpy's bundled OpenBLAS runs on one thread (set as threadpoolctl sets it), so the
 # pool is the only parallelism: no oversubscribed cores, and no product whose bits
@@ -86,6 +86,32 @@ class EmbeddingTable:
         return hashlib.sha256(memoryview(np.ascontiguousarray(self.matrix)).cast("B")).hexdigest()
 
 
+def _in_order(fn, jobs, inline):
+    """Yield fn(*job) for each job, in job order: in the caller if `inline`, else on
+    _POOL with at most _IN_FLIGHT jobs submitted and not yet yielded, so results do not
+    depend on the worker count. A pooled job runs beside others and the caller: it must
+    write nothing they read, and must not submit to the pool (a one-worker pool would
+    wait on itself). A job that raises cancels the jobs not yet started, and its error
+    reaches the caller once the running ones have finished; a caller that stops early
+    leaves no future pending."""
+    if inline:
+        for job in jobs:
+            yield fn(*job)
+        return
+    pending = collections.deque()
+    try:
+        for job in jobs:
+            pending.append(_POOL.submit(fn, *job))
+            if len(pending) >= _IN_FLIGHT:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:  # an error, or the caller stopped early: no job outlives the call
+        for future in pending:
+            future.cancel()
+        concurrent.futures.wait(pending)
+
+
 def _row_chunks(v, d):
     """Slices of consecutive rows of a v x d matrix, at most CE_BLOCK entries each
     (one row if a row is wider)."""
@@ -94,23 +120,11 @@ def _row_chunks(v, d):
 
 
 def _over_row_chunks(v, d, fn):
-    """Call fn(rows) for each slice of _row_chunks(v, d): inline if there is one, else
-    all on the pool, where each worker runs one chunk at a time. fn must not submit
-    to the pool (a one-worker pool would wait on itself), so this never runs inside a
-    tile. A chunk that raises cancels the chunks not yet started, and its error reaches
-    the caller once the running ones have finished."""
+    """Call fn(rows) for each slice of _row_chunks(v, d), through _in_order: inline if
+    there is one, else on the pool."""
     chunks = _row_chunks(v, d)
-    if len(chunks) == 1:
-        fn(chunks[0])
-        return
-    futures = [_POOL.submit(fn, rows) for rows in chunks]
-    try:
-        for future in futures:
-            future.result()
-    finally:
-        for future in futures:
-            future.cancel()
-        concurrent.futures.wait(futures)
+    for _ in _in_order(fn, [(rows,) for rows in chunks], len(chunks) == 1):
+        pass
 
 
 def _row_norms(m):
@@ -214,11 +228,7 @@ def tiles(rows, e_table, fn):
     tiles. A product that fits in one tile runs inline if it has fewer than 2 * CE_BLOCK
     multiply-adds (rows x |V| x d); from there it is cut into two column tiles of
     ceil(|V| / 2) columns, a fixed count, so the bits do not depend on the machine.
-    Several tiles run on the thread pool, at most _IN_FLIGHT submitted and not yet
-    yielded, so fn runs beside other tiles and the caller and must write nothing they
-    read. Results come back in tile order, so they do not depend on the worker count. A
-    tile that raises cancels the tiles not yet started, and its error reaches the caller
-    once the running ones have finished."""
+    Several tiles run through _in_order on the pool, whose rules fn keeps."""
     step = max(1, min(len(rows), max(math.isqrt(CE_BLOCK), CE_BLOCK // e_table.size)))
     width = min(e_table.size, max(1, CE_BLOCK // step))
     inline = len(rows) <= step and e_table.size <= width  # one tile, or none
@@ -232,26 +242,9 @@ def tiles(rows, e_table, fn):
                 yield slice(lo, lo + step), slice(c, c + width), q
 
     def tile(blk, cols, q):
-        return fn(blk, cols, q @ e_table.matrix[cols].T)
+        return blk, cols, fn(blk, cols, q @ e_table.matrix[cols].T)
 
-    if inline:
-        for blk, cols, q in grid():
-            yield blk, cols, tile(blk, cols, q)
-        return
-    pending = collections.deque()
-    try:
-        for blk, cols, q in grid():
-            pending.append((blk, cols, _POOL.submit(tile, blk, cols, q)))
-            if len(pending) >= _IN_FLIGHT:
-                blk, cols, future = pending.popleft()
-                yield blk, cols, future.result()
-        while pending:
-            blk, cols, future = pending.popleft()
-            yield blk, cols, future.result()
-    finally:  # an error, or the caller stopped early: no tile outlives the call
-        for _, _, future in pending:
-            future.cancel()
-        concurrent.futures.wait([future for _, _, future in pending])
+    yield from _in_order(tile, grid(), inline)
 
 
 def scan_table(e_table, vecs, n, argmax=True):

@@ -166,12 +166,12 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
     table rows even when the input characters are noised. Each Adam step
     runs its `config.batch_size` samples through one batch_loss call.
     """
-    # one ranking of the table serves both indexes: each is a prefix of the deeper
-    nbr_k = min(config.nbr_k, e_table.size)
+    # one ranking of the table serves both indexes: each is a prefix of the deeper; an
+    # nbr_k above |V| fails in the ranking, while eval's default depth fits tiny tables
     eval_k = min(evaluation.EVAL_K, e_table.size) if eval_every else 0
     if index is None:
-        ranked = build_neighbor_index(e_table, max(nbr_k, eval_k))
-        index = ranked.prefix(nbr_k)
+        ranked = build_neighbor_index(e_table, max(config.nbr_k, eval_k))
+        index = ranked.prefix(config.nbr_k)
     elif eval_k:
         ranked = build_neighbor_index(e_table, eval_k)
     eval_index = ranked.prefix(eval_k) if eval_k else None

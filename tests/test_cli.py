@@ -210,9 +210,10 @@ class TestConfigFile:
         ({"w_cos": "nan"}, "loss weights must be finite and nonnegative"),
         ({"w_nbr": "inf"}, "loss weights must be finite and nonnegative"),
         ({"nbr_k": 0}, "nbr_k must be >= 1, got 0"),
+        ({"nbr_k": 1000}, "cannot rank the top 1000"),
     ], ids=["float-for-int", "null", "str-for-float", "p-noise", "noise-not-bool", "array",
             "other-command-key", "flag-prefix", "nested-config", "dash-value", "lr-nan",
-            "lr-inf", "weight-nan", "weight-inf", "nbr-k-zero"])
+            "lr-inf", "weight-nan", "weight-inf", "nbr-k-zero", "nbr-k-above-table"])
     def test_bad_config_exit_2(self, workdir, capsys, doc, message):
         rc = main(["simulate", "--config", self.write(workdir, doc),
                    "--vocab", str(workdir / "vocab.txt"),
@@ -654,10 +655,12 @@ class TestUsageErrors:
           "--file", "f.txt"], "--file"),
         (["embed", "--vocab", "v.txt", "--table", "t.txt", "--mode", "table_only"], "--file"),
         (["params", "--table-v", "21"], "--checkpoint"),
+        (["params", "--vocab", "v.txt", "--table-v", "-5"], "--table-v must be >= 1, got -5"),
+        (["params", "--checkpoint", "m.c2sw", "--table-d", "0"], "--table-d must be >= 1"),
     ], ids=["simulate-seed", "pretrain-seed", "noise-seed", "pretrain-checkpoint",
             "eval-checkpoint", "neighbors-checkpoint", "attn-checkpoint", "stats-vocab",
             "embed-full-checkpoint", "embed-sentence-and-file", "embed-no-text",
-            "params-vocab-or-checkpoint"])
+            "params-vocab-or-checkpoint", "params-table-v-negative", "params-table-d-zero"])
     def test_missing_flag_named_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
         # no path exists, so a check made after loading would name a missing file
         rc = main([str(tmp_path / a) if a.endswith((".txt", ".c2sw")) else a for a in argv])

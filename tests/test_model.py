@@ -595,6 +595,7 @@ class TestCheckpoint:
         (lambda h: dropped(h, "alphabet"), "must be a JSON object"),
         (lambda h: dropped(h, "manifest"), "must be a JSON object"),
         (lambda h: dropped(h, "marker_on_full_words"), "must be a JSON object"),
+        (lambda h: dict(h, extra=1), "must be a JSON object with exactly the keys"),
         (lambda h: dict(h, config=[8, 16]), "exactly the keys"),
         (lambda h: dict(h, config=dropped(h["config"], "d_out")), "exactly the keys"),
         (lambda h: dict(h, config=dict(h["config"], dropout=0.1)), "exactly the keys"),
@@ -609,7 +610,7 @@ class TestCheckpoint:
         (lambda h: dict(h, marker_on_full_words=False), "marker_on_full_words must be true"),
         (lambda h: dict(h, alphabet=h["alphabet"][:-1]), "manifest"),
         (lambda h: dict(h, manifest={"char_emb": 1}), "manifest"),
-    ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker",
+    ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker", "extra-key",
             "config-not-object", "config-key-missing", "config-key-unknown", "str-count",
             "float-count", "bool-count", "inf-eps", "odd-d-char", "alphabet-not-list",
             "marker-not-bool", "marker-false", "alphabet-short", "manifest-not-list"])

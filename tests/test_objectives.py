@@ -180,6 +180,21 @@ class TestEmbeddingTable:
         assert done[0] == 0 and len(done) < 4
         pool.shutdown()
 
+    def test_chunks_in_flight_bounded(self, monkeypatch):
+        monkeypatch.setattr(objectives, "CE_BLOCK", 200)  # 23 one-row chunks
+        pool = SpyPool()
+        monkeypatch.setattr(objectives, "_POOL", pool)
+        unfinished = []
+
+        def chunk(rows):
+            time.sleep(0.01)  # time for the caller to submit every chunk if unbounded
+            unfinished.append(sum(not f.done() for f in pool.futures))
+
+        objectives._over_row_chunks(23, 200, chunk)
+        assert len(pool.futures) == len(unfinished) == 23
+        assert max(unfinished) <= objectives._IN_FLIGHT < 23
+        pool.shutdown()
+
 
 class TestNeighborIndex:
     def test_hand_case(self):
