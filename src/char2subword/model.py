@@ -201,15 +201,18 @@ def forward_batch(params, seqs):
     pass, one with no padding included, runs all R = B * n slots as rows and
     scatters and gathers nothing; so a lone one-character sequence never
     meets a one-row matmul, which BLAS would run as gemv, summing in another
-    order. The rows' products take each weight in its own layout, so a
-    row's bits do not depend on how many rows there are. Padded keys get
-    -inf before every softmax, which sums keys in order down a
-    non-contiguous axis, so a padded key adds an exact 0 after the real
-    ones; padded slots get -inf before the max-pool (a pass with no padding
-    skips both masks: adding 0.0 changes no bit). So each embedding is
-    bit-identical to its sequence's one-word forward(), in any batch. be is
-    added after the pool over z = x @ We: fl(z + be) is monotone in z, so
-    the bits are those of pooling z + be.
+    order. The layout rule: every row product's right operand is
+    C-contiguous, so for K <= 384 (d_char <= 96) OpenBLAS gives a row the
+    same bits at any row count. Padded keys get -inf before every softmax,
+    which sums keys in order down a non-contiguous axis, so a padded key
+    adds an exact 0 after the real ones; padded slots get -inf before the
+    max-pool (a pass with no padding skips both masks: adding 0.0 changes no
+    bit). So at d_char <= 96 each embedding has the bits of the fully padded
+    pass, and at d_head <= 24 also those of its one-word forward(), in any
+    batch. Beyond that it may move by about 2e-15: from d_head 32 attention
+    sums depend on n, and at d_char 128 g @ W2 (K = 512) on the row count.
+    be is added after the pool over z = x @ We: fl(z + be) is monotone in z,
+    so the bits are those of pooling z + be.
 
     Returns (embeddings (B, d_out), cache). The cache, for backward_batch(),
     holds "seqs"; "ids" (B, n); "rows", the flat indices of the real slots,
@@ -284,14 +287,9 @@ def backward_batch(params, cache, upstream):
     as a Char2SubwordParams whose vector is the gradient.
 
     The rows of forward_batch carry the gradient; padded slots get exactly
-    zero. A product against a transposed weight with K >= 32 can sum in an
-    order that depends on its row count, so the three whose K is d_out,
-    4 d_char or 3 d_char run padded, and only their results are gathered:
-    dy @ We^T and du @ W1^T word by word, dqkv @ Wqkv^T over all B * n
-    slots. dx @ W2^T and dxp @ Wo^T, whose K is d_char, run on the rows, as
-    do the weight gradients. So every gradient has the bits of the same pass
-    run padded throughout only when d_char < 32; from d_char 32 up, some
-    move in the last bits (about 5e-14 at d_char 32, 48 and 64).
+    zero. Under forward_batch's layout rule, each layer multiplies its rows
+    by one C-contiguous copy of W2^T, W1^T, Wo^T and Wqkv^T, so at d_char <= 96
+    every gradient has the fully padded pass's bits; dy @ We^T runs padded.
     """
     cfg = params.config
     t = params.tensors
@@ -317,20 +315,21 @@ def backward_batch(params, cache, upstream):
 
     for j in reversed(range(cfg.n_layers)):
         layer = cache["layers"][j]
+        w2t, w1t, wot, wqkvt = (np.ascontiguousarray(t[f"L{j}.{w}"].T)
+                                for w in ("W2", "W1", "Wo", "Wqkv"))
         # dx reaches both the FFN output and the residual around it
         g[f"L{j}.W2"][...] = layer["g"].T @ dx
         g[f"L{j}.b2"][...] = dx.sum(axis=0)
-        du = gelu_backward(layer["u"], layer["cdf"], dx @ t[f"L{j}.W2"].T)
+        du = gelu_backward(layer["u"], layer["cdf"], dx @ w2t)
         g[f"L{j}.W1"][...] = layer["xbp"].T @ du
         g[f"L{j}.b1"][...] = du.sum(axis=0)
-        dxbp_ffn = _rows(_padded(du, rows, b, n) @ t[f"L{j}.W1"].T, rows)
+        dxbp_ffn = du @ w1t
 
         # dxp reaches both the attention output and the residual around it
         dxp, g[f"L{j}.ln2.g"][...], g[f"L{j}.ln2.b"][...] = layer_norm_backward(
             *layer["ln2"], t[f"L{j}.ln2.g"], dxbp_ffn + dx)
         g[f"L{j}.Wo"][...] = layer["c"].T @ dxp
-        dhead = _padded(dxp @ t[f"L{j}.Wo"].T, rows, b, n).reshape(b, n, h, dh)
-        dhead = dhead.transpose(0, 2, 1, 3)
+        dhead = _padded(dxp @ wot, rows, b, n).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
 
         a = layer["a"]
         da = dhead @ layer["v"].swapaxes(-1, -2)
@@ -340,10 +339,10 @@ def backward_batch(params, cache, upstream):
         ds *= scale
         dq = ds @ layer["k"]
         dk = ds.swapaxes(-1, -2) @ layer["q"]
-        # back to (b * n, 3d), columns laid out as in Wqkv
-        dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
-        g[f"L{j}.Wqkv"][...] = layer["xb"].T @ _rows(dqkv, rows)
-        dxb_attn = _rows(dqkv @ t[f"L{j}.Wqkv"].T, rows)
+        # back to (R, 3d) rows, columns laid out as in Wqkv
+        dqkv = _rows(np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d), rows)
+        g[f"L{j}.Wqkv"][...] = layer["xb"].T @ dqkv
+        dxb_attn = dqkv @ wqkvt
 
         dx, g[f"L{j}.ln1.g"][...], g[f"L{j}.ln1.b"][...] = layer_norm_backward(
             *layer["ln1"], t[f"L{j}.ln1.g"], dxb_attn + dxp)
@@ -378,9 +377,10 @@ def split_passes(seqs):
     Each pass holds at most PASS_POSITIONS padded slots (or a single
     sequence), which bounds its activations; its position-wise arrays may
     hold only the real positions among them. Sequences of any length share
-    a pass, since padding changes no bit of a row. Training keeps every
-    pass's cache until backward, so one batch holds the activations of all
-    its samples, but only one loss call; encode runs the same passes.
+    a pass: within forward_batch's bounds padding changes no bit of a row.
+    Training keeps every pass's cache until backward, so one batch holds the
+    activations of all its samples, but only one loss call; encode runs the
+    same passes.
     """
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     passes = [[]]
@@ -393,8 +393,8 @@ def split_passes(seqs):
 
 def encode(params, words, alphabet, is_full_word=True):
     """Run the module on surface forms; row i of the (len(words), d_out) result is
-    words[i]'s. Words of any length share the passes of split_passes, and
-    every row equals forward() on that word alone, bit for bit.
+    words[i]'s. Words of any length share the passes of split_passes; a row
+    equals forward() on its word alone, bit for bit within forward_batch's bounds.
     """
     seqs = [char_sequence(w, is_full_word, alphabet, max_chars=params.config.max_chars)
             for w in words]

@@ -12,10 +12,12 @@ the same bytes. `pool_output` and its backward pass are the dense output layer
 that `model.forward_batch` pools before the bias to match, bit for bit.
 `forward_batch` and `backward_batch` are the encoder with every layer on
 padded (b, n, .) arrays, which the packed `model` versions must match byte
-for byte. `char_sequence`, `check_word`, `corpus_samples` and `seq_length_stats` are
-the text front end one character and one word occurrence at a time, and
-`noise_line_spaces` is the `noise` command's line loop for lines split on
-single spaces; the package's versions must give equal results.
+for byte; `backward_batch` also runs with transposed-view operands, the
+layout the packed backward must stay within 1e-12 of. `char_sequence`,
+`check_word`, `corpus_samples` and `seq_length_stats` are the text front end
+one character and one word occurrence at a time, and `noise_line_spaces` is
+the `noise` command's line loop for lines split on single spaces; the
+package's versions must give equal results.
 """
 
 import json
@@ -377,10 +379,18 @@ def forward_batch(params, seqs):
     return emb, cache
 
 
-def backward_batch(params, cache, upstream):
+def contiguous_transpose(w):
+    """w^T as a C-contiguous copy, the right operand `model.backward_batch`
+    multiplies by."""
+    return np.ascontiguousarray(w.T)
+
+
+def backward_batch(params, cache, upstream, transpose=contiguous_transpose):
     """`model.backward_batch` for a cache of `forward_batch` above: every
     product and sum runs over all b * n slots, and padded slots carry an
-    exact zero gradient."""
+    exact zero gradient. The products with a layer's W2, W1, Wo and Wqkv
+    take `transpose(W)` as their right operand. `np.transpose` gives a view,
+    whose products OpenBLAS may sum in another order from K = 32 up."""
     cfg = params.config
     t = params.tensors
     b, n = cache["ids"].shape
@@ -407,16 +417,16 @@ def backward_batch(params, cache, upstream):
         # dx reaches both the FFN output and the residual around it
         g[f"L{j}.W2"][...] = layer["g"].reshape(-1, 4 * d).T @ dx.reshape(-1, d)
         g[f"L{j}.b2"][...] = dx.reshape(-1, d).sum(axis=0)
-        du = numerics.gelu_backward(layer["u"], layer["cdf"], dx @ t[f"L{j}.W2"].T)
+        du = numerics.gelu_backward(layer["u"], layer["cdf"], dx @ transpose(t[f"L{j}.W2"]))
         g[f"L{j}.W1"][...] = layer["xbp"].reshape(-1, d).T @ du.reshape(-1, 4 * d)
         g[f"L{j}.b1"][...] = du.reshape(-1, 4 * d).sum(axis=0)
-        dxbp_ffn = du @ t[f"L{j}.W1"].T
+        dxbp_ffn = du @ transpose(t[f"L{j}.W1"])
 
         # dxp reaches both the attention output and the residual around it
         dxp, g[f"L{j}.ln2.g"][...], g[f"L{j}.ln2.b"][...] = numerics.layer_norm_backward(
             *layer["ln2"], t[f"L{j}.ln2.g"], dxbp_ffn + dx)
         g[f"L{j}.Wo"][...] = layer["c"].reshape(-1, d).T @ dxp.reshape(-1, d)
-        dhead = (dxp @ t[f"L{j}.Wo"].T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+        dhead = (dxp @ transpose(t[f"L{j}.Wo"])).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
 
         a = layer["a"]
         da = dhead @ layer["v"].swapaxes(-1, -2)
@@ -429,7 +439,7 @@ def backward_batch(params, cache, upstream):
         # back to (b * n, 3d), columns laid out as in Wqkv
         dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
         g[f"L{j}.Wqkv"][...] = layer["xb"].reshape(-1, d).T @ dqkv
-        dxb_attn = (dqkv @ t[f"L{j}.Wqkv"].T).reshape(b, n, d)
+        dxb_attn = (dqkv @ transpose(t[f"L{j}.Wqkv"])).reshape(b, n, d)
 
         dx, g[f"L{j}.ln1.g"][...], g[f"L{j}.ln1.b"][...] = numerics.layer_norm_backward(
             *layer["ln1"], t[f"L{j}.ln1.g"], dxb_attn + dxp)

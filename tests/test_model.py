@@ -316,6 +316,29 @@ class TestForwardBatch:
         for name, grad in grads.items():
             assert grad.tobytes() == want[name].tobytes(), name
 
+    @pytest.mark.parametrize("d_char, n_heads, atol", [
+        (16, 2, 0.0), (96, 4, 0.0), (96, 6, 0.0),  # d_char <= 96 and d_head <= 24: exact
+        (32, 1, 1e-12), (64, 2, 1e-12),  # d_head 32: the attention products move a lone row
+        (128, 8, 1e-12),  # d_char 128: g @ W2 has K = 512, which moves packed rows too
+    ])
+    def test_batch_rows_against_lone_forward_and_padded_pass(self, d_char, n_heads, atol):
+        rng = np.random.default_rng(60)
+        # 20 words of lengths 1..12 fill 240 slots, 84 of them padded, so the pass is packed
+        seqs = [tuple(rng.integers(2, 20, size=n))
+                for n in rng.permutation(np.r_[1:13, 3:11])]
+        cfg = M.ModelConfig(d_char=d_char, d_out=16, n_layers=2, n_heads=n_heads,
+                            max_chars=12)
+        p = M.init_params(cfg, 20, seed=d_char + n_heads)
+        emb, cache = M.forward_batch(p, seqs)
+        assert cache["rows"] is not None
+        lone = np.stack([M.forward(p, seq)[0] for seq in seqs])
+        padded, _ = reference.forward_batch(p, seqs)
+        for want in (lone, padded):
+            if atol == 0.0:
+                assert emb.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(emb, want, rtol=0, atol=atol)
+
     def test_encode_bit_identical_to_forward(self, alphabet, monkeypatch):
         # words of every length 1..max_chars, shuffled, share padded passes; with
         # a small PASS_POSITIONS they spread over more of them
@@ -401,19 +424,35 @@ def packed_cases():
     return max_chars, {"mixed": mixed, "lone": [(5,)], "equal": equal, "slight": slight}
 
 
-# The backward products dx @ W2^T and dxp @ Wo^T run on the rows. Against a
-# transposed weight with K = d_char >= 32, OpenBLAS sums in an order that
-# depends on the row count, so from d_char 32 up gradients may move in the
-# last bits (about 5e-14 here); narrower widths must give the padded pass's
-# bytes.
-PACKED_GRAD_ATOL = {8: 0.0, 16: 0.0, 32: 1e-12, 64: 1e-12}
+# d_char up to 96, so every row product's K is at most 384: the widths at
+# which a contiguous right operand gives a row the same bits at any row count
+ROW_RULE_WIDTHS = [8, 16, 24, 32, 48, 64, 96]
+
+
+@pytest.mark.parametrize("d_char", ROW_RULE_WIDTHS)
+def test_row_bits_do_not_depend_on_row_count(d_char):
+    """The BLAS property the encoder's packed rows rest on, at the (K, N) of
+    its row products: X[:m] @ C, with C C-contiguous, equals the first m rows
+    of X @ C for every m from 2 to PASS_POSITIONS."""
+    rng = np.random.default_rng(d_char)
+    widths = (d_char, 3 * d_char, 4 * d_char)
+    for k, n_cols in itertools.product(widths, widths):
+        x = rng.normal(size=(M.PASS_POSITIONS, k))
+        c = rng.normal(size=(k, n_cols))
+        full = x @ c
+        moved = [m for m in range(2, M.PASS_POSITIONS + 1)
+                 if (x[:m] @ c).tobytes() != full[:m].tobytes()]
+        assert not moved, (
+            f"OpenBLAS now sums a ({k}, {n_cols}) contiguous-operand product in an order "
+            f"that depends on the row count (rows move at {len(moved)} row counts, first "
+            f"{moved[:5]}): packed encoder passes no longer have the padded pass's bits")
 
 
 class TestPackedMatchesPadded:
     """model.forward_batch/backward_batch against the padded reference, which
     runs every layer on all b * n slots."""
 
-    @pytest.mark.parametrize("d_char", [8, 16, 32, 64])
+    @pytest.mark.parametrize("d_char", ROW_RULE_WIDTHS)
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("d_out", [5, 16, 768])
     def test_same_bytes(self, d_char, n_layers, d_out):
@@ -421,25 +460,26 @@ class TestPackedMatchesPadded:
         cfg = M.ModelConfig(d_char=d_char, d_out=d_out, n_layers=n_layers, n_heads=2,
                             max_chars=max_chars)
         p = M.init_params(cfg, 20, seed=d_char + 10 * n_layers + d_out)
-        for kind, seqs in cases.items():
-            emb, cache = M.forward_batch(p, seqs)
-            ref_emb, ref_cache = reference.forward_batch(p, seqs)
-            assert emb.tobytes() == ref_emb.tobytes(), kind
-            for layer, ref_layer in zip(cache["layers"], ref_cache["layers"]):
-                for row, seq in enumerate(seqs):
-                    n = len(seq)
-                    assert (layer["a"][row, :, :n, :n].tobytes()
-                            == ref_layer["a"][row, :, :n, :n].tobytes()), kind
-            u = np.random.default_rng(51).normal(size=emb.shape)
-            grads = M.backward_batch(p, cache, u).tensors
-            ref_grads = reference.backward_batch(p, ref_cache, u).tensors
-            for name, grad in grads.items():
-                if PACKED_GRAD_ATOL[d_char] == 0.0:
+        for kind, batch in cases.items():
+            for seqs in (batch, batch[::-1]):
+                emb, cache = M.forward_batch(p, seqs)
+                ref_emb, ref_cache = reference.forward_batch(p, seqs)
+                assert emb.tobytes() == ref_emb.tobytes(), kind
+                for layer, ref_layer in zip(cache["layers"], ref_cache["layers"]):
+                    for row, seq in enumerate(seqs):
+                        n = len(seq)
+                        assert (layer["a"][row, :, :n, :n].tobytes()
+                                == ref_layer["a"][row, :, :n, :n].tobytes()), kind
+                u = np.random.default_rng(51).normal(size=emb.shape)
+                grads = M.backward_batch(p, cache, u).tensors
+                ref_grads = reference.backward_batch(p, ref_cache, u).tensors
+                view_grads = reference.backward_batch(p, ref_cache, u,
+                                                      transpose=np.transpose).tensors
+                for name, grad in grads.items():
                     assert grad.tobytes() == ref_grads[name].tobytes(), (kind, name)
-                else:
-                    np.testing.assert_allclose(grad, ref_grads[name], rtol=0,
-                                               atol=PACKED_GRAD_ATOL[d_char],
-                                               err_msg=f"{kind} {name}")
+                    # against the transposed-view layout, the bits move only in the last places
+                    scale = np.abs(view_grads[name]).max()
+                    assert np.abs(grad - view_grads[name]).max() <= 1e-12 * scale, (kind, name)
 
     def test_rows_are_the_real_positions(self, tiny_config):
         p = M.init_params(tiny_config, 20, seed=52)
