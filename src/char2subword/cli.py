@@ -8,7 +8,8 @@ file is read. Required: --vocab (all but noise and params); --table
 neighbors, attn); --seed (simulate, pretrain, noise); and embed's sentence
 or --file, not both. embed needs --checkpoint unless --mode table_only, and
 params needs --vocab or --checkpoint. simulate takes the noise flags
-(--p-noise, --min-length, --ops, --layouts) only with --noise.
+(--p-noise, --min-length, --ops, --layouts) only with --noise. A --layouts JSON
+file replaces NoiseConfig's default layouts, the built-in QWERTY one.
 A given --checkpoint is always read and checked, even by embed --mode table_only.
 A JSON config file (--config, schema version 1) is an object whose keys are
 the command's own flags, spelled with `_` for `-`: `n` is -n, `noise: true`
@@ -22,10 +23,11 @@ import json
 import random
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from . import evaluation, model as model_mod, training
 from .embedder import EmbedMode, embed_sequence, write_embeddings
-from .noise import NoiseConfig, default_layouts, load_layouts, noise_line
+from .noise import NoiseConfig, load_layouts, noise_line
 from .objectives import LossWeights, build_neighbor_index, check_vocab_size, load_table
 from .training import TrainConfig, TrainingError
 from .vocab import build_alphabet, check_word, load_vocabulary
@@ -81,6 +83,10 @@ def _parse_args(argv):
     unknown = sorted(key for key in flags if key == "config" or key not in vars(args))
     if unknown:
         raise CliError(f"{args.command} takes no config key(s) {unknown}")
+    for flag in ("--k", "-n", "--table-v", "--table-d"):  # counts, named before any file is read
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), 1)
+        if value < 1:
+            raise CliError(f"{args.command} {flag} must be >= 1, got {value}")
     return args
 
 
@@ -108,16 +114,18 @@ def _load_inputs(args):
 
 
 def _noise_config(args):
-    """The NoiseConfig of the noise flags; a flag not given takes NoiseConfig's default."""
-    if args.layouts:
-        with open(args.layouts, encoding="utf-8") as fh:
-            layouts = load_layouts(fh)
-    else:
-        layouts = default_layouts()
+    """The NoiseConfig of the noise flags but --layouts; a flag not given takes its default."""
     ops = None if args.ops is None else tuple(op for op in args.ops.split(",") if op)
     options = {"enabled_ops": ops, "min_length": args.min_length, "p_noise": args.p_noise}
-    return NoiseConfig(layouts=tuple(layouts),
-                       **{key: value for key, value in options.items() if value is not None})
+    return NoiseConfig(**{key: value for key, value in options.items() if value is not None})
+
+
+def _with_layouts(noise_cfg, path):
+    """noise_cfg with the layouts of the --layouts file `path`, if one was given."""
+    if not path:
+        return noise_cfg
+    with open(path, encoding="utf-8") as fh:
+        return replace(noise_cfg, layouts=load_layouts(fh))
 
 
 def _train_config(args, **options):
@@ -141,12 +149,13 @@ def cmd_simulate(args):
               if getattr(args, dest) is not None]
     if unused and not args.noise:
         raise CliError(f"simulate takes {', '.join(unused)} only with --noise")
-    vocab, alphabet, table, _ = _load_inputs(args)
-    noise_cfg = _noise_config(args) if args.noise else None
-    config = _model_config(args, table.dim)
     weights = LossWeights(l_cos=args.w_cos, l_ce=args.w_ce, l_l2=args.w_l2, l_nbr=args.w_nbr)
-    train_cfg = _train_config(args, weights=weights, noise=noise_cfg, nbr_k=args.nbr_k)
-    params = model_mod.init_params(config, len(alphabet), train_cfg.seed)
+    train_cfg = _train_config(args, weights=weights, nbr_k=args.nbr_k,
+                              noise=_noise_config(args) if args.noise else None)
+    _model_config(args, d_out=1)  # checks the model flags; the table gives the real d_out
+    vocab, alphabet, table, _ = _load_inputs(args)
+    train_cfg = replace(train_cfg, noise=_with_layouts(train_cfg.noise, args.layouts))
+    params = model_mod.init_params(_model_config(args, table.dim), len(alphabet), train_cfg.seed)
     params, metrics = training.train_simulation(params, vocab, table, alphabet, train_cfg)
     model_mod.save_checkpoint(args.out, params, alphabet)
     if args.metrics:
@@ -160,6 +169,7 @@ def cmd_simulate(args):
 
 
 def cmd_pretrain(args):
+    train_cfg = _train_config(args)
     vocab, alphabet, table, params = _load_inputs(args)
     with open(args.corpus, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -167,8 +177,7 @@ def cmd_pretrain(args):
                                         max_chars=params.config.max_chars)
     if not sequences:
         raise CliError(f"corpus {args.corpus} is empty")
-    params, metrics = training.pretrain_mlm(params, sequences, vocab, table,
-                                            alphabet, _train_config(args))
+    params, metrics = training.pretrain_mlm(params, sequences, vocab, table, alphabet, train_cfg)
     if metrics and not any(record["selected"] for record in metrics):
         raise CliError(f"corpus {args.corpus} selected no token to mask in {len(metrics)} "
                        f"epoch(s), so no step was taken; use a longer corpus or another --seed")
@@ -203,7 +212,7 @@ def cmd_neighbors(args):
 
 
 def cmd_noise(args):
-    noise_cfg = _noise_config(args)
+    noise_cfg = _with_layouts(_noise_config(args), args.layouts)
     rng = random.Random(args.seed)
     changed = 0
     with open(args.in_corpus, encoding="utf-8") as src, \
@@ -259,15 +268,10 @@ def cmd_attn(args):
 def cmd_params(args):
     if not (args.vocab or args.checkpoint):
         raise CliError("params requires --vocab or --checkpoint")
-    for flag, value in (("--table-v", args.table_v), ("--table-d", args.table_d)):
-        if value < 1:
-            raise CliError(f"params {flag} must be >= 1, got {value}")
+    config = None if args.checkpoint else _model_config(args, args.d_out)
     _, alphabet, _, params = _load_inputs(args)
-    if params is not None:
-        config, alphabet_size = params.config, params.alphabet_size
-    else:
-        config, alphabet_size = _model_config(args, args.d_out), len(alphabet)
-    module = model_mod.param_count(config, alphabet_size)
+    module = (model_mod.param_count(config, len(alphabet)) if params is None
+              else model_mod.param_count(params.config, params.alphabet_size))
     table = model_mod.table_param_count(args.table_v, args.table_d)
     print(f"char2subword parameters: {module}")
     print(f"embedding table parameters ({args.table_v} x {args.table_d}): {table}")
@@ -306,7 +310,7 @@ def build_parser():
         p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
 
     def noise_flags(p):
-        p.add_argument("--layouts", help="keyboard layout JSON file")
+        p.add_argument("--layouts", help="keyboard layout JSON file (default: built-in QWERTY)")
         p.add_argument("--p-noise", type=float)
         p.add_argument("--min-length", type=int)
         p.add_argument("--ops", help="comma-separated noise operations")

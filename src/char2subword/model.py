@@ -50,8 +50,10 @@ class ModelConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
-        if self.d_char < 1 or self.d_out < 1 or self.n_heads < 1 or self.max_chars < 1:
-            raise ValueError("all ModelConfig counts must be >= 1 (n_layers may be 0)")
+        bad = {name: getattr(self, name) for name in ("d_char", "d_out", "n_heads", "max_chars")
+               if getattr(self, name) < 1}
+        if bad:
+            raise ValueError(f"ModelConfig counts must be >= 1 (n_layers may be 0), got {bad}")
         if self.n_layers < 0:
             raise ValueError("n_layers must be >= 0")
         if self.d_char % 2:

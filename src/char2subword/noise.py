@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from .vocab import MARKER, SPECIAL_TOKENS
 
 DEFAULT_PUNCTUATION = ("(", ")", "-", ".", ",", "'", ":", ";")
-_MAX_RETRIES = 16
 # a run of str.isspace characters: re's \s and str.isspace agree on every code point
 _WHITESPACE_RUN = re.compile(r"(\s+)")
 
@@ -46,17 +45,10 @@ def _qwerty_neighbors():
     nbrs = {}
     for r, row in enumerate(_QWERTY_ROWS):
         for c, ch in enumerate(row):
-            adj = []
-            if c > 0:
-                adj.append(row[c - 1])
-            if c + 1 < len(row):
-                adj.append(row[c + 1])
-            for rr in (r - 1, r + 1):
-                if 0 <= rr < len(_QWERTY_ROWS):
-                    other = _QWERTY_ROWS[rr]
-                    for cc in (c - 1, c):
-                        if 0 <= cc < len(other):
-                            adj.append(other[cc])
+            # left, right, then the up-left and up keys, then the down-left and down keys
+            keys = ((r, c - 1), (r, c + 1), (r - 1, c - 1), (r - 1, c), (r + 1, c - 1), (r + 1, c))
+            adj = [_QWERTY_ROWS[rr][cc] for rr, cc in keys
+                   if 0 <= rr < len(_QWERTY_ROWS) and 0 <= cc < len(_QWERTY_ROWS[rr])]
             nbrs[ch] = adj
             nbrs[ch.upper()] = [a.upper() for a in adj]
     return nbrs
@@ -111,12 +103,8 @@ def _mistype(body, rng, config):
     covering = [lay for lay in config.layouts if ch in lay.neighbors]
     if covering:
         repl = rng.choice(rng.choice(covering).neighbors[ch])
-    else:
-        # key absent from every layout: any layout key
-        candidates = sorted({k for lay in config.layouts for k in lay.neighbors})
-        if not candidates:
-            raise NoiseError("mistype: no layout characters available")
-        repl = rng.choice(candidates)
+    else:  # key absent from every layout: any layout key (NoiseConfig ensures one)
+        repl = rng.choice(sorted({k for lay in config.layouts for k in lay.neighbors}))
     return body[:pos] + repl + body[pos + 1:]
 
 
@@ -126,12 +114,12 @@ def _repeat(body, rng, config):
 
 
 def _swap(body, rng, config):
-    # last position has no next character; choose among 0..len-2
-    for _ in range(_MAX_RETRIES):
+    if len(set(body)) == 1:
+        raise NoiseError("swap: every character of the token is the same")
+    while True:  # draw among 0..len-2 (the last position has no next character)
         pos = rng.randrange(len(body) - 1)
         if body[pos] != body[pos + 1]:
             return body[:pos] + body[pos + 1] + body[pos] + body[pos + 2:]
-    raise NoiseError("swap: retries exhausted without a change")
 
 
 def _drop(body, rng, config):
@@ -163,7 +151,7 @@ OPERATIONS = tuple(_EDITS)
 @dataclass(frozen=True)
 class NoiseConfig:
     enabled_ops: tuple = OPERATIONS
-    layouts: tuple = ()
+    layouts: tuple = field(default_factory=lambda: tuple(default_layouts()))
     min_length: int = 5
     p_noise: float = 0.5
 
@@ -171,7 +159,7 @@ class NoiseConfig:
         if self.min_length < 2:
             raise ValueError("min_length must be >= 2")
         if not 0.0 <= self.p_noise <= 1.0:
-            raise ValueError("p_noise must be in [0, 1]")
+            raise ValueError(f"p_noise must be in [0, 1], got {self.p_noise}")
         bad = [op for op in self.enabled_ops if op not in OPERATIONS]
         if bad:
             raise ValueError(f"unknown noise operation(s): {bad}")
@@ -179,6 +167,8 @@ class NoiseConfig:
             raise ValueError("p_noise > 0 requires at least one enabled operation")
         object.__setattr__(self, "layouts", tuple(self.layouts))
         object.__setattr__(self, "enabled_ops", tuple(self.enabled_ops))
+        if not any(lay.neighbors for lay in self.layouts):  # mistype needs a key to type
+            raise ValueError("layouts must map at least one key")
 
 
 def apply_op(token, op, rng, config):

@@ -184,7 +184,7 @@ def load_table(path):
         rows = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(v)]
         if fh.read().strip():
             raise ValueError(f"text table has data after its {v} rows")
-    m = np.stack(rows)
+    m = np.stack(rows) if rows else np.empty((0, d))  # EmbeddingTable rejects no rows
     if m.shape != (v, d):
         raise ValueError(f"table header says {v}x{d} but data is {m.shape}")
     return EmbeddingTable(matrix=m)

@@ -48,13 +48,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr < float("inf"):  # also rejects NaN
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.nbr_k < 1:
             raise ValueError(f"nbr_k must be >= 1, got {self.nbr_k}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 class _Adam:
@@ -166,6 +166,9 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
     table rows even when the input characters are noised. Each Adam step
     runs its `config.batch_size` samples through one batch_loss call.
     """
+    sample_ids = vocab.non_special_ids()
+    if not sample_ids:
+        raise ValueError("the vocabulary has no entry to train on: every entry is a special token")
     # one ranking of the table serves both indexes: each is a prefix of the deeper; an
     # nbr_k above |V| fails in the ranking, while eval's default depth fits tiny tables
     eval_k = min(evaluation.EVAL_K, e_table.size) if eval_every else 0
@@ -175,7 +178,6 @@ def train_simulation(params, vocab, e_table, alphabet, config, index=None, eval_
     elif eval_k:
         ranked = build_neighbor_index(e_table, eval_k)
     eval_index = ranked.prefix(eval_k) if eval_k else None
-    sample_ids = vocab.non_special_ids()
 
     def chars_of(token):
         return char_sequence(token, False, alphabet, max_chars=params.config.max_chars)

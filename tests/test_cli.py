@@ -88,6 +88,17 @@ class TestSimulate:
         rc, _ = simulate(workdir, extra=["--noise", "--p-noise", "0.9"])
         assert rc == 0
 
+    def test_noise_layouts_file_replaces_the_default(self, workdir, capsys):
+        layouts = workdir / "layouts.json"
+        layouts.write_text('{"q": {}}')
+        rc, ckpt = simulate(workdir, extra=["--noise", "--layouts", str(layouts)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: layouts must map at least one key\n"
+        assert not ckpt.exists()
+        layouts.write_text('{"q": {"a": ["s"]}}')
+        rc, ckpt = simulate(workdir, extra=["--noise", "--layouts", str(layouts)])
+        assert rc == 0 and ckpt.exists()
+
     def test_numeric_failure_is_one_stderr_line(self, workdir):
         # a huge step overflows the forward passes; numpy's overflow and invalid-value
         # warnings would print their own lines before the message
@@ -137,6 +148,15 @@ class TestSimulate:
         assert not ckpt.exists()
         rc, ckpt = simulate(workdir, extra=["--config", str(cfg), "--noise"])
         assert rc == 0 and ckpt.exists()
+
+    def test_vocabulary_of_special_tokens_only_exit_2(self, tmp_path, capsys):
+        (tmp_path / "vocab.txt").write_text("[UNK]\n[PAD]\n")
+        (tmp_path / "table.txt").write_text("2 3\n1 0 0\n0 1 0\n")
+        rc, ckpt = simulate(tmp_path, extra=["--nbr-k", "1"], epochs="1")
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: the vocabulary has no entry to train on: "
+                                           "every entry is a special token\n")
+        assert not ckpt.exists()
 
     def test_no_d_out_flag(self, workdir, capsys):
         # the output width is the table's
@@ -276,7 +296,7 @@ class TestEval:
                    "--table", str(workdir / "table.txt"),
                    "--checkpoint", str(ckpt), "--k", "0"])
         assert rc == 2
-        assert "need n >= 1 and n <= 21" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: eval --k must be >= 1, got 0\n"
 
 
 class TestNeighbors:
@@ -293,8 +313,9 @@ class TestNeighbors:
             token, sim = line.split("\t")
             float(sim)
 
-    @pytest.mark.parametrize("n", ["0", "22"])
-    def test_n_outside_vocabulary_exit_2(self, workdir, capsys, n):
+    @pytest.mark.parametrize("n, message", [("0", "neighbors -n must be >= 1, got 0"),
+                                            ("22", "need n >= 1 and n <= 21")], ids=["0", "22"])
+    def test_n_outside_vocabulary_exit_2(self, workdir, capsys, n, message):
         _, ckpt = simulate(workdir)
         capsys.readouterr()  # discard training progress line
         rc = main(["neighbors", "--vocab", str(workdir / "vocab.txt"),
@@ -303,7 +324,7 @@ class TestNeighbors:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "need n >= 1 and n <= 21" in captured.err
+        assert message in captured.err
 
     @pytest.mark.parametrize("query", ["mash potato", " ", "", "ab\tc", "apple\n"])
     def test_query_not_one_word_exit_2(self, workdir, capsys, query):
@@ -367,6 +388,17 @@ class TestNoise:
                    str(workdir / "corpus.txt"), "--out", str(workdir / "n.txt")])
         assert rc == 2
         assert "layout 'q': key 'a' needs a list of single characters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ["{}", '{"q": {}}'])
+    def test_layouts_without_a_key_exit_2(self, workdir, capsys, doc):
+        # with no key to type, mistype could change no token
+        layouts, out = workdir / "layouts.json", workdir / "n.txt"
+        layouts.write_text(doc)
+        rc = main(["noise", "--seed", "3", "--ops", "mistype", "--p-noise", "1.0",
+                   "--layouts", str(layouts), str(workdir / "corpus.txt"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: layouts must map at least one key\n"
+        assert not out.exists()
 
 
 class TestStats:
@@ -638,6 +670,10 @@ class TestUsageErrors:
         rc = main(["stats", "--corpus", str(workdir / "corpus.txt")])
         assert rc == 2
 
+    SIMULATE = ["simulate", "--vocab", "v.txt", "--table", "t.txt", "--seed", "0",
+                "--out", "x.c2sw"]
+    INPUTS = ["--vocab", "v.txt", "--table", "t.txt", "--checkpoint", "m.c2sw"]
+
     @pytest.mark.parametrize("argv, flag", [
         (["simulate", "--vocab", "v.txt", "--table", "t.txt", "--out", "x.c2sw"], "--seed"),
         (["pretrain", "--vocab", "v.txt", "--table", "t.txt", "--checkpoint", "m.c2sw",
@@ -657,10 +693,30 @@ class TestUsageErrors:
         (["params", "--table-v", "21"], "--checkpoint"),
         (["params", "--vocab", "v.txt", "--table-v", "-5"], "--table-v must be >= 1, got -5"),
         (["params", "--checkpoint", "m.c2sw", "--table-d", "0"], "--table-d must be >= 1"),
+        # a bad flag value, rejected by a config built before the inputs are loaded
+        (SIMULATE + ["--lr", "0"], "learning rate must be finite and > 0, got 0.0"),
+        (SIMULATE + ["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (SIMULATE + ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+        (SIMULATE + ["--nbr-k", "0"], "nbr_k must be >= 1, got 0"),
+        (SIMULATE + ["--d-char", "7"], "d_char (7) must be even"),
+        (SIMULATE + ["--max-chars", "0"], "got {'max_chars': 0}"),
+        (SIMULATE + ["--w-cos", "-1"], "nonnegative, got (-1.0, 1.0, 1.0, 1.0)"),
+        (SIMULATE + ["--noise", "--p-noise", "2"], "p_noise must be in [0, 1], got 2.0"),
+        (SIMULATE + ["--noise", "--ops", "typo"], "unknown noise operation(s): ['typo']"),
+        (["pretrain", *INPUTS, "--seed", "0", "--corpus", "c.txt", "--out", "x.c2sw",
+          "--lr", "-1"], "learning rate must be finite and > 0, got -1.0"),
+        (["eval", *INPUTS, "--k", "0"], "eval --k must be >= 1, got 0"),
+        (["neighbors", *INPUTS, "apple", "-n", "0"], "neighbors -n must be >= 1, got 0"),
+        (["params", "--vocab", "v.txt", "--d-char", "7"], "d_char (7) must be even"),
+        (["params", "--vocab", "v.txt", "--n-heads", "0"], "got {'n_heads': 0}"),
     ], ids=["simulate-seed", "pretrain-seed", "noise-seed", "pretrain-checkpoint",
             "eval-checkpoint", "neighbors-checkpoint", "attn-checkpoint", "stats-vocab",
             "embed-full-checkpoint", "embed-sentence-and-file", "embed-no-text",
-            "params-vocab-or-checkpoint", "params-table-v-negative", "params-table-d-zero"])
+            "params-vocab-or-checkpoint", "params-table-v-negative", "params-table-d-zero",
+            "simulate-lr", "simulate-batch-size", "simulate-epochs", "simulate-nbr-k",
+            "simulate-d-char", "simulate-max-chars", "simulate-w-cos", "simulate-p-noise",
+            "simulate-ops", "pretrain-lr", "eval-k", "neighbors-n", "params-d-char",
+            "params-n-heads"])
     def test_missing_flag_named_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
         # no path exists, so a check made after loading would name a missing file
         rc = main([str(tmp_path / a) if a.endswith((".txt", ".c2sw")) else a for a in argv])

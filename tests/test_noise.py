@@ -97,6 +97,15 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(enabled_ops=(), p_noise=0.5)
 
+    def test_qwerty_is_the_default_layout(self):
+        assert NoiseConfig().layouts == tuple(default_layouts())
+
+    @pytest.mark.parametrize("layouts", [(), (KeyboardLayout(name="q", neighbors={}),)],
+                             ids=["none", "no-key"])
+    def test_layouts_without_a_key_rejected(self, layouts):
+        with pytest.raises(ValueError, match="layouts must map at least one key"):
+            NoiseConfig(layouts=layouts)
+
 
 class TestApplyOp:
     def test_swap_deterministic(self, noise_config):
@@ -150,6 +159,38 @@ class TestApplyOp:
                     continue
                 assert out.startswith("##")
                 assert levenshtein("kettle", out[2:]) <= 2
+
+    def test_mistype_off_layout_character_becomes_a_layout_key(self, noise_config):
+        keys = set(noise_config.layouts[0].neighbors)
+        for seed in range(50):
+            out = apply_op("12345", "mistype", random.Random(seed), noise_config)
+            diffs = [i for i in range(5) if out[i] != "12345"[i]]
+            assert len(diffs) == 1 and out[diffs[0]] in keys
+
+    def test_swap_changes_a_token_with_one_differing_pair(self, noise_config):
+        # 1 of the 8 adjacent pairs differs, so a cap on the draws would give up on some seeds
+        for seed in range(2000):
+            out = apply_op("aaaaaaaab", "swap", random.Random(seed), noise_config)
+            assert out == "aaaaaaaba"
+
+    def test_swap_of_one_repeated_character_raises(self, noise_config):
+        with pytest.raises(NoiseError, match="every character of the token is the same"):
+            apply_op("aaaaa", "swap", random.Random(0), noise_config)
+
+    @pytest.mark.parametrize("token", ["aaaaaaaab", "abcde", "aabbaabb", "Window"])
+    def test_swap_draws_match_a_sixteen_draw_cap_where_it_succeeds(self, token, noise_config):
+        def capped(body, rng):
+            for _ in range(16):
+                pos = rng.randrange(len(body) - 1)
+                if body[pos] != body[pos + 1]:
+                    return body[:pos] + body[pos + 1] + body[pos] + body[pos + 2:]
+            return None
+        for seed in range(500):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            want = capped(token, ref_rng)
+            if want is not None:
+                assert apply_op(token, "swap", rng, noise_config) == want
+                assert rng.getstate() == ref_rng.getstate()
 
     def test_toggle_caseless_raises(self, noise_config):
         with pytest.raises(NoiseError):

@@ -104,6 +104,15 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match="text table has data after its 3 rows"):
             load_table(path)
 
+    @pytest.mark.parametrize("name, data", [
+        ("table.txt", b"0 3\n"),
+        ("table.embt", b"EMBT" + (0).to_bytes(4, "little") + (3).to_bytes(4, "little")),
+    ], ids=["text", "binary"])
+    def test_table_of_no_rows_rejected(self, tmp_path, name, data):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ValueError, match=r"at least one row, got \(0, 3\)"):
+            load_table(tmp_path / name)
+
     def test_binary_round_trip(self, toy_table, tmp_path):
         path = tmp_path / "table.embt"
         save_table_binary(path, toy_table)
