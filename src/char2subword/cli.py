@@ -6,10 +6,12 @@ Every usage error is one `error:` line and exit 2, reported before any input
 file is read. Required: --vocab (all but noise and params); --table
 (simulate, pretrain, eval, neighbors, embed); --checkpoint (pretrain, eval,
 neighbors, attn); --seed (simulate, pretrain, noise); and embed's sentence
-or --file, not both. embed needs --checkpoint unless --mode table_only, and
-params needs --vocab or --checkpoint. simulate takes the noise flags
-(--p-noise, --min-length, --ops, --layouts) only with --noise. A --layouts JSON
-file replaces NoiseConfig's default layouts, the built-in QWERTY one.
+or --file, not both. embed needs --checkpoint unless --mode table_only.
+params needs --vocab or --checkpoint, and takes the model flags (--d-char,
+--n-layers, --n-heads, --max-chars, --d-out) only without --checkpoint.
+simulate takes the noise flags (--p-noise, --min-length, --ops, --layouts)
+only with --noise. A --layouts JSON file replaces NoiseConfig's default
+layouts, the built-in QWERTY one.
 A given --checkpoint is always read and checked, even by embed --mode table_only.
 A JSON config file (--config, schema version 1) is an object whose keys are
 the command's own flags, spelled with `_` for `-`: `n` is -n, `noise: true`
@@ -33,6 +35,9 @@ from .training import TrainConfig, TrainingError
 from .vocab import build_alphabet, check_word, load_vocabulary
 
 CONFIG_VERSION = 1
+# the model flags' defaults; --d-out (params only) defaults to the mBERT table width
+_MODEL_DEFAULTS = {"d_char": 16, "n_layers": 2, "n_heads": 2,
+                   "max_chars": model_mod.ModelConfig.max_chars, "d_out": 768}
 _SWITCHES = {"noise": (True, "--noise"), "full_word": (False, "--subword")}
 
 
@@ -268,7 +273,13 @@ def cmd_attn(args):
 def cmd_params(args):
     if not (args.vocab or args.checkpoint):
         raise CliError("params requires --vocab or --checkpoint")
-    config = None if args.checkpoint else _model_config(args, args.d_out)
+    shape = {dest: getattr(args, dest) for dest in _MODEL_DEFAULTS
+             if getattr(args, dest) is not None}
+    if shape and args.checkpoint:
+        given = ", ".join("--" + dest.replace("_", "-") for dest in shape)
+        raise CliError(f"params takes {given} only without --checkpoint, "
+                       "which fixes the model")
+    config = None if args.checkpoint else model_mod.ModelConfig(**{**_MODEL_DEFAULTS, **shape})
     _, alphabet, _, params = _load_inputs(args)
     module = (model_mod.param_count(config, len(alphabet)) if params is None
               else model_mod.param_count(params.config, params.alphabet_size))
@@ -298,11 +309,11 @@ def build_parser():
         for flag in flags:
             p.add_argument(f"--{flag}", required=flag not in optional, **inputs[flag])
 
-    def model_flags(p):
-        p.add_argument("--d-char", type=int, default=16)
-        p.add_argument("--n-layers", type=int, default=2)
-        p.add_argument("--n-heads", type=int, default=2)
-        p.add_argument("--max-chars", type=int, default=model_mod.ModelConfig.max_chars)
+    def model_flags(p, *dests, defaults=True):
+        """One int flag per dest; with no defaults, a flag not given stays None."""
+        for dest in dests:
+            p.add_argument("--" + dest.replace("_", "-"), type=int,
+                           default=_MODEL_DEFAULTS[dest] if defaults else None)
 
     def train_flags(p):
         p.add_argument("--epochs", type=int, default=100)
@@ -317,7 +328,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="train the module to mimic the table")
     common(p, "vocab", "table", "seed")
-    model_flags(p)
+    model_flags(p, "d_char", "n_layers", "n_heads", "max_chars")
     train_flags(p)
     noise_flags(p)
     p.add_argument("--noise", action="store_true", help="enable noise augmentation")
@@ -382,8 +393,7 @@ def build_parser():
 
     p = sub.add_parser("params", help="module vs table parameter accounting")
     common(p, "vocab", "checkpoint", optional=("vocab", "checkpoint"))
-    model_flags(p)
-    p.add_argument("--d-out", type=int, default=768)
+    model_flags(p, *_MODEL_DEFAULTS, defaults=False)  # filled in only without --checkpoint
     p.add_argument("--table-v", type=int, default=119547)
     p.add_argument("--table-d", type=int, default=768)
     p.set_defaults(func=cmd_params)

@@ -206,8 +206,9 @@ def forward_batch(params, seqs):
     order. The layout rule: every row product's right operand is
     C-contiguous, so for K <= 384 (d_char <= 96) OpenBLAS gives a row the
     same bits at any row count. Padded keys get -inf before every softmax,
-    which sums keys in order down a non-contiguous axis, so a padded key
-    adds an exact 0 after the real ones; padded slots get -inf before the
+    which sums keys in order down the leading axis of a keys-first copy of
+    the (B, heads, keys, queries) scores, so a padded key adds an exact 0
+    after the real ones; padded slots get -inf before the
     max-pool (a pass with no padding skips both masks: adding 0.0 changes no
     bit). So at d_char <= 96 each embedding has the bits of the fully padded
     pass, and at d_head <= 24 also those of its one-word forward(), in any

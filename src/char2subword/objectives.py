@@ -256,7 +256,8 @@ def scan_table(e_table, vecs, n, argmax=True):
     argmax, merged in column order. Across a row block's tiles the caller keeps each
     row's top-n cosines so far: their least is a floor that cannot exceed the row's
     final n-th, so candidates below it are dropped. The survivors are sorted once per
-    row block. n must be in 1..|V|."""
+    row block, stably on (row, -cosine): within a row they arrive in ascending column
+    order, so ties keep ascending ids. n must be in 1..|V|."""
     if not 1 <= n <= e_table.size:
         raise ValueError(f"cannot rank the top {n} neighbors of {e_table.size} table rows; "
                          f"need n >= 1 and n <= {e_table.size}")
@@ -300,7 +301,7 @@ def scan_table(e_table, vecs, n, argmax=True):
             r, c, v = (np.concatenate(part) for part in zip(*cand))
             keep = v >= floor[r]  # the floor may have risen since a candidate was kept
             r, c, v = r[keep], c[keep], v[keep]
-        order = np.lexsort((c, -v, r))  # the row block's last tile: one sort
+        order = np.lexsort((-v, r))  # the row block's last tile: one stable sort
         r, c, v = r[order], c[order], v[order]
         first = np.arange(len(r)) - np.searchsorted(r, r) < n  # the first n of each row
         ids[blk] = c[first].reshape(-1, n)

@@ -544,6 +544,15 @@ class TestParams:
             outs.append(capsys.readouterr().out)
         assert "(21 x 8): 168" in outs[0] and outs[0] == outs[1]
 
+    def test_model_flags_from_config_match_flags(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"d_char": 8, "n_layers": 1, "n_heads": 1, "d_out": 16}))
+        outs = []
+        for extra in ([], ["--d-char", "8", "--n-layers", "1", "--n-heads", "1", "--d-out", "16"],
+                      ["--config", str(cfg)]):
+            assert main(["params", "--vocab", str(workdir / "vocab.txt"), *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[2] != outs[0]
 
     def test_odd_d_char_exit_2(self, workdir, capsys):
         rc = main(["params", "--vocab", str(workdir / "vocab.txt"),
@@ -709,6 +718,9 @@ class TestUsageErrors:
         (["neighbors", *INPUTS, "apple", "-n", "0"], "neighbors -n must be >= 1, got 0"),
         (["params", "--vocab", "v.txt", "--d-char", "7"], "d_char (7) must be even"),
         (["params", "--vocab", "v.txt", "--n-heads", "0"], "got {'n_heads': 0}"),
+        # the checkpoint fixes the model: its shape flags are refused, not ignored
+        (["params", "--checkpoint", "m.c2sw", "--d-char", "7", "--n-layers", "9",
+          "--d-out", "3"], "params takes --d-char, --n-layers, --d-out only without --checkpoint"),
     ], ids=["simulate-seed", "pretrain-seed", "noise-seed", "pretrain-checkpoint",
             "eval-checkpoint", "neighbors-checkpoint", "attn-checkpoint", "stats-vocab",
             "embed-full-checkpoint", "embed-sentence-and-file", "embed-no-text",
@@ -716,7 +728,7 @@ class TestUsageErrors:
             "simulate-lr", "simulate-batch-size", "simulate-epochs", "simulate-nbr-k",
             "simulate-d-char", "simulate-max-chars", "simulate-w-cos", "simulate-p-noise",
             "simulate-ops", "pretrain-lr", "eval-k", "neighbors-n", "params-d-char",
-            "params-n-heads"])
+            "params-n-heads", "params-model-flags-with-checkpoint"])
     def test_missing_flag_named_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
         # no path exists, so a check made after loading would name a missing file
         rc = main([str(tmp_path / a) if a.endswith((".txt", ".c2sw")) else a for a in argv])

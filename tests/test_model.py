@@ -481,6 +481,23 @@ class TestPackedMatchesPadded:
                     scale = np.abs(view_grads[name]).max()
                     assert np.abs(grad - view_grads[name]).max() <= 1e-12 * scale, (kind, name)
 
+    def test_seventeen_keys_match_padded_pass_and_lone_words(self):
+        # n = 17 keys, wider than numpy's 8-lane pairwise block: the softmax still
+        # sums keys in order, so the padded keys of shorter words add exact zeros
+        rng = np.random.default_rng(55)
+        seqs = [tuple(rng.integers(2, 20, size=n)) for n in (17, 3, 9, 16, 1, 12)]
+        cfg = M.ModelConfig(d_char=16, d_out=16, n_layers=2, n_heads=2, max_chars=17)
+        p = M.init_params(cfg, 20, seed=55)
+        emb, cache = M.forward_batch(p, seqs)
+        assert cache["ids"].shape[1] == 17 and cache["rows"] is not None
+        assert emb.tobytes() == reference.forward_batch(p, seqs)[0].tobytes()
+        for row, seq in enumerate(seqs):
+            n = len(seq)
+            lone_emb, maps, _ = M.forward(p, seq)
+            assert emb[row].tobytes() == lone_emb.tobytes()
+            for layer, lone_maps in zip(cache["layers"], maps):
+                assert layer["a"][row, :, :n, :n].tobytes() == np.stack(lone_maps).tobytes()
+
     def test_rows_are_the_real_positions(self, tiny_config):
         p = M.init_params(tiny_config, 20, seed=52)
         _, cases = packed_cases()

@@ -52,7 +52,9 @@ class TestSoftmaxDownKeys:
             total = total + term
         return np.stack([term / total for term in e], axis=-2)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 2, 9, 4), (2, 3, 29, 17), (64, 3)])
+    # (3, 2, 17, 5) and (2, 2, 33, 4): more keys than numpy's 8-lane pairwise block
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (3, 2, 9, 4), (2, 3, 29, 17), (64, 3),
+                                       (3, 2, 17, 5), (2, 2, 33, 4)])
     def test_equals_in_order_loop_and_ignores_padded_keys(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = 3.0 * rng.normal(size=shape)
@@ -63,6 +65,19 @@ class TestSoftmaxDownKeys:
             padded = softmax_rows(np.concatenate([x, pad], axis=-2), axis=-2)
             assert padded[..., :shape[-2], :].tobytes() == got.tobytes()
             assert not padded[..., shape[-2]:, :].any()
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (64, 3), (3, 2, 17, 5)])
+    def test_never_shares_memory_with_its_input(self, shape):
+        # axis 0 of a 2-D input is already leading and C-contiguous: the copy is
+        # still made, or the in-place steps would overwrite the caller's array
+        x = np.random.default_rng(6).normal(size=shape)
+        before = x.copy()
+        for axis in range(-x.ndim, x.ndim):
+            out = softmax_rows(x, axis=axis)
+            assert out.shape == x.shape
+            assert not np.shares_memory(out, x)
+            np.testing.assert_allclose(out.sum(axis=axis), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestLayerNorm:
