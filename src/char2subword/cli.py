@@ -88,10 +88,11 @@ def _parse_args(argv):
     unknown = sorted(key for key in flags if key == "config" or key not in vars(args))
     if unknown:
         raise CliError(f"{args.command} takes no config key(s) {unknown}")
-    for flag in ("--k", "-n", "--table-v", "--table-d"):  # counts, named before any file is read
-        value = getattr(args, flag.lstrip("-").replace("-", "_"), 1)
-        if value < 1:
-            raise CliError(f"{args.command} {flag} must be >= 1, got {value}")
+    for flag, least in (("--k", 1), ("-n", 1), ("--table-v", 1), ("--table-d", 1),
+                        ("--seed", 0)):  # counts and seeds, named before any file is read
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), least)
+        if value < least:
+            raise CliError(f"{args.command} {flag} must be >= {least}, got {value}")
     return args
 
 
@@ -301,7 +302,7 @@ def build_parser():
     inputs = {"vocab": {"help": "vocabulary file, one token per line"},
               "table": {"help": "embedding table file (text or EMBT binary)"},
               "checkpoint": {"help": "model checkpoint (C2SW binary)"},
-              "seed": {"type": int, "help": "random seed (no wall-clock default)"}}
+              "seed": {"type": int, "help": "random seed, >= 0 (no wall-clock default)"}}
 
     def common(p, *flags, optional=()):
         """--config, then each of `flags`, all required but the `optional` ones."""

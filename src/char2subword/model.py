@@ -156,8 +156,9 @@ def _layout(config, alphabet_size):
 
 
 def param_count(config, alphabet_size):
-    """Exact trainable-parameter total for the module."""
-    return _layout(config, alphabet_size)[-1][1].stop
+    """Exact trainable-parameter total: tensor_shapes' sizes, summed in closed form."""
+    d, dout = config.d_char, config.d_out
+    return alphabet_size * d + config.n_layers * (12 * d * d + 9 * d) + d * dout + 3 * dout
 
 
 def table_param_count(v, d):
@@ -208,12 +209,12 @@ def forward_batch(params, seqs):
     same bits at any row count. Padded keys get -inf before every softmax,
     which sums keys in order down the leading axis of a keys-first copy of
     the (B, heads, keys, queries) scores, so a padded key adds an exact 0
-    after the real ones; padded slots get -inf before the
-    max-pool (a pass with no padding skips both masks: adding 0.0 changes no
-    bit). So at d_char <= 96 each embedding has the bits of the fully padded
-    pass, and at d_head <= 24 also those of its one-word forward(), in any
-    batch. Beyond that it may move by about 2e-15: from d_head 32 attention
-    sums depend on n, and at d_char 128 g @ W2 (K = 512) on the row count.
+    after the real ones; padded slots get -inf before the max-pool. Every
+    pass applies both masks; a real key's bias is 0.0, which changes no bit.
+    So at d_char <= 96 each embedding has the bits of the fully padded pass,
+    and at d_head <= 24 also those of its one-word forward(), in any batch.
+    Beyond that it may move by about 2e-15: from d_head 32 attention sums
+    depend on n, and at d_char 128 g @ W2 (K = 512) on the row count.
     be is added after the pool over z = x @ We: fl(z + be) is monotone in z,
     so the bits are those of pooling z + be.
 
@@ -240,11 +241,10 @@ def forward_batch(params, seqs):
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s
     real = np.arange(n) < np.array(lengths)[:, None]
-    has_padding = positions < b * n
     rows = np.flatnonzero(real) if b * n - positions >= PACK_MIN_PADDING else None
 
     x = _rows(t["char_emb"][ids] + _pe_table(n, cfg.d_char), rows)
-    key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None] if has_padding else None
+    key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None]
 
     h, dh = cfg.n_heads, cfg.d_head
     scale = 1.0 / np.sqrt(cfg.d_char)
@@ -256,8 +256,7 @@ def forward_batch(params, seqs):
         q, k, v = qkv.reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
         scores = k @ q.swapaxes(-1, -2)  # (b, heads, keys, queries)
         scores *= scale
-        if has_padding:
-            scores += key_bias
+        scores += key_bias
         a = softmax_rows(scores, axis=-2).swapaxes(-1, -2)
         c = _rows((a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char), rows)
         xp = c @ t[f"L{j}.Wo"]
@@ -274,8 +273,7 @@ def forward_batch(params, seqs):
 
     x = _padded(x, rows, b, n)
     z = x @ t["We"]
-    if has_padding:
-        z[~real] = -np.inf
+    z[~real] = -np.inf
     pooled = z.max(axis=1)
     pooled += t["be"]
     emb, *ln_out = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
@@ -508,13 +506,13 @@ def load_checkpoint(path):
                          "always carry the ## marker")
     cfg = _header_config(header["config"])
     alphabet_size = N_RESERVED_CHARS + len(alphabet)
+    expected = 8 * param_count(cfg, alphabet_size)
+    if len(payload) != expected:  # first: the header's sizes then bound every loop below
+        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
+                         f"expected {expected} for its {expected // 8} parameters")
     if header["manifest"] != _manifest(cfg, alphabet_size, version):
         raise ValueError("checkpoint manifest does not match the tensors its config "
                          "and alphabet imply")
-    expected = 8 * param_count(cfg, alphabet_size)
-    if len(payload) != expected:
-        raise ValueError(f"checkpoint payload is {len(payload)} bytes, "
-                         f"expected {expected} for its {expected // 8} parameters")
     params = Char2SubwordParams(cfg, alphabet_size,
                                 np.frombuffer(payload, dtype="<f8").astype(np.float64))
     if version == 1:  # same offsets and sizes; only each Wqkv's order differs

@@ -21,15 +21,10 @@ __all__ = [
 def softmax_rows(m, axis=-1):
     """Softmax along `axis` (rows by default), stabilized by subtracting the maximum.
 
-    The last axis sums pairwise. Any other axis runs in place on one copy with that
-    axis first, as long contiguous loops that sum its terms in order, so a term of
-    exactly 0 (a key at -inf) changes no bit; the result is a view of that copy."""
+    Runs in place on one copy with that axis first, as long contiguous loops that
+    sum its terms in order, so a term of exactly 0 (a key at -inf) changes no bit;
+    the result is a view of that copy."""
     m = np.asarray(m, dtype=np.float64)
-    if axis in (-1, m.ndim - 1):
-        e = m - m.max(axis=axis, keepdims=True)
-        np.exp(e, out=e)
-        e /= e.sum(axis=axis, keepdims=True)
-        return e
     e = m.swapaxes(axis, 0).copy()  # a copy even where swapaxes is a no-op
     e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)

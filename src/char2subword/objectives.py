@@ -8,6 +8,7 @@ import collections
 import concurrent.futures
 import ctypes
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -181,13 +182,15 @@ def load_table(path):
             return EmbeddingTable(matrix=m)
     with open(path, encoding="utf-8") as fh:
         v, d = (int(x) for x in fh.readline().split())
-        rows = [np.array(fh.readline().split(), dtype=np.float64) for _ in range(v)]
+        rows = [np.array(ln.split(), dtype=np.float64) for ln in itertools.islice(fh, max(v, 0))]
+        if len(rows) != v:
+            raise ValueError(f"text table header says {v} rows but the file has {len(rows)}")
+        for line, row in enumerate(rows, start=2):
+            if row.shape != (d,):
+                raise ValueError(f"text table line {line} has {row.size} values, expected {d}")
         if fh.read().strip():
             raise ValueError(f"text table has data after its {v} rows")
-    m = np.stack(rows) if rows else np.empty((0, d))  # EmbeddingTable rejects no rows
-    if m.shape != (v, d):
-        raise ValueError(f"table header says {v}x{d} but data is {m.shape}")
-    return EmbeddingTable(matrix=m)
+    return EmbeddingTable(matrix=np.stack(rows) if rows else np.empty((0, d)))  # it refuses 0 rows
 
 
 @dataclass(frozen=True)
@@ -253,11 +256,11 @@ def scan_table(e_table, vecs, n, argmax=True):
     argmax of the raw product, lowest id on ties, shaped (Q,), or None if not `argmax`.
     Each tile keeps every column at or above its rows' n-th largest cosine, so ties at
     the cut survive, and returns its rows' top-n cosines and, if `argmax`, its own
-    argmax, merged in column order. Across a row block's tiles the caller keeps each
-    row's top-n cosines so far: their least is a floor that cannot exceed the row's
-    final n-th, so candidates below it are dropped. The survivors are sorted once per
-    row block, stably on (row, -cosine): within a row they arrive in ascending column
-    order, so ties keep ascending ids. n must be in 1..|V|."""
+    argmax, merged in column order. At a row block's last tile, one or many, each
+    row's n-th largest cosine is taken from one partition of its tiles' top-n cosines,
+    and the candidates at or above it are sorted once, stably on (row, -cosine):
+    within a row they arrive in ascending column order, so ties keep ascending ids.
+    n must be in 1..|V|."""
     if not 1 <= n <= e_table.size:
         raise ValueError(f"cannot rank the top {n} neighbors of {e_table.size} table rows; "
                          f"need n >= 1 and n <= {e_table.size}")
@@ -278,30 +281,26 @@ def scan_table(e_table, vecs, n, argmax=True):
         top = np.partition(s, cut, axis=1)[:, cut:]  # all columns if fewer than n
         flat = np.flatnonzero(s >= top[:, :1])  # faster than a 2-D np.nonzero
         r, c = np.divmod(flat, s.shape[1])
-        return j, peak, top.copy(), (r, c + cols.start, s.ravel()[flat])  # copied: frees s
+        return j, peak, top.copy(), r, c + cols.start, s.ravel()[flat]  # copied: frees s
 
     ids = np.empty((len(rows), n), dtype=np.int64)
     sims = np.empty(ids.shape)
     top1, best = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), -np.inf)
-    for blk, cols, (j, peak, top, (r, c, v)) in tiles(rows, e_table, scan):
+    block = []  # the row block's tiles so far: (top, r, c, v) each
+    for blk, cols, (j, peak, *found) in tiles(rows, e_table, scan):
         if argmax:
             win = peak > best[blk]  # columns ascend, so a tie keeps the lower id
             top1[blk] = np.where(win, j + cols.start, top1[blk])
             best[blk] = np.where(win, peak, best[blk])
-        if cols.start or cols.stop < e_table.size:  # one of a row block's several tiles
-            if not cols.start:
-                running, cand = np.full((len(ids[blk]), n), -np.inf), []
-            running = np.concatenate([running, top], axis=1)
-            running = np.partition(running, running.shape[1] - n, axis=1)[:, -n:]
-            floor = running[:, 0]  # the row's n-th largest cosine so far
-            keep = v >= floor[r]
-            cand.append((r[keep], c[keep], v[keep]))
-            if cols.stop < e_table.size:
-                continue
-            r, c, v = (np.concatenate(part) for part in zip(*cand))
-            keep = v >= floor[r]  # the floor may have risen since a candidate was kept
-            r, c, v = r[keep], c[keep], v[keep]
-        order = np.lexsort((-v, r))  # the row block's last tile: one stable sort
+        block.append(found)
+        if cols.stop < e_table.size:
+            continue
+        top, r, c, v = (np.concatenate(part, axis=-1) for part in zip(*block))
+        block = []
+        floor = np.partition(top, top.shape[1] - n, axis=1)[:, -n]  # each row's n-th cosine
+        keep = v >= floor[r]
+        r, c, v = r[keep], c[keep], v[keep]
+        order = np.lexsort((-v, r))  # one stable sort
         r, c, v = r[order], c[order], v[order]
         first = np.arange(len(r)) - np.searchsorted(r, r) < n  # the first n of each row
         ids[blk] = c[first].reshape(-1, n)

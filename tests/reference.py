@@ -6,10 +6,10 @@ no batching or tiling; `objectives.loss_and_grad` must agree with them to
 `evaluation.precision_at_k`. `finite_diff_gradient` checks hand-written
 gradients against central differences. `save_checkpoint_v1` is the writer of
 checkpoint version 1, which `model.load_checkpoint` still reads.
-`softmax_rows`, `layer_norm`, `layer_norm_backward`, `gelu` and `gelu_backward`
-are the plain numpy expressions of the `numerics` functions, which must give
-the same bytes. `pool_output` and its backward pass are the dense output layer
-that `model.forward_batch` pools before the bias to match, bit for bit.
+`layer_norm`, `layer_norm_backward`, `gelu` and `gelu_backward` are the plain
+numpy expressions of the `numerics` functions, which must give the same
+bytes. `pool_output` and its backward pass are the dense output layer that
+`model.forward_batch` pools before the bias to match, bit for bit.
 `forward_batch` and `backward_batch` are the encoder with every layer on
 padded (b, n, .) arrays, which the packed `model` versions must match byte
 for byte; `backward_batch` also runs with transposed-view operands, the
@@ -117,14 +117,6 @@ def combined_loss_gradient(target_id, e, e_hat, e_table, index, weights):
         grad += weights.l_nbr * acc / index.k
 
     return grad
-
-
-def softmax_rows(m):
-    """Row-wise softmax, stabilized by subtracting the row maximum."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

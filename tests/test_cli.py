@@ -712,6 +712,10 @@ class TestUsageErrors:
         (SIMULATE + ["--w-cos", "-1"], "nonnegative, got (-1.0, 1.0, 1.0, 1.0)"),
         (SIMULATE + ["--noise", "--p-noise", "2"], "p_noise must be in [0, 1], got 2.0"),
         (SIMULATE + ["--noise", "--ops", "typo"], "unknown noise operation(s): ['typo']"),
+        (SIMULATE + ["--seed=-1"], "simulate --seed must be >= 0, got -1"),
+        (["pretrain", *INPUTS, "--seed=-1", "--corpus", "c.txt", "--out", "x.c2sw"],
+         "pretrain --seed must be >= 0, got -1"),
+        (["noise", "c.txt", "--out", "n.txt", "--seed=-7"], "noise --seed must be >= 0, got -7"),
         (["pretrain", *INPUTS, "--seed", "0", "--corpus", "c.txt", "--out", "x.c2sw",
           "--lr", "-1"], "learning rate must be finite and > 0, got -1.0"),
         (["eval", *INPUTS, "--k", "0"], "eval --k must be >= 1, got 0"),
@@ -727,7 +731,8 @@ class TestUsageErrors:
             "params-vocab-or-checkpoint", "params-table-v-negative", "params-table-d-zero",
             "simulate-lr", "simulate-batch-size", "simulate-epochs", "simulate-nbr-k",
             "simulate-d-char", "simulate-max-chars", "simulate-w-cos", "simulate-p-noise",
-            "simulate-ops", "pretrain-lr", "eval-k", "neighbors-n", "params-d-char",
+            "simulate-ops", "simulate-seed-negative", "pretrain-seed-negative",
+            "noise-seed-negative", "pretrain-lr", "eval-k", "neighbors-n", "params-d-char",
             "params-n-heads", "params-model-flags-with-checkpoint"])
     def test_missing_flag_named_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
         # no path exists, so a check made after loading would name a missing file
@@ -773,6 +778,12 @@ class TestInputContracts:
         blob = json.dumps(header).encode("utf-8")
         ckpt.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + hlen:])
 
+    def test_checkpoint_header_of_a_billion_layers_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        self.rewrite_header(ckpt, lambda header: header["config"].update(n_layers=10 ** 9))
+        assert self.eval_rc(workdir, ckpt) == 2
+        assert "checkpoint payload is" in capsys.readouterr().err
+
     def test_checkpoint_header_without_manifest_exit_2(self, workdir, capsys):
         _, ckpt = simulate(workdir)
         self.rewrite_header(ckpt, lambda header: header.pop("manifest"))
@@ -813,6 +824,13 @@ class TestInputContracts:
             fh.write(" ".join(["1"] * 8) + "\n")
         assert self.eval_rc(workdir, ckpt) == 2
         assert "text table has data after its 21 rows" in capsys.readouterr().err
+
+    def test_text_table_shorter_than_its_header_exit_2(self, workdir, capsys):
+        _, ckpt = simulate(workdir)
+        lines = (workdir / "table.txt").read_text().splitlines()
+        (workdir / "short.txt").write_text(f"{10 ** 9} 8\n" + "\n".join(lines[1:3]) + "\n")
+        assert self.eval_rc(workdir, ckpt, table="short.txt") == 2
+        assert f"header says {10 ** 9} rows but the file has 2" in capsys.readouterr().err
 
     def test_non_finite_table_exit_2(self, workdir, capsys):
         _, ckpt = simulate(workdir)

@@ -2,11 +2,12 @@
 vocabularies and layouts.
 
 A checkpoint or table case starts from a saved file and truncates it at any
-offset, appends random bytes, or overwrites bytes of its header. A vocabulary
-case is arbitrary file bytes or lines; a layout case is arbitrary text or a
-JSON document shaped roughly like a layout. Loading must then raise ValueError
-(or a subclass) or return what the input describes, never raise another
-exception type.
+offset, appends random bytes, or overwrites bytes of its header; a checkpoint
+case may also set the config values that size its tensors to large integers.
+A vocabulary case is arbitrary file bytes or lines; a layout case is arbitrary
+text or a JSON document shaped roughly like a layout. Loading must then raise
+ValueError (or a subclass) or return what the input describes, never raise
+another exception type.
 """
 
 import json
@@ -39,6 +40,21 @@ def overwrite(data, at, new):
     return data[:at] + new + data[at + len(new):]
 
 
+def large_sizes(data):
+    """("sizes", bytes): the checkpoint `data` with one or more of the config
+    values that size its tensors set to large integers, the payload kept."""
+    hlen = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12:12 + hlen])
+
+    def rewrite(sizes):
+        blob = json.dumps(dict(header, config={**header["config"], **sizes})).encode("utf-8")
+        return "sizes", data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + hlen:]
+
+    big = st.one_of(st.sampled_from([10 ** 9, 2 ** 40]), st.integers(2 ** 20, 2 ** 62))
+    return st.dictionaries(st.sampled_from(["d_char", "d_out", "n_layers", "n_heads"]), big,
+                           min_size=1).map(rewrite)
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory, toy_vocab, toy_table, tiny_config):
     """A checkpoint in each version and an EMBT table on disk, with the
@@ -60,7 +76,8 @@ def fuzz_checkpoint(path, out):
     fuzzed = out / "fuzzed.c2sw"
 
     @FUZZ
-    @given(mutations(data, 12 + int.from_bytes(data[8:12], "little")))
+    @given(st.one_of(mutations(data, 12 + int.from_bytes(data[8:12], "little")),
+                     large_sizes(data)))
     def check(case):
         kind, mutated = case
         fuzzed.write_bytes(mutated)
@@ -68,7 +85,7 @@ def fuzz_checkpoint(path, out):
             params, chars, marker = M.load_checkpoint(fuzzed)
         except ValueError:
             return
-        # a cut or a tail always changes the payload length
+        # a cut or a tail always changes the payload length, as do large sizes
         assert kind == "over"
         # the header may name other valid values (ln_eps, characters), but
         # the payload is read as the same parameters

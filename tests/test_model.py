@@ -628,6 +628,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"{expected + 4} bytes, expected {expected}"):
             M.load_checkpoint(path)
 
+    @pytest.mark.parametrize("version, sizes", [(2, {"n_layers": 10 ** 9}),
+                                                (1, {"d_char": 2 ** 40, "n_heads": 2 ** 40})],
+                             ids=["layers", "v1-heads"])
+    def test_header_sizes_checked_before_anything_is_built(self, tiny_config, alphabet, tmp_path,
+                                                           version, sizes):
+        # a file of a few KB whose header sizes loops over 10^9 layers or 2^40 heads
+        path = saved_checkpoint(tiny_config, alphabet, tmp_path)
+        rewrite_header(path, lambda header: header["config"].update(sizes))
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
+        cached = M._layout.cache_info().currsize
+        with pytest.raises(ValueError, match="checkpoint payload is"):
+            M.load_checkpoint(path)
+        assert M._layout.cache_info().currsize == cached
+
     def test_manifest_must_match_config(self, tiny_config, alphabet, tmp_path):
         path = saved_checkpoint(tiny_config, alphabet, tmp_path)
 
@@ -665,7 +680,7 @@ class TestCheckpoint:
         (lambda h: dict(h, alphabet="abc"), "alphabet must be a list"),
         (lambda h: dict(h, marker_on_full_words=None), "marker_on_full_words"),
         (lambda h: dict(h, marker_on_full_words=False), "marker_on_full_words must be true"),
-        (lambda h: dict(h, alphabet=h["alphabet"][:-1]), "manifest"),
+        (lambda h: dict(h, alphabet=h["alphabet"][:-1]), "checkpoint payload is"),
         (lambda h: dict(h, manifest={"char_emb": 1}), "manifest"),
     ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker", "extra-key",
             "config-not-object", "config-key-missing", "config-key-unknown", "str-count",

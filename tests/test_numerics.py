@@ -38,7 +38,8 @@ class TestSoftmaxRows:
 
 class TestSoftmaxDownKeys:
     """softmax_rows(x, axis=-2) on (..., keys, queries) sums keys in order, so
-    padded keys at -inf change no bit of the real ones."""
+    padded keys at -inf change no bit of the real ones; so does the default
+    axis -1 on (..., queries, keys)."""
 
     @staticmethod
     def in_order(x):
@@ -58,13 +59,16 @@ class TestSoftmaxDownKeys:
     def test_equals_in_order_loop_and_ignores_padded_keys(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = 3.0 * rng.normal(size=shape)
-        got = softmax_rows(x, axis=-2)
-        assert got.tobytes() == self.in_order(x).tobytes()
-        for extra in (1, 7, 40):
-            pad = np.full((*shape[:-2], extra, shape[-1]), -np.inf)
-            padded = softmax_rows(np.concatenate([x, pad], axis=-2), axis=-2)
-            assert padded[..., :shape[-2], :].tobytes() == got.tobytes()
-            assert not padded[..., shape[-2]:, :].any()
+        for axis in (-2, -1):  # keys down axis -2, then along the default, the last axis
+            keys = x.swapaxes(axis, -2)  # as in_order takes them
+            got = softmax_rows(x, axis=axis).swapaxes(axis, -2)
+            assert got.tobytes() == self.in_order(keys).tobytes()
+            for extra in (1, 7, 40):
+                pad = np.full((*keys.shape[:-2], extra, keys.shape[-1]), -np.inf)
+                padded = softmax_rows(np.concatenate([keys, pad], axis=-2).swapaxes(-2, axis),
+                                      axis=axis).swapaxes(axis, -2)
+                assert padded[..., :keys.shape[-2], :].tobytes() == got.tobytes()
+                assert not padded[..., keys.shape[-2]:, :].any()
 
     @pytest.mark.parametrize("shape", [(5,), (2, 5), (64, 3), (3, 2, 17, 5)])
     def test_never_shares_memory_with_its_input(self, shape):
@@ -136,10 +140,11 @@ class TestGelu:
 
 
 class TestSameBytesAsReference:
-    """softmax_rows, layer_norm, gelu and their backward passes work in place and
-    call numpy's reductions directly, yet give the bytes of reference.py's plain
-    expressions; the backward passes, fed the terms their forward handed back,
-    give the reference's bytes computed from x."""
+    """layer_norm, gelu and their backward passes work in place and call numpy's
+    reductions directly, yet give the bytes of reference.py's plain expressions;
+    the backward passes, fed the terms their forward handed back, give the
+    reference's bytes computed from x. softmax_rows, which also works in place,
+    leaves its input alone too."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(lead=st.lists(st.integers(1, 4), max_size=2), width=st.integers(1, 768),
@@ -152,8 +157,7 @@ class TestSameBytesAsReference:
         eps = float(rng.choice([1e-12, 1e-5, 1.0]))
         out, d, sigma = layer_norm(x, gain, bias, eps)
         g, cdf = gelu(x)
-        pairs = [(softmax_rows(x), reference.softmax_rows(x)),
-                 (out, reference.layer_norm(x, gain, bias, eps)),
+        pairs = [(out, reference.layer_norm(x, gain, bias, eps)),
                  *zip(layer_norm_backward(d, sigma, gain, up),
                       reference.layer_norm_backward(x, gain, eps, up)),
                  (g, reference.gelu(x)),

@@ -104,6 +104,21 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match="text table has data after its 3 rows"):
             load_table(path)
 
+    def test_text_rows_stop_at_end_of_file(self, tmp_path):
+        # the loader reads no further than the file, whatever row count its header claims
+        path = tmp_path / "table.txt"
+        path.write_text("1000000000 3\n1 2 3\n4 5 6\n")
+        with pytest.raises(ValueError, match="header says 1000000000 rows but the file has 2"):
+            load_table(path)
+
+    @pytest.mark.parametrize("rows, line", [("1 2 3\n4 5\n", 3), ("1 2 3\n\n4 5 6\n", 3),
+                                            ("1 2 3 4\n4 5 6\n", 2)])
+    def test_text_row_of_wrong_width_names_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "table.txt"
+        path.write_text("2 3\n" + rows)
+        with pytest.raises(ValueError, match=f"text table line {line} has .* values, expected 3"):
+            load_table(path)
+
     @pytest.mark.parametrize("name, data", [
         ("table.txt", b"0 3\n"),
         ("table.embt", b"EMBT" + (0).to_bytes(4, "little") + (3).to_bytes(4, "little")),
@@ -838,8 +853,8 @@ class TestRankNeighbors:
     def test_floor_keeps_ties_from_earlier_column_tiles(self, monkeypatch, tile_log, n):
         # three directions whose cosines to q[0] tie exactly at any power-of-two scale:
         # A (6 rows, in tile 1) > B (17 rows, in every tile) > C. Tile 1's 7th is B's
-        # cosine, so from there a row's floor is the 7th place itself, and B's lowest
-        # id, 3, is the 7th neighbor although tile 0 was scanned before the floor rose
+        # cosine, so the row's floor is the 7th place itself, and B's lowest id, 3,
+        # is the 7th neighbor: the floor keeps the ties that tile 0 found
         a, b, c = [4.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 2.0, 0.0]
         dirs = [c, c, c, b, c, c, c, c, c, c] + [a] * 6 + [b] * 16 + [c] * 8
         scale = 2.0 ** np.random.default_rng(20).integers(0, 3, size=(40, 1))
