@@ -32,12 +32,8 @@ CHECKPOINT_VERSION = 2
 # holds for backward (about 5 KB per slot at d_char 16, 2 layers, or less
 # where the position-wise arrays hold only the real positions).
 PASS_POSITIONS = 256
-# Padded slots from which a pass runs its position-wise steps on its real
-# positions only. Below it the scatters and gathers cost more than the padded
-# rows save (at d_char 16, passes of 30-250 slots with 2-8 of them padded
-# ran up to 7% slower packed), so the pass runs every slot as a row. Being
-# at least 2, it also keeps a lone one-character sequence off a one-row matmul.
-PACK_MIN_PADDING = 16
+# The epsilon of every encoder LayerNorm; checkpoints store it as a fixed value.
+LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,6 @@ class ModelConfig:
     n_layers: int
     n_heads: int
     max_chars: int = MAX_CHARS
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         bad = {name: getattr(self, name) for name in ("d_char", "d_out", "n_heads", "max_chars")
@@ -63,8 +58,6 @@ class ModelConfig:
             raise ValueError(
                 f"d_char ({self.d_char}) must be divisible by n_heads ({self.n_heads})"
             )
-        if not 0 < self.ln_eps < float("inf"):  # also rejects NaN
-            raise ValueError("ln_eps must be finite and > 0")
 
     @property
     def d_head(self):
@@ -197,24 +190,24 @@ def forward_batch(params, seqs):
 
     Sequences are padded to n = max(2, longest) slots. The position-wise
     steps (LayerNorm, the QKV, Wo, W1 and W2 products, GELU and the residual
-    adds) run on one (R, d_char) matrix of rows. In a pass with at least
-    PACK_MIN_PADDING padded slots the rows are its R real positions, word by
-    word, and attention and the output layer, which run on padded (B, n, .)
-    arrays, reach them through one flat index of the real slots. Any other
-    pass, one with no padding included, runs all R = B * n slots as rows and
-    scatters and gathers nothing; so a lone one-character sequence never
-    meets a one-row matmul, which BLAS would run as gemv, summing in another
-    order. The layout rule: every row product's right operand is
-    C-contiguous, so for K <= 384 (d_char <= 96) OpenBLAS gives a row the
-    same bits at any row count. Padded keys get -inf before every softmax,
-    which sums keys in order down the leading axis of a keys-first copy of
-    the (B, heads, keys, queries) scores, so a padded key adds an exact 0
-    after the real ones; padded slots get -inf before the max-pool. Every
-    pass applies both masks; a real key's bias is 0.0, which changes no bit.
-    So at d_char <= 96 each embedding has the bits of the fully padded pass,
-    and at d_head <= 24 also those of its one-word forward(), in any batch.
-    Beyond that it may move by about 2e-15: from d_head 32 attention sums
-    depend on n, and at d_char 128 g @ W2 (K = 512) on the row count.
+    adds) run on one (R, d_char) matrix of rows. In a pass with a padded slot
+    and at least two real positions the rows are its R real positions, word
+    by word, and attention and the output layer, which run on padded
+    (B, n, .) arrays, reach them through one flat index of the real slots. A
+    pass with no padding, or with one real position (a lone one-character
+    sequence), runs all R = B * n slots as rows and scatters and gathers
+    nothing; so no pass meets a one-row matmul, which BLAS would run as
+    gemv, summing in another order. The layout rule: every row product's
+    right operand is C-contiguous, so for K <= 384 (d_char <= 96) OpenBLAS
+    gives a row the same bits at any row count. Padded keys get -inf before
+    every softmax, which sums keys in order down the leading axis of a
+    keys-first copy of the (B, heads, keys, queries) scores, so a padded key
+    adds an exact 0 after the real ones; padded slots get -inf before the
+    max-pool. Every pass applies both masks; a real key's bias is 0.0, which
+    changes no bit. So at d_char <= 96 each embedding has the bits of the fully
+    padded pass, and at d_head <= 24 also those of its one-word forward(), in
+    any batch. Beyond that it may move by about 2e-15: from d_head 32 attention
+    sums depend on n, and at d_char 128 g @ W2 (K = 512) on the row count.
     be is added after the pool over z = x @ We: fl(z + be) is monotone in z,
     so the bits are those of pooling z + be.
 
@@ -241,7 +234,7 @@ def forward_batch(params, seqs):
     for row, s in enumerate(seqs):
         ids[row, :len(s)] = s
     real = np.arange(n) < np.array(lengths)[:, None]
-    rows = np.flatnonzero(real) if b * n - positions >= PACK_MIN_PADDING else None
+    rows = np.flatnonzero(real) if 1 < positions < b * n else None
 
     x = _rows(t["char_emb"][ids] + _pe_table(n, cfg.d_char), rows)
     key_bias = np.where(real, 0.0, -np.inf)[:, None, :, None]
@@ -250,7 +243,7 @@ def forward_batch(params, seqs):
     scale = 1.0 / np.sqrt(cfg.d_char)
     layers = []
     for j in range(cfg.n_layers):
-        xb, *ln1 = layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
+        xb, *ln1 = layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], LN_EPS)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
         qkv = _padded(xb @ t[f"L{j}.Wqkv"], rows, b, n)
         q, k, v = qkv.reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
@@ -261,7 +254,7 @@ def forward_batch(params, seqs):
         c = _rows((a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char), rows)
         xp = c @ t[f"L{j}.Wo"]
         xp += xb
-        xbp, *ln2 = layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
+        xbp, *ln2 = layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], LN_EPS)
         u = xbp @ t[f"L{j}.W1"]
         u += t[f"L{j}.b1"]
         g, cdf = gelu(u)
@@ -276,7 +269,7 @@ def forward_batch(params, seqs):
     z[~real] = -np.inf
     pooled = z.max(axis=1)
     pooled += t["be"]
-    emb, *ln_out = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+    emb, *ln_out = layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], LN_EPS)
 
     cache = {"seqs": list(seqs), "ids": ids, "rows": rows, "layers": layers, "x_final": x,
              "z": z, "pooled": pooled, "ln_out": ln_out}
@@ -433,7 +426,7 @@ def save_checkpoint(path, params, alphabet):
         "config": {
             "d_char": cfg.d_char, "d_out": cfg.d_out,
             "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-            "max_chars": cfg.max_chars, "ln_eps": cfg.ln_eps,
+            "max_chars": cfg.max_chars, "ln_eps": LN_EPS,
             "standard_preln": False,
         },
         "alphabet": list(alphabet.chars),
@@ -468,6 +461,10 @@ def _header_config(config):
     if config.pop("standard_preln"):
         raise ValueError("checkpoint uses the standard pre-LN residual, "
                          "which this version does not implement")
+    eps = config.pop("ln_eps")
+    if eps != LN_EPS:
+        raise ValueError(f"checkpoint ln_eps is {eps!r}; this version uses the fixed "
+                         f"LayerNorm epsilon {LN_EPS!r}")
     return ModelConfig(**config)
 
 
@@ -499,8 +496,15 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint header must be a JSON object with exactly the keys "
                          f"{sorted(_HEADER_KEYS)}")
     alphabet, marker = header["alphabet"], header["marker_on_full_words"]
-    if not (isinstance(alphabet, list) and all(isinstance(c, str) for c in alphabet)):
-        raise ValueError("checkpoint alphabet must be a list of strings")
+    if not isinstance(alphabet, list):
+        raise ValueError("checkpoint alphabet must be a list of distinct single characters")
+    seen = set()
+    for c in alphabet:
+        if not (isinstance(c, str) and len(c) == 1):
+            raise ValueError(f"checkpoint alphabet entry {c!r} is not a single character")
+        if c in seen:
+            raise ValueError(f"checkpoint alphabet entry {c!r} is a duplicate")
+        seen.add(c)
     if marker is not True:
         raise ValueError("checkpoint marker_on_full_words must be true: full words "
                          "always carry the ## marker")

@@ -31,6 +31,12 @@ class KeyboardLayout:
 
     def __post_init__(self):
         for ch, nbrs in self.neighbors.items():
+            if not (isinstance(ch, str) and len(ch) == 1):
+                raise LayoutError(f"layout {self.name!r}: key {ch!r} is not a single character")
+            if not isinstance(nbrs, list) or not all(isinstance(c, str) and len(c) == 1
+                                                     for c in nbrs):
+                raise LayoutError(f"layout {self.name!r}: key {ch!r} needs a list of single "
+                                  f"characters, got {nbrs!r}")
             if not nbrs:
                 raise LayoutError(f"layout {self.name!r}: key {ch!r} has no neighbors")
             if ch in nbrs:
@@ -70,14 +76,7 @@ def load_layouts(source):
     for name, mapping in doc.items():
         if not isinstance(mapping, dict):
             raise LayoutError(f"layout {name!r}: expected an object of key -> neighbor list")
-        for key, nbrs in mapping.items():
-            if len(key) != 1:
-                raise LayoutError(f"layout {name!r}: key {key!r} is not a single character")
-            if not isinstance(nbrs, list) or not all(isinstance(c, str) and len(c) == 1
-                                                     for c in nbrs):
-                raise LayoutError(f"layout {name!r}: key {key!r} needs a list of single "
-                                  f"characters, got {nbrs!r}")
-        layouts.append(KeyboardLayout(name=name, neighbors={k: list(v) for k, v in mapping.items()}))
+        layouts.append(KeyboardLayout(name=name, neighbors=mapping))
     return layouts
 
 

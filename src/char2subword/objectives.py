@@ -181,16 +181,30 @@ def load_table(path):
             _over_row_chunks(v, d, fill)
             return EmbeddingTable(matrix=m)
     with open(path, encoding="utf-8") as fh:
-        v, d = (int(x) for x in fh.readline().split())
-        rows = [np.array(ln.split(), dtype=np.float64) for ln in itertools.islice(fh, max(v, 0))]
+        header = fh.readline()
+        try:
+            v, d = (int(x) for x in header.split())
+        except ValueError:
+            raise ValueError(f"text table line 1 must be two integers \"v d\", "
+                             f"got {header.strip()!r}") from None
+        rows = [_text_row(ln, line, d)
+                for line, ln in enumerate(itertools.islice(fh, max(v, 0)), start=2)]
         if len(rows) != v:
             raise ValueError(f"text table header says {v} rows but the file has {len(rows)}")
-        for line, row in enumerate(rows, start=2):
-            if row.shape != (d,):
-                raise ValueError(f"text table line {line} has {row.size} values, expected {d}")
         if fh.read().strip():
             raise ValueError(f"text table has data after its {v} rows")
     return EmbeddingTable(matrix=np.stack(rows) if rows else np.empty((0, d)))  # it refuses 0 rows
+
+
+def _text_row(text, line, d):
+    """The d float64 values on line `line` of a text table."""
+    try:
+        row = np.array(text.split(), dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"text table line {line}: {exc}") from None
+    if row.shape != (d,):
+        raise ValueError(f"text table line {line} has {row.size} values, expected {d}")
+    return row
 
 
 @dataclass(frozen=True)

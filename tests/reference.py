@@ -239,7 +239,7 @@ def save_checkpoint_v1(path, params, alphabet):
         "config": {
             "d_char": cfg.d_char, "d_out": cfg.d_out,
             "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-            "max_chars": cfg.max_chars, "ln_eps": cfg.ln_eps,
+            "max_chars": cfg.max_chars, "ln_eps": model.LN_EPS,
             "standard_preln": False,
         },
         "alphabet": list(alphabet.chars),
@@ -340,7 +340,7 @@ def forward_batch(params, seqs):
     scale = 1.0 / np.sqrt(cfg.d_char)
     layers = []
     for j in range(cfg.n_layers):
-        xb, *ln1 = numerics.layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], cfg.ln_eps)
+        xb, *ln1 = numerics.layer_norm(x, t[f"L{j}.ln1.g"], t[f"L{j}.ln1.b"], model.LN_EPS)
         # (b, n, 3d) -> q, k, v of shape (b, heads, n, d_head)
         q, k, v = (xb @ t[f"L{j}.Wqkv"]).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4)
         scores = k @ q.swapaxes(-1, -2)  # (b, heads, keys, queries)
@@ -350,7 +350,7 @@ def forward_batch(params, seqs):
         c = (a @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.d_char)
         xp = c @ t[f"L{j}.Wo"]
         xp += xb
-        xbp, *ln2 = numerics.layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], cfg.ln_eps)
+        xbp, *ln2 = numerics.layer_norm(xp, t[f"L{j}.ln2.g"], t[f"L{j}.ln2.b"], model.LN_EPS)
         u = xbp @ t[f"L{j}.W1"]
         u += t[f"L{j}.b1"]
         g, cdf = numerics.gelu(u)
@@ -364,7 +364,7 @@ def forward_batch(params, seqs):
     z[~real] = -np.inf
     pooled = z.max(axis=1)
     pooled += t["be"]
-    emb, *ln_out = numerics.layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+    emb, *ln_out = numerics.layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], model.LN_EPS)
 
     cache = {"seqs": list(seqs), "ids": ids, "layers": layers, "x_final": x,
              "z": z, "pooled": pooled, "ln_out": ln_out}

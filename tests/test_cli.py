@@ -796,6 +796,32 @@ class TestInputContracts:
         assert self.eval_rc(workdir, ckpt) == 2
         assert "marker_on_full_words must be true" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda chars: ["#x", *chars[1:]], "checkpoint alphabet entry '#x' is not a single"),
+        (lambda chars: [chars[1], *chars[1:]], "is a duplicate"),
+    ], ids=["long-entry", "duplicate"])
+    def test_checkpoint_alphabet_not_distinct_characters_exit_2(self, workdir, capsys,
+                                                                edit, message):
+        _, ckpt = simulate(workdir)
+        capsys.readouterr()  # discard training progress line
+        self.rewrite_header(ckpt, lambda header: header.update(alphabet=edit(header["alphabet"])))
+        assert main(["params", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line, edit", [
+        (1, lambda lines: ["21"] + lines[1:]),
+        (4, lambda lines: lines[:3] + [" ".join(["x"] * 8)] + lines[4:]),
+    ], ids=["header", "row"])
+    def test_text_table_line_not_numbers_exit_2(self, workdir, capsys, line, edit):
+        _, ckpt = simulate(workdir)
+        capsys.readouterr()  # discard training progress line
+        lines = (workdir / "table.txt").read_text().splitlines()
+        (workdir / "bad.txt").write_text("\n".join(edit(lines)) + "\n")
+        assert self.eval_rc(workdir, ckpt, table="bad.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: text table line {line}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("edit, got", [(lambda b: b + b"junkjunk", 8 * 21 * 4 + 8),
                                            (lambda b: b[:-8], 8 * 21 * 4 - 8)],
                              ids=["trailing", "short"])

@@ -123,7 +123,7 @@ class TestForward:
         t = p.tensors
         x = np.stack([t["char_emb"][seq[0]] + sinusoidal_pe(0, 4),
                       t["char_emb"][seq[1]] + sinusoidal_pe(1, 4)])
-        xb = layer_norm(x, t["L0.ln1.g"], t["L0.ln1.b"], cfg.ln_eps)
+        xb = layer_norm(x, t["L0.ln1.g"], t["L0.ln1.b"], M.LN_EPS)
         # Wqkv's 12 columns: Wq | Wk | Wv, each head 0's two columns, then head 1's
         w = t["L0.Wqkv"]
         maps, heads = [], []
@@ -134,10 +134,10 @@ class TestForward:
             maps.append(softmax_rows(q @ k.T / np.sqrt(4.0)))
             heads.append(maps[-1] @ v)
         xp = np.hstack(heads) @ t["L0.Wo"] + xb
-        xbp = layer_norm(xp, t["L0.ln2.g"], t["L0.ln2.b"], cfg.ln_eps)
+        xbp = layer_norm(xp, t["L0.ln2.g"], t["L0.ln2.b"], M.LN_EPS)
         xo = gelu(xbp @ t["L0.W1"] + t["L0.b1"]) @ t["L0.W2"] + t["L0.b2"] + xbp
         y = xo @ t["We"] + t["be"]
-        expected = layer_norm(y.max(axis=0), t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+        expected = layer_norm(y.max(axis=0), t["ln_out.g"], t["ln_out.b"], M.LN_EPS)
         emb, (layer_maps,), _ = M.forward(p, seq)
         np.testing.assert_allclose(emb, expected, atol=1e-12)
         for a, a_ref in zip(layer_maps, maps, strict=True):
@@ -270,13 +270,13 @@ class TestForwardBatch:
         seqs = mixed_batch(alphabet, cfg.max_chars)
         emb, cache = M.forward_batch(p, seqs)
         want = layer_norm(p.tensors["be"], p.tensors["ln_out.g"], p.tensors["ln_out.b"],
-                          cfg.ln_eps)
+                          M.LN_EPS)
         for row in emb:
             assert row.tobytes() == want.tobytes()
         u = np.random.default_rng(29).normal(size=(len(seqs), cfg.d_out))
         grads = M.backward_batch(p, cache, u).tensors
         d_pooled = reference.layer_norm_backward(cache["pooled"], p.tensors["ln_out.g"],
-                                                 cfg.ln_eps, u)[0]
+                                                 M.LN_EPS, u)[0]
         first = cache["x_final"][:, 0, :]  # each sequence's position 0
         np.testing.assert_allclose(grads["We"], first.T @ d_pooled, rtol=0, atol=1e-12)
         assert not np.allclose(grads["We"], cache["x_final"][:, 1, :].T @ d_pooled)
@@ -299,14 +299,14 @@ class TestForwardBatch:
 
         real = np.arange(x.shape[1]) < np.array([len(s) for s in seqs])[:, None]
         pooled, y = reference.pool_output(x, real, t["We"], t["be"])
-        want = reference.layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], cfg.ln_eps)
+        want = reference.layer_norm(pooled, t["ln_out.g"], t["ln_out.b"], M.LN_EPS)
         assert cache["pooled"].tobytes() == pooled.tobytes()
         assert emb.tobytes() == want.tobytes()
 
         u = np.random.default_rng(41).normal(size=emb.shape)
         grads = M.backward_batch(p, cache, u).tensors
         d_pooled, d_gain, d_bias = reference.layer_norm_backward(pooled, t["ln_out.g"],
-                                                                 cfg.ln_eps, u)
+                                                                 M.LN_EPS, u)
         dx, d_we, d_be = reference.pool_output_backward(x, y, t["We"], d_pooled)
         d_emb = np.zeros_like(t["char_emb"])
         np.add.at(d_emb, cache["ids"].ravel(), dx.reshape(-1, cfg.d_char))
@@ -412,9 +412,9 @@ class TestBackwardBatch:
 
 def packed_cases():
     """Batches for the packed-against-padded checks: mixed lengths 1..max_chars
-    (66 padded slots, so its rows are the real positions), a lone 1-char word
-    (one real position), equal lengths (no padding) and lengths one short of
-    equal (fewer than PACK_MIN_PADDING padded slots)."""
+    (66 padded slots) and lengths one short of equal (3 padded slots), whose
+    rows are the real positions; a lone 1-char word (one real position) and
+    equal lengths (no padding), which run all their slots as rows."""
     rng = np.random.default_rng(50)
     max_chars = 12
     mixed = [tuple(rng.integers(2, 20, size=n))
@@ -498,10 +498,11 @@ class TestPackedMatchesPadded:
             for layer, lone_maps in zip(cache["layers"], maps):
                 assert layer["a"][row, :, :n, :n].tobytes() == np.stack(lone_maps).tobytes()
 
-    def test_rows_are_the_real_positions(self, tiny_config):
+    @pytest.mark.parametrize("kind", ["mixed", "slight"])
+    def test_rows_are_the_real_positions(self, tiny_config, kind):
         p = M.init_params(tiny_config, 20, seed=52)
         _, cases = packed_cases()
-        seqs = cases["mixed"]
+        seqs = cases[kind]
         _, cache = M.forward_batch(p, seqs)
         b, n = cache["ids"].shape
         real = np.arange(n) < np.array([len(s) for s in seqs])[:, None]
@@ -513,9 +514,9 @@ class TestPackedMatchesPadded:
                 assert layer[key].shape[0] == real.sum(), key
             assert layer["a"].shape == (b, tiny_config.n_heads, n, n)
 
-    @pytest.mark.parametrize("kind", ["lone", "equal", "slight"])
+    @pytest.mark.parametrize("kind", ["lone", "equal"])
     def test_all_slots_run_as_rows_without_a_copy(self, tiny_config, kind):
-        # fewer than PACK_MIN_PADDING padded slots: the rows are all the slots
+        # no padded slot, or one real position: the rows are all the slots
         p = M.init_params(tiny_config, 20, seed=53)
         _, cases = packed_cases()
         _, cache = M.forward_batch(p, cases[kind])
@@ -675,16 +676,23 @@ class TestCheckpoint:
         (lambda h: dict(h, config=dict(h["config"], max_chars=32.0)),
          r"type for \['max_chars'\]"),
         (lambda h: dict(h, config=dict(h["config"], n_layers=True)), r"type for \['n_layers'\]"),
-        (lambda h: dict(h, config=dict(h["config"], ln_eps=1e999)), "ln_eps must be finite"),
+        (lambda h: dict(h, config=dict(h["config"], ln_eps=1e999)), "fixed LayerNorm epsilon"),
+        (lambda h: dict(h, config=dict(h["config"], ln_eps=1e-06)),
+         r"ln_eps is 1e-06; .* fixed LayerNorm epsilon 1e-05"),
         (lambda h: dict(h, config=dict(h["config"], d_char=7, n_heads=1)), "must be even"),
         (lambda h: dict(h, alphabet="abc"), "alphabet must be a list"),
+        (lambda h: dict(h, alphabet=["#x", *h["alphabet"][1:]]),
+         "alphabet entry '#x' is not a single character"),
+        (lambda h: dict(h, alphabet=[h["alphabet"][1], *h["alphabet"][1:]]),
+         "alphabet entry .* is a duplicate"),
         (lambda h: dict(h, marker_on_full_words=None), "marker_on_full_words"),
         (lambda h: dict(h, marker_on_full_words=False), "marker_on_full_words must be true"),
         (lambda h: dict(h, alphabet=h["alphabet"][:-1]), "checkpoint payload is"),
         (lambda h: dict(h, manifest={"char_emb": 1}), "manifest"),
     ], ids=["not-object", "no-config", "no-alphabet", "no-manifest", "no-marker", "extra-key",
             "config-not-object", "config-key-missing", "config-key-unknown", "str-count",
-            "float-count", "bool-count", "inf-eps", "odd-d-char", "alphabet-not-list",
+            "float-count", "bool-count", "inf-eps", "other-eps", "odd-d-char",
+            "alphabet-not-list", "alphabet-long-entry", "alphabet-duplicate",
             "marker-not-bool", "marker-false", "alphabet-short", "manifest-not-list"])
     def test_malformed_header_rejected(self, tiny_config, alphabet, tmp_path, edit, message):
         path = saved_checkpoint(tiny_config, alphabet, tmp_path)

@@ -78,6 +78,14 @@ class TestLayouts:
         with pytest.raises(LayoutError, match="'q'"):
             KeyboardLayout(name="bad", neighbors={"q": []})
 
+    @pytest.mark.parametrize("neighbors, match", [
+        ({"ab": ["c"]}, "key 'ab' is not a single character"),
+        ({"a": [1, 2]}, r"key 'a' needs a list of single characters, got \[1, 2\]"),
+    ], ids=["long-key", "int-neighbors"])
+    def test_layout_built_in_python_checked_as_loaded(self, neighbors, match):
+        with pytest.raises(LayoutError, match=match):
+            KeyboardLayout(name="x", neighbors=neighbors)
+
     def test_default_qwerty_sane(self):
         (lay,) = default_layouts()
         assert "s" in lay.neighbors["a"]

@@ -119,6 +119,17 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match=f"text table line {line} has .* values, expected 3"):
             load_table(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("3\n1 2 3\n", r"""line 1 must be two integers "v d", got '3'"""),
+        ("2 x\n1 2\n", r"""line 1 must be two integers "v d", got '2 x'"""),
+        ("2 3\n1 2 3\n4 x 6\n", r"text table line 3: .*'x'"),
+    ], ids=["one-number-header", "word-in-header", "word-in-row"])
+    def test_text_line_that_is_not_numbers_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_table(path)
+
     @pytest.mark.parametrize("name, data", [
         ("table.txt", b"0 3\n"),
         ("table.embt", b"EMBT" + (0).to_bytes(4, "little") + (3).to_bytes(4, "little")),
