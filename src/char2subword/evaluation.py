@@ -35,10 +35,19 @@ def embed_vocab(params, vocab, alphabet):
     return ids, vecs
 
 
+def _evaluated(params, vocab, alphabet, embedded):
+    """(ids, vecs) of the entries to evaluate: `embedded`, or embed_vocab's. Raises
+    ValueError if there is none, as a mean over no entry is NaN."""
+    ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
+    if not len(ids):
+        raise ValueError("the vocabulary has no entry to evaluate: every entry is a special token")
+    return ids, vecs
+
+
 def accuracy(params, vocab, e_table, alphabet, embedded=None):
     """Fraction of non-special entries whose argmax over e_hat . E^T is themselves."""
     check_vocab_size(e_table, vocab)
-    ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
+    ids, vecs = _evaluated(params, vocab, alphabet, embedded)
     return float(np.mean(scan_table(e_table, vecs, 1)[2] == np.asarray(ids)))
 
 
@@ -47,7 +56,7 @@ def precision_at_k(params, vocab, e_table, index, alphabet, k_max=EVAL_K, embedd
     check_vocab_size(e_table, vocab)
     if k_max > index.k:
         raise ValueError(f"k_max={k_max} exceeds neighbor index depth {index.k}")
-    ids, vecs = embedded if embedded is not None else embed_vocab(params, vocab, alphabet)
+    ids, vecs = _evaluated(params, vocab, alphabet, embedded)
     pred, _, argmax = scan_table(e_table, vecs, k_max)
     truth = index.ids[np.asarray(ids, dtype=np.int64), :k_max]
     # both rows hold distinct ids, so |truth[:k] & pred[:k]| counts the matches

@@ -32,13 +32,14 @@ def softmax_rows(m, axis=-1):
     return e.swapaxes(0, axis)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias, eps):
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
     Uses population variance. Works on a single vector or row-wise on a matrix.
     x is centered once; the sums and divisions are the ones ndarray.mean and
     ndarray.var make, so the bits are theirs. Returns (out, d, sigma): d is x
     centered and sigma = sqrt(var + eps), the terms layer_norm_backward takes.
+    eps > 0 has no default: the encoder states its one value, model.LN_EPS.
     """
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)

@@ -236,21 +236,29 @@ def build_neighbor_index(e_table, k):
     return NeighborIndex(k=k, ids=rank_neighbors(e_table, e_table.matrix, k)[0])
 
 
+def _tile_geometry(q, e_table):
+    """(row step, column width, inline) of the tiles of a q x |V| product. A row block
+    takes up to max(sqrt(CE_BLOCK), CE_BLOCK // |V|) rows, so a batch of a few hundred
+    rows streams the table once and many rows get square BLAS tiles. A product that fits
+    in one tile is `inline`, one tile run in the caller, if it has fewer than 2 * CE_BLOCK
+    multiply-adds (q x |V| x d), or if q is 0 (no tile); from there it is cut into two
+    column tiles of ceil(|V| / 2) columns, a fixed count, so the bits do not depend on
+    the machine."""
+    step = max(1, min(q, max(math.isqrt(CE_BLOCK), CE_BLOCK // e_table.size)))
+    width = min(e_table.size, max(1, CE_BLOCK // step))
+    inline = q <= step and e_table.size <= width  # one tile, or none
+    if inline and q * e_table.size * e_table.dim >= 2 * CE_BLOCK:
+        width, inline = -(-e_table.size // 2), False  # two column tiles, side by side
+    return step, width, inline
+
+
 def tiles(rows, e_table, fn):
     """Yield (row slice, column slice, fn(row slice, column slice, product)) per tile of
     a rows x |V| product, in tile order: row block by row block, columns ascending, none
-    above CE_BLOCK entries. `product` is rows[blk] @ E[cols].T, a fresh array that fn may
-    overwrite. A row block takes up to max(sqrt(CE_BLOCK), CE_BLOCK // |V|) rows, so a
-    batch of a few hundred rows streams the table once and many rows get square BLAS
-    tiles. A product that fits in one tile runs inline if it has fewer than 2 * CE_BLOCK
-    multiply-adds (rows x |V| x d); from there it is cut into two column tiles of
-    ceil(|V| / 2) columns, a fixed count, so the bits do not depend on the machine.
-    Several tiles run through _in_order on the pool, whose rules fn keeps."""
-    step = max(1, min(len(rows), max(math.isqrt(CE_BLOCK), CE_BLOCK // e_table.size)))
-    width = min(e_table.size, max(1, CE_BLOCK // step))
-    inline = len(rows) <= step and e_table.size <= width  # one tile, or none
-    if inline and len(rows) * e_table.size * e_table.dim >= 2 * CE_BLOCK:
-        width, inline = -(-e_table.size // 2), False  # two column tiles, side by side
+    above CE_BLOCK entries, in the geometry of _tile_geometry. `product` is
+    rows[blk] @ E[cols].T, a fresh array that fn may overwrite. Several tiles run
+    through _in_order on the pool, whose rules fn keeps."""
+    step, width, inline = _tile_geometry(len(rows), e_table)
 
     def grid():
         for lo in range(0, len(rows), step):
@@ -268,13 +276,19 @@ def scan_table(e_table, vecs, n, argmax=True):
     """One exact pass over the tiles of `tiles` for query rows (Q, d): the top-n table
     rows by cosine, ascending-id ties, as (ids, sims) shaped (Q, n), and each row's
     argmax of the raw product, lowest id on ties, shaped (Q,), or None if not `argmax`.
-    Each tile keeps every column at or above its rows' n-th largest cosine, so ties at
-    the cut survive, and returns its rows' top-n cosines and, if `argmax`, its own
-    argmax, merged in column order. At a row block's last tile, one or many, each
-    row's n-th largest cosine is taken from one partition of its tiles' top-n cosines,
-    and the candidates at or above it are sorted once, stably on (row, -cosine):
-    within a row they arrive in ascending column order, so ties keep ascending ids.
-    n must be in 1..|V|."""
+    n must be in 1..|V|.
+
+    The path follows _tile_geometry. A product it runs inline (one tile, as every
+    toy-scale product is, or none when Q = 0) ranks each row of its cosines with one
+    stable sort on -cosine, so ties keep ascending ids. A product of several tiles (any
+    query over a 30k-row table, or many query rows) keeps, per tile, every column at or
+    above its rows' n-th largest cosine, so ties at the cut survive, and returns its
+    rows' top-n cosines and, if `argmax`, its own argmax, merged in column order. At a
+    row block's last tile, each row's n-th largest cosine is taken from one partition
+    of its tiles' top-n cosines, and the candidates at or above it are sorted once,
+    stably on (row, -cosine): within a row they arrive in ascending column order, so
+    ties keep ascending ids. Run on one tile, the merge would give the sort's ids, sims
+    and argmax: both rank the same cosines, with the same ties."""
     if not 1 <= n <= e_table.size:
         raise ValueError(f"cannot rank the top {n} neighbors of {e_table.size} table rows; "
                          f"need n >= 1 and n <= {e_table.size}")
@@ -284,6 +298,18 @@ def scan_table(e_table, vecs, n, argmax=True):
         raise ValueError("cannot rank neighbors of a zero vector")
     if not np.isfinite(qnorm).all():  # NaN sims would pass no cut
         raise ValueError("cannot rank neighbors of a non-finite vector")
+    ids = np.empty((len(rows), n), dtype=np.int64)
+    sims = np.empty(ids.shape)
+    top1 = np.zeros(len(rows), dtype=np.int64)
+
+    if _tile_geometry(len(rows), e_table)[2]:
+        for _, _, prod in tiles(rows, e_table, lambda blk, cols, prod: prod):
+            if argmax:
+                top1 = prod.argmax(axis=1)  # the first max: its lowest id
+            s = np.divide(prod, qnorm[:, None] * e_table.norms, out=prod)
+            ids[:] = np.argsort(-s, axis=1, kind="stable")[:, :n]
+            sims[:] = s[np.arange(len(s))[:, None], ids]
+        return ids, sims, top1 if argmax else None
 
     def scan(blk, cols, prod):
         j = peak = None
@@ -297,9 +323,7 @@ def scan_table(e_table, vecs, n, argmax=True):
         r, c = np.divmod(flat, s.shape[1])
         return j, peak, top.copy(), r, c + cols.start, s.ravel()[flat]  # copied: frees s
 
-    ids = np.empty((len(rows), n), dtype=np.int64)
-    sims = np.empty(ids.shape)
-    top1, best = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), -np.inf)
+    best = np.full(len(rows), -np.inf)
     block = []  # the row block's tiles so far: (top, r, c, v) each
     for blk, cols, (j, peak, *found) in tiles(rows, e_table, scan):
         if argmax:

@@ -298,6 +298,24 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == "error: eval --k must be >= 1, got 0\n"
 
+    def test_vocabulary_of_special_tokens_only_exit_2(self, tmp_path, capsys):
+        (tmp_path / "vocab.txt").write_text("[UNK]\n[MASK]\n")
+        (tmp_path / "table.txt").write_text("2 3\n1 0 0\n0 1 0\n")
+        vocab = load_vocabulary(tmp_path / "vocab.txt")
+        alphabet = build_alphabet(vocab)
+        params = char2subword.init_params(char2subword.ModelConfig(d_char=8, d_out=3, n_layers=1,
+                                                                   n_heads=1),
+                                          len(alphabet), seed=0)
+        char2subword.save_checkpoint(tmp_path / "model.c2sw", params, alphabet)
+        rc = main(["eval", "--vocab", str(tmp_path / "vocab.txt"),
+                   "--table", str(tmp_path / "table.txt"),
+                   "--checkpoint", str(tmp_path / "model.c2sw"), "--k", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the vocabulary has no entry to evaluate: "
+                                "every entry is a special token\n")
+
 
 class TestNeighbors:
     def test_lists_n(self, workdir, capsys):

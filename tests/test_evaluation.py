@@ -229,6 +229,30 @@ class TestVocabSizeChecked:
                                alphabet=alphabet)
 
 
+class TestNoEntryToEvaluate:
+    """A vocabulary of special tokens only has no entry to evaluate: accuracy and
+    precision_at_k raise before any scan, where a mean over no entry would be NaN."""
+
+    @pytest.mark.parametrize("scorer", ["accuracy", "precision_at_k"])
+    def test_rejected_before_any_scan(self, tiny_config, monkeypatch, scorer):
+        vocab = c2s.load_vocabulary(["[UNK]", "[MASK]"])
+        table = EmbeddingTable(matrix=np.eye(2, tiny_config.d_out))
+        idx = build_neighbor_index(table, 1)
+        alphabet = c2s.build_alphabet(vocab)
+        params = M.init_params(tiny_config, len(alphabet), seed=0)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned the table")
+
+        monkeypatch.setattr(evaluation, "scan_table", no_scan)
+        score = {"accuracy": lambda: accuracy(params, vocab, table, alphabet),
+                 "precision_at_k": lambda: precision_at_k(params, vocab, table, idx, alphabet,
+                                                          k_max=1)}[scorer]
+        with pytest.raises(ValueError, match="^the vocabulary has no entry to evaluate: "
+                                             "every entry is a special token$"):
+            score()
+
+
 class TestSeqLengthStats:
     def test_hand_counts(self, toy_vocab):
         # every toy word is a single piece; "zzzzz" falls back to one [UNK]

@@ -102,7 +102,7 @@ class TestLayerNorm:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="layer_norm dims"):
-            layer_norm(np.zeros(3), np.ones(4), np.zeros(3))
+            layer_norm(np.zeros(3), np.ones(4), np.zeros(3), 1e-5)
 
     def test_backward_matches_finite_diff(self):
         rng = np.random.default_rng(3)
@@ -169,7 +169,7 @@ class TestSameBytesAsReference:
     def test_inputs_left_unchanged(self):
         x = np.random.default_rng(4).normal(size=(3, 5))
         before = x.copy()
-        ln = layer_norm(x, np.ones(5), np.zeros(5))
+        ln = layer_norm(x, np.ones(5), np.zeros(5), 1e-5)
         gl = gelu(x)
         outs = [softmax_rows(x), *gl, *ln, gelu_backward(x, gl[1], np.ones((3, 5))),
                 *layer_norm_backward(ln[1], ln[2], np.ones(5), np.ones((3, 5)))]
@@ -180,7 +180,7 @@ class TestSameBytesAsReference:
         np.testing.assert_array_equal(x, before)
         # the backward passes leave the saved terms as they were
         np.testing.assert_array_equal(gl[1], gelu(x)[1])
-        for got, want in zip(ln[1:], layer_norm(x, np.ones(5), np.zeros(5))[1:]):
+        for got, want in zip(ln[1:], layer_norm(x, np.ones(5), np.zeros(5), 1e-5)[1:]):
             np.testing.assert_array_equal(got, want)
 
 

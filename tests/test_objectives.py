@@ -887,6 +887,67 @@ class TestRankNeighbors:
         assert skipped[2] is None
         assert skipped[0].tobytes() == ids.tobytes() and skipped[1].tobytes() == sims.tobytes()
 
+    def test_one_tile_ranks_ties_as_lexsort_oracle_over_its_tile(self, monkeypatch, tile_log):
+        # the exact-tie tables of the two tests above, each scanned as one inline tile:
+        # ids, sim bytes and argmax are the lexsort oracle's over that tile's product,
+        # and the tiled path gives the same ids and argmax, and sims within 1e-12
+        rng = np.random.default_rng(12)
+        base = rng.integers(-3, 4, size=(4, 6)).astype(float)
+        base[:, 0] = 5.0
+        m = base[rng.integers(4, size=40)] * 2.0 ** rng.integers(0, 3, size=(40, 1))
+        a, b, c = [4.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 2.0, 0.0]
+        dirs = [c, c, c, b, c, c, c, c, c, c] + [a] * 6 + [b] * 16 + [c] * 8
+        cases = [(EmbeddingTable(matrix=m), np.concatenate([base, base + 0.5])),
+                 (EmbeddingTable(matrix=np.array(dirs) * 2.0 ** rng.integers(0, 3, size=(40, 1))),
+                  np.array([[1.0, 0.0, 0.0, 0.0], c]))]
+        for t, queries in cases:
+            (_, _, prod), = products(queries, t)
+            s = prod / (np.linalg.norm(queries, axis=1)[:, None] * t.norms)
+            for n in (1, 7, 40):
+                ids, sims, argmax = objectives.scan_table(t, queries, n)
+                assert grid(tile_log[-1]) == (1, 1)
+                for row in range(len(queries)):
+                    order = np.lexsort((np.arange(40), -s[row]))[:n]
+                    assert list(ids[row]) == list(order)
+                    assert sims[row].tobytes() == s[row, order].tobytes()
+                    assert argmax[row] == np.lexsort((np.arange(40), -prod[row]))[0]
+                with monkeypatch.context() as patch:
+                    patch.setattr(objectives, "CE_BLOCK", 12)  # 4 or 6 columns: < 7
+                    tiled = objectives.scan_table(t, queries, n)
+                assert grid(tile_log[-1])[1] >= 7
+                np.testing.assert_array_equal(tiled[0], ids)
+                np.testing.assert_allclose(tiled[1], sims, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(tiled[2], argmax)
+
+    @pytest.mark.parametrize("ce_block", [None, 36])  # one inline tile; 36-column tiles
+    def test_zero_rows_one_vector_and_full_depth(self, toy_table, monkeypatch, tile_log,
+                                                 ce_block):
+        v, d = toy_table.size, toy_table.dim
+        if ce_block:
+            monkeypatch.setattr(objectives, "CE_BLOCK", ce_block)
+        assert objectives._tile_geometry(0, toy_table)[2] == (ce_block is None)
+        for n in (1, v):
+            ids, sims, argmax = objectives.scan_table(toy_table, np.empty((0, d)), n)
+            assert ids.shape == sims.shape == (0, n) and argmax.shape == (0,)
+            assert ids.dtype == argmax.dtype == np.int64 and sims.dtype == np.float64
+            assert [a.shape for a in rank_neighbors(toy_table, np.empty((0, d)), n)] == [(0, n)] * 2
+        assert tile_log[-1] == []
+        rng = np.random.default_rng(21)
+        for q in (rng.normal(size=d), toy_table.matrix[7]):
+            s = (toy_table.matrix @ q) / (toy_table.norms * np.linalg.norm(q))
+            order = np.lexsort((np.arange(v), -s))
+            for n in (1, v):
+                ids, sims = rank_neighbors(toy_table, q, n)
+                assert grid(tile_log[-1]) == (1, 1 if ce_block is None else 2)
+                assert ids.shape == sims.shape == (n,)
+                assert list(ids) == list(order[:n])
+                np.testing.assert_allclose(sims, s[order[:n]], rtol=0, atol=1e-12)
+        idx = build_neighbor_index(toy_table, v)
+        assert grid(tile_log[-1]) == ((1, 1) if ce_block is None else (9, 9))
+        for i, row in enumerate(idx.ids):
+            s = (toy_table.matrix @ toy_table.matrix[i]) / (toy_table.norms * toy_table.norms[i])
+            assert list(row) == list(np.lexsort((np.arange(v), -s))), i
+
     def test_non_finite_query_rejected(self, toy_table):
         with pytest.raises(ValueError, match="non-finite"):
             rank_neighbors(toy_table, np.full(toy_table.dim, np.nan), 3)
